@@ -37,22 +37,40 @@ echo "==> metrics sidecar smoke (fig7, byte-identical across thread counts)"
 # sidecar must parse through the in-repo JSON layer (repro also
 # round-trips it before writing; a parse failure aborts the run).
 REPRO=target/release/repro
+
+# bench_gate <report> <baseline> <pct> <label>: fails if any benchmark in
+# both files regressed more than <pct> %. Exit 3 means a report/baseline
+# was absent or malformed: the gate degrades to a warning instead of
+# masquerading as a perf regression or a crash.
+bench_gate() {
+  local rc=0
+  "$REPRO" bench-check "$1" "$2" "$3" || rc=$?
+  if [ "$rc" -eq 3 ]; then
+    echo "ci.sh: WARNING: $4 skipped (no usable baseline; exit 3)"
+  elif [ "$rc" -ne 0 ]; then
+    exit "$rc"
+  fi
+}
+
 TTS_THREADS=1 "$REPRO" fig7 --metrics "$TMPDIR_CI/fig7.t1.json" > /dev/null
 TTS_THREADS=4 "$REPRO" fig7 --metrics "$TMPDIR_CI/fig7.t4.json" > /dev/null
 cmp "$TMPDIR_CI/fig7.t1.json" "$TMPDIR_CI/fig7.t4.json"
 
+echo "==> front door (unknown artifacts and flags exit 2)"
+# repro parses its flags through the experiment schemas; bad input is a
+# usage error, never a silently ignored selector or flag.
+expect_usage_error() {
+  local rc=0
+  "$REPRO" "$@" > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || { echo "front door: repro $* exited $rc, want 2"; exit 1; }
+}
+expect_usage_error nosuch
+expect_usage_error fig7 --bogus 1
+
 echo "==> bench gate (disabled-metrics thermal_solver within 5% of baseline)"
 # Metrics are off by default; the solver hot path must stay within the
-# pre-observability envelope recorded in BENCH_baseline.json. Exit 3
-# means a report/baseline was absent or malformed: the gate degrades to
-# a warning instead of masquerading as a perf regression or a crash.
-bench_rc=0
-"$REPRO" bench-check "$TMPDIR_CI/thermal_solver.json" BENCH_baseline.json 5 || bench_rc=$?
-if [ "$bench_rc" -eq 3 ]; then
-  echo "ci.sh: WARNING: bench gate skipped (no usable baseline; exit 3)"
-elif [ "$bench_rc" -ne 0 ]; then
-  exit "$bench_rc"
-fi
+# pre-observability envelope recorded in BENCH_baseline.json.
+bench_gate "$TMPDIR_CI/thermal_solver.json" BENCH_baseline.json 5 "bench gate"
 
 echo "==> ttsd smoke (serve fig7, byte-identical to repro, cold and cached, 1 and 4 threads)"
 # The serving layer must answer exactly the bytes repro files as
@@ -100,13 +118,7 @@ echo "==> ttsd loadgen gate (keep-alive+pipelining vs serial close, zero errors,
 # CI box; a transport regression — say, losing pipelining or reverting
 # to per-request connections — overshoots 60% by multiples).
 "$TTSD" loadgen --duration-ms 1500 --out "$TMPDIR_CI/ttsd_bench.json"
-bench_rc=0
-"$REPRO" bench-check "$TMPDIR_CI/ttsd_bench.json" BENCH_ttsd.json 60 || bench_rc=$?
-if [ "$bench_rc" -eq 3 ]; then
-  echo "ci.sh: WARNING: ttsd bench gate skipped (no usable baseline; exit 3)"
-elif [ "$bench_rc" -ne 0 ]; then
-  exit "$bench_rc"
-fi
+bench_gate "$TMPDIR_CI/ttsd_bench.json" BENCH_ttsd.json 60 "ttsd bench gate"
 
 echo "==> chaos gate (8 seeded fault scenarios, zero violations, byte-identical at 1 and 4 threads)"
 # The fault-injection batch must come back green and its summary JSON
@@ -150,13 +162,7 @@ echo "==> fleet bench gate (server-step throughput within 20% of BENCH_fleet.jso
 # overshoots it by orders of magnitude.
 TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/fleet_engine.json" \
   cargo bench --offline -q -p tts-bench --bench fleet_engine
-bench_rc=0
-"$REPRO" bench-check "$TMPDIR_CI/fleet_engine.json" BENCH_fleet.json 20 || bench_rc=$?
-if [ "$bench_rc" -eq 3 ]; then
-  echo "ci.sh: WARNING: fleet bench gate skipped (no usable baseline; exit 3)"
-elif [ "$bench_rc" -ne 0 ]; then
-  exit "$bench_rc"
-fi
+bench_gate "$TMPDIR_CI/fleet_engine.json" BENCH_fleet.json 20 "fleet bench gate"
 
 echo "==> schedule gate (co-optimizer beats passive baseline, byte-identical at 1 and 4 threads)"
 # The receding-horizon PCM/job co-optimizer must strictly beat the
@@ -182,13 +188,7 @@ echo "==> schedule bench gate (plan latency within 25% of BENCH_schedule.json)"
 # multiples, not percent.
 TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/schedule_plan.json" \
   cargo bench --offline -q -p tts-bench --bench schedule_plan
-bench_rc=0
-"$REPRO" bench-check "$TMPDIR_CI/schedule_plan.json" BENCH_schedule.json 25 || bench_rc=$?
-if [ "$bench_rc" -eq 3 ]; then
-  echo "ci.sh: WARNING: schedule bench gate skipped (no usable baseline; exit 3)"
-elif [ "$bench_rc" -ne 0 ]; then
-  exit "$bench_rc"
-fi
+bench_gate "$TMPDIR_CI/schedule_plan.json" BENCH_schedule.json 25 "schedule bench gate"
 
 echo "==> design gate (surrogate search matches the grid optimum in <= 1/10 evals, byte-identical at 1/4/8 threads)"
 # The tts-design search must reproduce the paper's melting-point optimum
@@ -227,13 +227,7 @@ echo "==> design bench gate (search latency within 25% of BENCH_design.json)"
 # (surrogate refit blow-up, memo miss storm) lands in multiples.
 TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/design_search.json" \
   cargo bench --offline -q -p tts-bench --bench design_search
-bench_rc=0
-"$REPRO" bench-check "$TMPDIR_CI/design_search.json" BENCH_design.json 25 || bench_rc=$?
-if [ "$bench_rc" -eq 3 ]; then
-  echo "ci.sh: WARNING: design bench gate skipped (no usable baseline; exit 3)"
-elif [ "$bench_rc" -ne 0 ]; then
-  exit "$bench_rc"
-fi
+bench_gate "$TMPDIR_CI/design_search.json" BENCH_design.json 25 "design bench gate"
 
 echo "==> scenarios gate (backend x site x trace matrix: byte-identical at 1 and 4 threads, reuse win, served bytes)"
 # The smoke matrix (1 site x 2 backends x 2 traces = 4 cells) must not
@@ -254,7 +248,9 @@ awk -v w="$wins" 'BEGIN { exit !(w >= 1) }' || {
   echo "scenarios gate: hot-water reuse never beat the plain bill ($wins win cells)"; exit 1; }
 echo "scenarios gate: hot-water reuse wins on $wins cell(s)"
 # The serving layer must answer the same bytes repro filed — cold
-# (computed on demand) and cached — for the same parameter set.
+# (computed on demand) and cached — for the same parameter set, and a
+# repro flag must mean what the same key means in a request body.
+(cd "$TMPDIR_CI" && "$REPRO_ABS" dcsim --seed 5 --write > /dev/null)
 PORT_FILE="$TMPDIR_CI/ttsd.scen.port"
 "$TTSD" --addr 127.0.0.1:0 --no-stdin-watch --port-file "$PORT_FILE" &
 TTSD_PID=$!
@@ -265,9 +261,11 @@ ADDR="$(cat "$PORT_FILE")"
   --body '{"sites": 1, "backends": 3, "traces": 1}' > "$TMPDIR_CI/scenarios.cold.body"
 "$TTSD" req "$ADDR" POST /v1/experiments/scenarios \
   --body '{"sites": 1, "backends": 3, "traces": 1}' > "$TMPDIR_CI/scenarios.cached.body"
+"$TTSD" req "$ADDR" POST /v1/experiments/dcsim --body '{"seed": 5}' > "$TMPDIR_CI/dcsim.seed5.body"
 "$TTSD" req "$ADDR" POST /admin/shutdown > /dev/null
 wait "$TTSD_PID"
 cmp "$TMPDIR_CI/results/scenarios.summary.json" "$TMPDIR_CI/scenarios.cold.body"
 cmp "$TMPDIR_CI/results/scenarios.summary.json" "$TMPDIR_CI/scenarios.cached.body"
+cmp "$TMPDIR_CI/results/dcsim.summary.json" "$TMPDIR_CI/dcsim.seed5.body"
 
 echo "ci.sh: all gates passed"

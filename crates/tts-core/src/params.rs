@@ -1,15 +1,15 @@
 //! Declarative experiment-parameter schemas.
 //!
 //! Every knob an experiment exposes over `POST /v1/experiments/{name}`
-//! (or `repro` flags) is described once, as a [`ParamSpec`]: name, value
-//! domain, default, and prose. Validation ([`Params::from_json`]),
-//! support checks ([`Params::ensure_only`]), the `GET /v1/experiments`
-//! wire schema ([`schema_json`]), and the `EXPERIMENTS.md` parameter
-//! tables ([`schema_markdown`]) are all derived from the same specs, so
-//! the docs cannot drift from what the server actually accepts — and an
-//! experiment that doesn't understand a parameter never sees it: `fig7`
-//! rejects `shards` at parse time with an error that lists only *its*
-//! parameters.
+//! (or as a `repro` flag, via [`flags_to_json`]) is described once, as a
+//! [`ParamSpec`]: name, value domain, default, and prose. Validation
+//! ([`Params::from_json`]), support checks ([`Params::ensure_only`]), the
+//! `GET /v1/experiments` wire schema ([`schema_json`]), and the
+//! `EXPERIMENTS.md` parameter tables ([`schema_markdown`]) are all derived
+//! from the same specs, so the docs cannot drift from what the server
+//! actually accepts — and an experiment that doesn't understand a
+//! parameter never sees it: `fig7` rejects `shards` at parse time with an
+//! error that lists only *its* parameters.
 //!
 //! Specs are `const`-constructible so each experiment's schema is a
 //! `&'static [ParamSpec]` with zero runtime registration; defaults that
@@ -470,6 +470,27 @@ pub fn schema_markdown(schema: &[ParamSpec]) -> String {
         ));
     }
     md
+}
+
+/// The request body `POST /v1/experiments/{name}` would carry for the
+/// command-line flags `--<name> <value>`, given as `(name, value)` pairs
+/// without the leading `--`. A flag name with `-` spelled `_` is the key;
+/// a value that is a JSON number becomes that number and anything else a
+/// string, so [`Params::from_json`] gives a flag exactly the validation
+/// and error text of the same key in an HTTP body.
+pub fn flags_to_json<'a>(flags: impl IntoIterator<Item = (&'a str, &'a str)>) -> Json {
+    Json::Obj(
+        flags
+            .into_iter()
+            .map(|(name, raw)| {
+                let value = match tts_units::json::parse(raw) {
+                    Ok(n @ Json::Num(_)) => n,
+                    _ => Json::Str(raw.to_string()),
+                };
+                (name.replace('-', "_"), value)
+            })
+            .collect(),
+    )
 }
 
 impl Params {

@@ -1,22 +1,7 @@
-//! Command-line front end for the thermal time shifting toolkit.
-//!
-//! The `tts` binary (see `src/main.rs`) wraps the high-level
-//! [`thermal_time_shifting::Scenario`] API:
-//!
-//! ```text
-//! tts cooling-load  [--class 1u|2u|ocp] [--melting <°C>] [--servers <n>] [--week]
-//! tts constrained   [--class 1u|2u|ocp] [--sustainable <0..1>]
-//! tts validate
-//! tts blockage      [--class 1u|2u|ocp]
-//! tts materials
-//! ```
-//!
-//! This crate hosts the argument parsing (kept dependency-free and unit
-//! tested here) and the command implementations.
+//! Host package for the workspace-level examples (`examples/`) and
+//! integration tests (`tests/`). It has no code of its own: the command
+//! line front end is `repro` (`crates/bench`), which regenerates every
+//! table and figure from the experiment registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod cli;
-
-pub use cli::{parse_args, Command, ParseError};
