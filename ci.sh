@@ -164,16 +164,20 @@ TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/fleet_engine.json" \
   cargo bench --offline -q -p tts-bench --bench fleet_engine
 bench_gate "$TMPDIR_CI/fleet_engine.json" BENCH_fleet.json 20 "fleet bench gate"
 
-echo "==> schedule gate (co-optimizer beats passive baseline, byte-identical at 1 and 4 threads)"
+echo "==> schedule gate (co-optimizer beats passive baseline, byte-identical at 1 and 4 threads and to the committed results)"
 # The receding-horizon PCM/job co-optimizer must strictly beat the
 # passive run-on-arrival baseline on the default two-day diurnal trace,
 # and — like every other result surface — its summary bytes must not
-# depend on the worker count.
+# depend on the worker count. They must also equal the committed
+# results: a solver change that moves one pivot or one rounding shows
+# up here even when both thread counts drift together.
 for T in 1 4; do
   (cd "$TMPDIR_CI" && TTS_THREADS=$T "$REPRO_ABS" schedule --write > /dev/null)
   cp "$TMPDIR_CI/results/schedule.summary.json" "$TMPDIR_CI/schedule.t$T.summary.json"
 done
 cmp "$TMPDIR_CI/schedule.t1.summary.json" "$TMPDIR_CI/schedule.t4.summary.json"
+cmp results/schedule.summary.json "$TMPDIR_CI/schedule.t1.summary.json"
+cmp results/schedule.json "$TMPDIR_CI/results/schedule.json"
 opt_cost=$(grep -o '"cost_optimized_usd": *[0-9.eE+-]*' "$TMPDIR_CI/schedule.t1.summary.json" | awk '{print $2}')
 pas_cost=$(grep -o '"cost_passive_usd": *[0-9.eE+-]*' "$TMPDIR_CI/schedule.t1.summary.json" | awk '{print $2}')
 [ -n "$opt_cost" ] && [ -n "$pas_cost" ] || { echo "schedule summary lacks cost fields"; exit 1; }
@@ -182,10 +186,11 @@ awk -v o="$opt_cost" -v p="$pas_cost" 'BEGIN { exit !(o < p) }' || {
 echo "schedule gate: optimized \$$opt_cost < passive \$$pas_cost"
 
 echo "==> schedule bench gate (plan latency within 25% of BENCH_schedule.json)"
-# Plan latency is the controller's cost of doing business: one dense
-# 108-slot LP solve per re-plan. The 25% tolerance rides out shared-box
-# noise; a real regression (pivot-rule breakage, tableau blow-up) is
-# multiples, not percent.
+# Plan latency is the controller's cost of doing business: one 108-slot
+# LP solve per re-plan, over dense tableau values with per-row sparsity
+# patterns. The 25% tolerance rides out shared-box noise; a real
+# regression (pivot-rule breakage, pattern fill-in blow-up, a return to
+# dense loops) is multiples, not percent.
 TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/schedule_plan.json" \
   cargo bench --offline -q -p tts-bench --bench schedule_plan
 bench_gate "$TMPDIR_CI/schedule_plan.json" BENCH_schedule.json 25 "schedule bench gate"

@@ -19,7 +19,8 @@
 //! # Layers
 //!
 //! * [`simplex`] — a bounded-variable primal simplex solver (dense
-//!   tableau, Bland's anti-cycling rule, deterministic pivoting). No
+//!   tableau values over per-row sparsity patterns, Bland's anti-cycling
+//!   rule, deterministic pivoting). No
 //!   clocks, no allocator tricks, no randomness: the same `Lp` always
 //!   produces the same pivot sequence and the same solution bytes.
 //! * [`model`] — translates a forecast horizon (slot-indexed firm load,

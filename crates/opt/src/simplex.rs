@@ -4,8 +4,8 @@
 //! constraints `lo ≤ a·x ≤ hi`. Every range row is normalized to an
 //! equality `a·x − s = 0` with a *bounded slack* `s ∈ [lo, hi]`, so the
 //! whole problem is a system `A·[x; s] = 0` over bounded variables and the
-//! all-slack basis is immediately available. The solver is a dense-tableau
-//! two-phase method:
+//! all-slack basis is immediately available. The solver is a two-phase
+//! tableau method:
 //!
 //! * **phase 1** drives bound violations of the basic variables to zero by
 //!   minimizing the total infeasibility (a piecewise-linear objective whose
@@ -22,6 +22,23 @@
 //! the same [`Lp`] always produces bit-identical output, on any machine,
 //! at any thread count — there is no randomness and no clock anywhere in
 //! the crate.
+//!
+//! The tableau `B⁻¹·A` keeps dense values, but each row also carries a
+//! sorted *pattern*: the columns that may be nonzero, every other entry
+//! being exactly `+0.0`. Planning LPs are very sparse (a few nonzeros in a
+//! row of ~1200 columns), so the pivot, the phase-1 gradient, the reduced
+//! costs and the basic-value refresh loop over patterns only. A pivot
+//! eliminates along the pivot row's pattern, and each touched row's
+//! pattern becomes the union of the two, minus the pivot column and any
+//! entry that cancelled to exactly zero. This changes no output bit of the
+//! plain dense loops: every column sum still runs over rows in ascending
+//! order (and a row's refresh over ascending columns), and the only terms
+//! skipped are `±0` products, which leave unchanged any value that is not
+//! `−0.0`. The gradient and refresh sums start at `+0.0` and so never
+//! become `−0.0`, and reduced costs are only compared against tolerances.
+//! A zero tableau entry may carry the other sign than under dense loops,
+//! but every nonzero entry is identical, and the sign of a zero never
+//! reaches a comparison, a pivot or the solution.
 
 /// Reduced-cost tolerance: a direction must beat this to count as improving.
 const COST_TOL: f64 = 1e-9;
@@ -174,6 +191,15 @@ enum Landing {
     Upper,
 }
 
+/// Where one row's pattern lives in [`Solver::cols`]: `len` ascending
+/// columns from `at`, in a slot of `room` entries.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    at: usize,
+    len: usize,
+    room: usize,
+}
+
 /// The working state of one solve.
 struct Solver {
     m: usize,
@@ -183,8 +209,25 @@ struct Solver {
     lower: Vec<f64>,
     upper: Vec<f64>,
     cost: Vec<f64>,
-    /// Dense `B⁻¹·A`, row-major `m × nt`.
+    /// `B⁻¹·A` values, row-major `m × nt`. Entries outside their row's
+    /// pattern are `+0.0`.
     tab: Vec<f64>,
+    /// Every row's pattern (the ascending columns whose tableau entry may
+    /// be nonzero), back to back in one buffer. A row that outgrows its
+    /// slot moves to a slot of twice its new length at the end. One buffer
+    /// rather than a `Vec` per row: thousands of small per-row allocations
+    /// can pin the freed tableau's memory between solves, so that the next
+    /// tableau needs fresh pages.
+    cols: Vec<u32>,
+    /// Per row: its pattern's slot in `cols`.
+    slots: Vec<Slot>,
+    /// Scratch: the pivot row's pattern during a pivot.
+    pivot_cols: Vec<u32>,
+    /// Scratch: a row's new pattern during elimination.
+    merged: Vec<u32>,
+    /// Pricing vector over all `nt` columns: the phase-1 infeasibility
+    /// gradient or the phase-2 reduced costs.
+    d: Vec<f64>,
     /// Basic variable per row.
     basis: Vec<usize>,
     /// Variable → basis row, or `-1` when nonbasic.
@@ -213,12 +256,29 @@ impl Solver {
         // Rows are `a·x − s = 0`; with the all-slack basis B = −I the
         // tableau B⁻¹·A starts as −a on structural columns and +I on the
         // slack block.
+        assert!(u32::try_from(nt).is_ok(), "too many columns: {nt}");
         let mut tab = vec![0.0; m * nt];
+        let mut cols = Vec::with_capacity(lp.rows.iter().map(|r| 2 * r.coeffs.len() + 2).sum());
+        let mut slots = Vec::with_capacity(m);
+        let mut row_cols = Vec::with_capacity(nt);
         for (i, r) in lp.rows.iter().enumerate() {
             for &(j, a) in &r.coeffs {
                 tab[i * nt + j] -= a;
             }
             tab[i * nt + n + i] = 1.0;
+            row_cols.clear();
+            row_cols.extend(r.coeffs.iter().map(|&(j, _)| j as u32));
+            row_cols.push((n + i) as u32);
+            row_cols.sort_unstable();
+            row_cols.dedup();
+            let (at, len) = (cols.len(), row_cols.len());
+            cols.extend_from_slice(&row_cols);
+            cols.resize(at + 2 * len, 0);
+            slots.push(Slot {
+                at,
+                len,
+                room: 2 * len,
+            });
         }
         let mut x = vec![0.0; nt];
         let mut at_upper = vec![false; nt];
@@ -234,6 +294,11 @@ impl Solver {
             upper,
             cost,
             tab,
+            cols,
+            slots,
+            pivot_cols: Vec::with_capacity(nt),
+            merged: Vec::with_capacity(nt),
+            d: vec![0.0; nt],
             basis: (n..nt).collect(),
             pos: (0..nt).map(|j| j as i64 - n as i64).collect(),
             x,
@@ -247,20 +312,21 @@ impl Solver {
     }
 
     /// Recomputes every basic value exactly from the nonbasic ones:
-    /// `x_B = −Σ_{j nonbasic} (B⁻¹A)_j · x_j`.
+    /// `x_B = −Σ_{j nonbasic} (B⁻¹A)_j · x_j`. Only nonbasic values are
+    /// read and only basic ones written, so each row is stored as soon as
+    /// it is summed.
     fn refresh_basics(&mut self) {
-        let mut beta = vec![0.0; self.m];
-        for j in 0..self.nt {
-            if self.pos[j] >= 0 || self.x[j] == 0.0 {
-                continue;
+        for (i, s) in self.slots.iter().enumerate() {
+            let row = &self.tab[i * self.nt..(i + 1) * self.nt];
+            let mut beta = 0.0;
+            for &j in &self.cols[s.at..s.at + s.len] {
+                let j = j as usize;
+                if self.pos[j] >= 0 || self.x[j] == 0.0 {
+                    continue;
+                }
+                beta -= row[j] * self.x[j];
             }
-            let xj = self.x[j];
-            for (i, b) in beta.iter_mut().enumerate() {
-                *b -= self.tab[i * self.nt + j] * xj;
-            }
-        }
-        for (i, b) in beta.iter().enumerate() {
-            self.x[self.basis[i]] = *b;
+            self.x[self.basis[i]] = beta;
         }
     }
 
@@ -275,28 +341,28 @@ impl Solver {
     }
 
     /// Phase-2 reduced costs `d = c − c_B·B⁻¹A`, recomputed exactly.
-    fn reduced_costs(&self) -> Vec<f64> {
-        let mut d = self.cost.clone();
+    fn reduced_costs(&mut self) {
+        self.d.copy_from_slice(&self.cost);
         for (i, &b) in self.basis.iter().enumerate() {
             let cb = self.cost[b];
             if cb == 0.0 {
                 continue;
             }
             let row = &self.tab[i * self.nt..(i + 1) * self.nt];
-            for (dj, &t) in d.iter_mut().zip(row) {
-                *dj -= cb * t;
+            let s = self.slots[i];
+            for &j in &self.cols[s.at..s.at + s.len] {
+                self.d[j as usize] -= cb * row[j as usize];
             }
         }
         for &b in &self.basis {
-            d[b] = 0.0;
+            self.d[b] = 0.0;
         }
-        d
     }
 
     /// Phase-1 gradient of the total infeasibility `w = Σ (l−β)⁺ + (β−u)⁺`
     /// with respect to each nonbasic variable.
-    fn infeasibility_gradient(&self) -> Vec<f64> {
-        let mut d = vec![0.0; self.nt];
+    fn infeasibility_gradient(&mut self) {
+        self.d.fill(0.0);
         for (i, &b) in self.basis.iter().enumerate() {
             let sign = if self.x[b] < self.lower[b] - FEAS_TOL {
                 1.0
@@ -306,22 +372,22 @@ impl Solver {
                 continue;
             };
             let row = &self.tab[i * self.nt..(i + 1) * self.nt];
-            for (dj, &t) in d.iter_mut().zip(row) {
-                *dj += sign * t;
+            let s = self.slots[i];
+            for &j in &self.cols[s.at..s.at + s.len] {
+                self.d[j as usize] += sign * row[j as usize];
             }
         }
         for &b in &self.basis {
-            d[b] = 0.0;
+            self.d[b] = 0.0;
         }
-        d
     }
 
     /// Picks the entering variable and its direction (+1 from lower, −1
-    /// from upper) from a reduced-cost vector. Dantzig by default, Bland
+    /// from upper) from the pricing vector `d`. Dantzig by default, Bland
     /// when triggered; ties always break to the lowest index.
-    fn entering(&self, d: &[f64]) -> Option<(usize, f64)> {
+    fn entering(&self) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64, f64)> = None; // (var, dir, score)
-        for (j, &dj) in d.iter().enumerate().take(self.nt) {
+        for (j, &dj) in self.d.iter().enumerate() {
             if self.pos[j] >= 0 || self.lower[j] == self.upper[j] {
                 continue;
             }
@@ -455,31 +521,90 @@ impl Solver {
         }
     }
 
-    /// Gauss-Jordan pivot on `(row r, column q)`.
+    /// Gauss-Jordan pivot on `(row r, column q)`, over the pivot row's
+    /// pattern only.
     fn pivot(&mut self, r: usize, q: usize) {
         let nt = self.nt;
         let piv = self.tab[r * nt + q];
         debug_assert!(piv.abs() > PIVOT_TOL, "pivot too small: {piv}");
         let inv = 1.0 / piv;
-        for v in &mut self.tab[r * nt..(r + 1) * nt] {
-            *v *= inv;
+        let s = self.slots[r];
+        self.pivot_cols.clear();
+        self.pivot_cols
+            .extend_from_slice(&self.cols[s.at..s.at + s.len]);
+        for &j in &self.pivot_cols {
+            self.tab[r * nt + j as usize] *= inv;
         }
-        let pivot_row = self.tab[r * nt..(r + 1) * nt].to_vec();
         for i in 0..self.m {
-            if i == r {
-                continue;
+            if i != r && self.tab[i * nt + q] != 0.0 {
+                self.eliminate(i, r, q);
             }
-            let f = self.tab[i * nt + q];
-            if f == 0.0 {
-                continue;
-            }
-            let row = &mut self.tab[i * nt..(i + 1) * nt];
-            for (v, &p) in row.iter_mut().zip(&pivot_row) {
-                *v -= f * p;
-            }
-            row[q] = 0.0; // exact elimination
         }
         self.tab[r * nt + q] = 1.0;
+    }
+
+    /// Subtracts `f ×` the scaled pivot row `r` (pattern `pivot_cols`) from
+    /// row `i`, where `f` zeroes column `q`, walking the two ascending
+    /// patterns once. Row `i`'s pattern becomes their union minus `q` and
+    /// minus any entry that cancelled to exactly zero (reset to `+0.0`).
+    fn eliminate(&mut self, i: usize, r: usize, q: usize) {
+        let nt = self.nt;
+        let f = self.tab[i * nt + q];
+        let (row, pivot_row) = if i < r {
+            let (head, tail) = self.tab.split_at_mut(r * nt);
+            (&mut head[i * nt..(i + 1) * nt], &tail[..nt])
+        } else {
+            let (head, tail) = self.tab.split_at_mut(i * nt);
+            (&mut tail[..nt], &head[r * nt..(r + 1) * nt])
+        };
+        let s = self.slots[i];
+        let (cols, pivot_cols) = (&self.cols[s.at..s.at + s.len], &self.pivot_cols);
+        self.merged.clear();
+        let (mut a, mut b) = (0, 0);
+        loop {
+            let (j, in_pivot) = match (cols.get(a), pivot_cols.get(b)) {
+                (Some(&x), Some(&y)) if x == y => {
+                    a += 1;
+                    b += 1;
+                    (x, true)
+                }
+                (Some(&x), Some(&y)) if x < y => {
+                    a += 1;
+                    (x, false)
+                }
+                (Some(&x), None) => {
+                    a += 1;
+                    (x, false)
+                }
+                (_, Some(&y)) => {
+                    b += 1;
+                    (y, true)
+                }
+                (None, None) => break,
+            };
+            let ju = j as usize;
+            if in_pivot {
+                row[ju] -= f * pivot_row[ju];
+            }
+            if ju == q || row[ju] == 0.0 {
+                row[ju] = 0.0; // exact elimination / cancellation
+            } else {
+                self.merged.push(j);
+            }
+        }
+        let len = self.merged.len();
+        if len > s.room {
+            let at = self.cols.len();
+            self.cols.resize(at + 2 * len, 0);
+            self.slots[i] = Slot {
+                at,
+                len,
+                room: 2 * len,
+            };
+        }
+        let s = &mut self.slots[i];
+        s.len = len;
+        self.cols[s.at..s.at + len].copy_from_slice(&self.merged);
     }
 
     fn run(&mut self) -> Outcome {
@@ -489,8 +614,8 @@ impl Solver {
             if self.iterations > max_iter {
                 return Outcome::IterationLimit;
             }
-            let d = self.infeasibility_gradient();
-            let Some((q, dir)) = self.entering(&d) else {
+            self.infeasibility_gradient();
+            let Some((q, dir)) = self.entering() else {
                 return Outcome::Infeasible; // w minimized but still > 0
             };
             let Some((t, block)) = self.ratio(q, dir, true) else {
@@ -504,8 +629,8 @@ impl Solver {
             if self.iterations > max_iter {
                 return Outcome::IterationLimit;
             }
-            let d = self.reduced_costs();
-            let Some((q, dir)) = self.entering(&d) else {
+            self.reduced_costs();
+            let Some((q, dir)) = self.entering() else {
                 break; // optimal
             };
             match self.ratio(q, dir, false) {
@@ -652,6 +777,79 @@ mod tests {
                 assert_eq!(sa.iterations, sb.iterations);
             }
             (a, b) => assert_eq!(a, b),
+        }
+    }
+
+    /// The row-pattern invariant: every pattern is strictly ascending,
+    /// every entry outside it is exactly `+0.0`, and each basic column is
+    /// the unit vector of its row. The values must also still be `B⁻¹·A`:
+    /// with `t0` the starting tableau (`−A`, as `B₀ = −I`), the basis
+    /// columns of `t0` times the tableau give back `t0`.
+    fn assert_tableau_holds(s: &Solver, t0: &[f64]) {
+        let nt = s.nt;
+        for k in 0..s.m {
+            for j in 0..nt {
+                let bt: f64 = (0..s.m)
+                    .map(|i| t0[k * nt + s.basis[i]] * s.tab[i * nt + j])
+                    .sum();
+                assert!((bt - t0[k * nt + j]).abs() < 1e-9, "(B·T)[{k}][{j}] = {bt}");
+            }
+        }
+        for (i, slot) in s.slots.iter().enumerate() {
+            let cols = &s.cols[slot.at..slot.at + slot.len];
+            assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {i}: {cols:?}");
+            let row = &s.tab[i * s.nt..(i + 1) * s.nt];
+            for (j, &v) in row.iter().enumerate() {
+                if cols.binary_search(&(j as u32)).is_err() {
+                    assert_eq!(v.to_bits(), 0, "entry ({i}, {j}) = {v} outside its pattern");
+                }
+            }
+            for (k, &b) in s.basis.iter().enumerate() {
+                assert_eq!(row[b], if k == i { 1.0 } else { 0.0 }, "basic column {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_patterns_cover_the_tableau_after_every_pivot() {
+        use tts_rng::{Rng, SeedableRng, Xoshiro256pp};
+        for seed in 0..8 {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            // Sparse rows of small integers, so pivots both fill in and
+            // cancel entries to exactly zero.
+            let mut lp = Lp::new();
+            for _ in 0..20 {
+                let cost = rng.gen_range(-3i64..4) as f64;
+                lp.add_var(0.0, rng.gen_range(1i64..5) as f64, cost);
+            }
+            for _ in 0..12 {
+                let coeffs: Vec<(usize, f64)> = (0..4)
+                    .map(|_| (rng.gen_range(0usize..20), rng.gen_range(-3i64..4) as f64))
+                    .collect();
+                lp.add_row(-2.0, &coeffs, 6.0);
+            }
+            let mut s = Solver::new(&lp);
+            let t0 = s.tab.clone();
+            assert_tableau_holds(&s, &t0);
+            for _ in 0..200 {
+                let q = rng.gen_range(0usize..s.nt);
+                if s.pos[q] >= 0 {
+                    continue;
+                }
+                let rows: Vec<usize> = (0..s.m)
+                    .filter(|&i| s.tab[i * s.nt + q].abs() > PIVOT_TOL)
+                    .collect();
+                if rows.is_empty() {
+                    continue;
+                }
+                let r = rows[rng.gen_range(0usize..rows.len())];
+                s.step(q, 1.0, 0.0, Some((r, Landing::Lower)));
+                assert_tableau_holds(&s, &t0);
+            }
+            // And along the simplex's own pivot sequence.
+            let mut s = Solver::new(&lp);
+            let _ = s.run();
+            assert_tableau_holds(&s, &t0);
         }
     }
 }

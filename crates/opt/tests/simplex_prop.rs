@@ -274,3 +274,123 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a over the IEEE-754 bits of every value, in order.
+fn fnv_bits(xs: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for x in xs {
+        for byte in x.to_bits().to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `(iterations, objective bits, FNV of the x bits)` of an optimal solve.
+fn fingerprint(lp: &Lp) -> (u64, u64, u64) {
+    let outcome = lp.solve();
+    let s = outcome.optimal().expect("every pinned LP is optimal");
+    (s.iterations, s.objective.to_bits(), fnv_bits(&s.x))
+}
+
+/// The fixed-seed LP of pin `seed`: the [`BoxedLp`] generator at sizes
+/// beyond the brute-force oracle's reach (3..=12 variables, 2..=9 rows),
+/// with every row range re-centred on the box midpoint so the LP is
+/// feasible and the pivots fill the tableau in.
+fn pinned_lp(seed: u64) -> Lp {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let n = 3 + (seed % 10) as usize;
+    let m = 2 + (seed % 8) as usize;
+    let data: Vec<i64> = (0..4 * n * m + 8)
+        .map(|_| rng.gen_range(-1_000_000i64..1_000_000))
+        .collect();
+    let mut lp = BoxedLp::decode(n, m, &data);
+    let mid: Vec<f64> = lp.vars.iter().map(|&(lo, hi, _)| (lo + hi) / 2.0).collect();
+    for (coeffs, lo, hi) in &mut lp.rows {
+        let at_mid: f64 = coeffs.iter().zip(&mid).map(|(a, x)| a * x).sum();
+        let half = (*hi - *lo) / 2.0;
+        (*lo, *hi) = (at_mid - half, at_mid + half);
+    }
+    lp.build()
+}
+
+/// The `schedule` experiment's default plan shape: 108 slots (24 h + 3 h
+/// of 15-minute slots) × 4 delay classes, diurnal load, peak/off-peak
+/// tariff, PCM mid-melt.
+fn default_schedule_lp() -> Lp {
+    use tts_opt::{HorizonModel, SlotForecast};
+    let slots = 108;
+    let tranches = 4;
+    let dt_h = 0.25;
+    let forecasts = (0..slots)
+        .map(|k| {
+            let hour = (k as f64 * dt_h) % 24.0;
+            let util = 0.5 + 0.3 * (core::f64::consts::TAU * (hour / 24.0 - 0.25)).sin();
+            let it_kw = 161.3 * util;
+            SlotForecast {
+                firm_kw: 0.75 * it_kw,
+                arrivals_kw: vec![0.25 * it_kw / tranches as f64; tranches],
+                rate_usd_per_kwh: if (7.0..19.0).contains(&hour) {
+                    0.13
+                } else {
+                    0.08
+                },
+                charge_ub_kw: 12.0,
+                discharge_ub_kw: 8.0,
+                cooling_cap_kw: 170.0,
+            }
+        })
+        .collect();
+    HorizonModel {
+        slots: forecasts,
+        tranches,
+        dt_h,
+        deadline_slots: vec![2, 4, 8, 12],
+        stored_kwh: 22.0,
+        capacity_kwh: 44.0,
+        cop: 4.0,
+        backlog: vec![Vec::new(); tranches],
+    }
+    .build()
+}
+
+/// `fingerprint(pinned_lp(seed))` for seeds `0..20`, recorded on the
+/// dense-loop solver; the row-pattern kernels must reproduce them bit for
+/// bit. Any change to a pivot, a rounding or the iteration count shows.
+const PINNED: [(u64, u64, u64); 20] = [
+    (2, 0x3ff8000000000000, 0xbedf6ff4fe972551),
+    (7, 0xbfe3555555555555, 0x0c3dc56155df0a85),
+    (2, 0x40310aaaaaaaaaaa, 0xac558a0b76ece650),
+    (9, 0xc030400000000000, 0x6bd2c57960095c7d),
+    (10, 0xc032684bda12f687, 0x6b2bd030281afcfb),
+    (7, 0x40393d1745d1745e, 0xcbabfa15959bcde8),
+    (17, 0xbfd507845c20f4e0, 0xdff6cb1f3c581f6b),
+    (14, 0xc0128e3b373136d4, 0x1e90dc38136cfde1),
+    (7, 0xc017000000000000, 0xff597913589b4bb2),
+    (4, 0x4023c00000000000, 0xf1602e48ca72b758),
+    (5, 0xc036d40f4898d5f8, 0x2571ae6b28dcbe5e),
+    (4, 0xc01f000000000000, 0xf3c5ba506c67b940),
+    (10, 0xc027f00000000000, 0x610a25196cd62264),
+    (10, 0xc010212f684bda15, 0xc9d6435d79445f13),
+    (9, 0x4001eaacfcd84a0c, 0x6d4a9f606b5eb993),
+    (6, 0xc00f93b13b13b140, 0x1b1e07703f867acc),
+    (3, 0x4043910000000000, 0x79329576e8465b55),
+    (8, 0xc02e955555555550, 0x23b8e9cbda822915),
+    (11, 0xc03dcf2d819e15fc, 0x47236ce3679ff44e),
+    (21, 0xc0228e6666666673, 0x25e99a6bdfffab67),
+];
+
+#[test]
+fn fixed_seed_lps_keep_their_bits() {
+    for (seed, want) in PINNED.iter().enumerate() {
+        let got = fingerprint(&pinned_lp(seed as u64));
+        assert_eq!(got, *want, "pinned LP {seed} drifted");
+    }
+}
+
+#[test]
+fn default_schedule_plan_keeps_its_bits() {
+    let got = fingerprint(&default_schedule_lp());
+    assert_eq!(got, (604, 0x4050f2462021cbc4, 0x4fb17d83a6eb3072));
+}

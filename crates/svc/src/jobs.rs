@@ -163,9 +163,18 @@ impl Job {
     }
 
     /// Moves the job to a terminal state (first writer wins), recording
-    /// the result or error and emitting the terminal event.
+    /// the result or error and emitting the terminal event. The status
+    /// and its event change under one lock, so a `next_event` reader
+    /// never sees a terminal job whose final event is still missing.
     pub fn finish(&self, status: JobStatus, result: Option<Arc<Vec<u8>>>, error: Option<String>) {
         assert!(status.is_terminal(), "finish takes a terminal status");
+        let mut ev = vec![
+            ("event".to_string(), Json::Str("status".into())),
+            ("status".to_string(), Json::Str(status.as_str().into())),
+        ];
+        if let Some(msg) = &error {
+            ev.push(("error".to_string(), Json::Str(msg.clone())));
+        }
         {
             let mut st = self.lock();
             if st.status.is_terminal() {
@@ -173,16 +182,10 @@ impl Job {
             }
             st.status = status;
             st.result = result;
-            st.error = error.clone();
+            st.error = error;
+            st.events.push(Json::Obj(ev));
         }
-        let mut ev = vec![
-            ("event".to_string(), Json::Str("status".into())),
-            ("status".to_string(), Json::Str(status.as_str().into())),
-        ];
-        if let Some(msg) = error {
-            ev.push(("error".to_string(), Json::Str(msg)));
-        }
-        self.push_event(Json::Obj(ev));
+        self.cv.notify_all();
     }
 
     /// Requests cancellation: trips the token (the run unwinds at its
@@ -383,6 +386,34 @@ mod tests {
         let doc = job.status_json().to_string();
         assert!(doc.contains("\"status\":\"done\""), "{doc}");
         assert!(doc.contains("\"result_ready\":true"), "{doc}");
+    }
+
+    #[test]
+    fn event_stream_always_ends_with_the_terminal_status() {
+        use std::sync::Barrier;
+        for _ in 0..1000 {
+            let job = Arc::new(Job::new(1, "fig7"));
+            job.mark_running();
+            let start = Arc::new(Barrier::new(2));
+            let reader = {
+                let (job, start) = (Arc::clone(&job), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    std::iter::successors(Some(0usize), |i| Some(i + 1))
+                        .map_while(|i| job.next_event(i))
+                        .collect::<Vec<Json>>()
+                })
+            };
+            start.wait();
+            job.push_progress(1.0);
+            job.finish(JobStatus::Done, None, None);
+            let events = reader.join().expect("reader thread panicked");
+            let last = events.last().expect("stream is never empty").to_string();
+            assert!(
+                last.contains("\"status\":\"done\""),
+                "stream ended with {last}"
+            );
+        }
     }
 
     #[test]

@@ -235,6 +235,25 @@ fn wire_level_rejections_cover_the_status_table() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_daemon_stays_up() {
+    let server = Running::start(ServerConfig::default());
+    // 120 KB of `[`: without the parser's depth cap this recursed once
+    // per byte and overflowed the worker's stack, aborting the daemon.
+    let hostile = "[".repeat(120 * 1024);
+    let answer = post(server.addr, "/v1/experiments/fig7", &hostile);
+    assert_eq!(answer.status, 400, "head: {}", answer.head);
+    assert!(
+        String::from_utf8_lossy(&answer.body).contains("nesting deeper than"),
+        "{}",
+        String::from_utf8_lossy(&answer.body)
+    );
+    let health = get(server.addr, "/healthz");
+    assert_eq!(health.status, 200);
+    assert!(String::from_utf8_lossy(&health.body).contains("\"ok\""));
+    server.stop();
+}
+
+#[test]
 // The probe read only asks "did any byte arrive before the timeout";
 // the amount is irrelevant by design.
 #[allow(clippy::unused_io_amount)]

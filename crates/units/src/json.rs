@@ -504,12 +504,19 @@ impl<T: ToJson + ?Sized> ToJson for &T {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap keeps a hostile document (say, 100 KB of
+/// `[`) an ordinary parse error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Accepts exactly the grammar this module emits
-/// (standard JSON with `\uXXXX` escapes; no comments, no trailing commas).
+/// (standard JSON with `\uXXXX` escapes; no comments, no trailing commas),
+/// nested at most 128 arrays/objects deep.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -523,6 +530,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -564,12 +573,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.error(&format!("unexpected `{}`", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Runs `container` one nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -898,6 +922,25 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // A hostile body far past the cap is an error, not a stack overflow.
+        assert!(parse(&"[".repeat(120 * 1024)).is_err());
+        // Siblings do not add up: depth is per path, not per document.
+        let wide = format!("[{}]", vec![deep(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]
