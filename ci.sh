@@ -164,6 +164,17 @@ TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/fleet_engine.json" \
   cargo bench --offline -q -p tts-bench --bench fleet_engine
 bench_gate "$TMPDIR_CI/fleet_engine.json" BENCH_fleet.json 20 "fleet bench gate"
 
+echo "==> fig11/fig12 series (byte-identical to the committed results at 1 and 4 threads)"
+# The golden tests compare these figures to a 1e-9 relative error; this
+# step holds the melting-point sweeps behind them to the committed bytes.
+for T in 1 4; do
+  (cd "$TMPDIR_CI" && TTS_THREADS=$T "$REPRO_ABS" fig11 --write > /dev/null \
+    && TTS_THREADS=$T "$REPRO_ABS" fig12 --write > /dev/null)
+  for f in fig11.summary fig11a fig11b fig11c fig12.summary fig12a fig12b fig12c; do
+    cmp "results/$f.json" "$TMPDIR_CI/results/$f.json"
+  done
+done
+
 echo "==> schedule gate (co-optimizer beats passive baseline, byte-identical at 1 and 4 threads and to the committed results)"
 # The receding-horizon PCM/job co-optimizer must strictly beat the
 # passive run-on-arrival baseline on the default two-day diurnal trace,

@@ -8,11 +8,12 @@
 //!
 //! Per tick: utilization → wall power → wax-zone air temperature (from the
 //! thermal model's extracted characteristics) → wax melt/freeze step →
-//! cluster cooling load `N · (P_wall − q_wax)`.
+//! cluster cooling load `N · (P_wall − q_wax)`. The tick loop itself lives
+//! in [`crate::heterogeneous`], which also covers fleets where only part
+//! of the servers carry wax.
 
-use tts_cooling::cooling_load;
 use tts_obs::MetricsSink;
-use tts_pcm::{PcmMaterial, PcmState};
+use tts_pcm::PcmMaterial;
 use tts_server::{ServerSpec, ServerWaxCharacteristics};
 use tts_units::{Celsius, Fraction, KiloWatts};
 use tts_workload::TimeSeries;
@@ -76,9 +77,8 @@ tts_units::derive_json! { struct CoolingLoadRun { times_h, load_no_wax_kw, load_
 /// melt-fraction series (histogram + final-value gauge), and the headline
 /// peaks. Recording happens *after* the run from its stored series, so
 /// every gauge write is serial (the deterministic-snapshot rule) and the
-/// simulation loop itself stays untouched. Public so alternative search
-/// paths (the `tts-design` seam) can replay their winner identically.
-pub fn record_cooling_run(sink: &MetricsSink, run: &CoolingLoadRun) {
+/// simulation loop itself stays untouched.
+fn record_cooling_run(sink: &MetricsSink, run: &CoolingLoadRun) {
     if !sink.is_enabled() {
         return;
     }
@@ -100,58 +100,18 @@ pub fn record_cooling_run(sink: &MetricsSink, run: &CoolingLoadRun) {
         .set(run.melting_point.value());
 }
 
-/// Runs the cooling-load study for one cluster over a utilization trace.
+/// Runs the cooling-load study for one cluster over a utilization trace:
+/// the fully equipped case of [`run_partial_deployment`], where every
+/// server carries wax.
+///
+/// [`run_partial_deployment`]: crate::heterogeneous::run_partial_deployment
 pub fn run_cooling_load(config: &ClusterConfig, trace: &TimeSeries) -> CoolingLoadRun {
-    let dt = trace.dt();
-    let n = config.servers as f64;
-    let chars = &config.chars;
-    let mut pcm = PcmState::new(&chars.material, chars.mass, chars.idle_air_temp);
-
-    let mut times_h = Vec::with_capacity(trace.len());
-    let mut no_wax = Vec::with_capacity(trace.len());
-    let mut with_wax = Vec::with_capacity(trace.len());
-    let mut melt = Vec::with_capacity(trace.len());
-
-    for (i, &u) in trace.values().iter().enumerate() {
-        let wall = config.spec.wall_power(Fraction::new(u), Fraction::ONE);
-        let t_air = chars.air_temp_model.at(wall);
-        let q = pcm.step(t_air, chars.effective_coupling(), dt);
-        let load_nw = wall * n;
-        let load_w = cooling_load(wall, q) * n;
-        times_h.push(i as f64 * dt.value() / 3600.0);
-        no_wax.push(load_nw.kilowatts().value());
-        with_wax.push(load_w.kilowatts().value());
-        melt.push(pcm.melt_fraction().value());
-    }
-
-    let peak_no_wax = KiloWatts::new(no_wax.iter().copied().fold(f64::MIN, f64::max));
-    // Count the refreeze tail only where the release is material
-    // (> 0.5 % of the peak), not every tick with a trace of sensible
-    // exchange.
-    let threshold = 0.005 * peak_no_wax.value();
-    let elevated_ticks = no_wax
-        .iter()
-        .zip(&with_wax)
-        .filter(|(nw, w)| **w > **nw + threshold)
-        .count();
-    let peak_with_wax = KiloWatts::new(with_wax.iter().copied().fold(f64::MIN, f64::max));
-    CoolingLoadRun {
-        peak_reduction: Fraction::new(1.0 - peak_with_wax.value() / peak_no_wax.value()),
-        elevated_hours: elevated_ticks as f64 * dt.value() / 3600.0,
-        refrozen_at_end: *melt.last().expect("trace is non-empty") < 0.10,
-        times_h,
-        load_no_wax_kw: no_wax,
-        load_with_wax_kw: with_wax,
-        melt_fraction: melt,
-        peak_no_wax,
-        peak_with_wax,
-        melting_point: config.chars.material.melting_point(),
-    }
+    crate::heterogeneous::run_partial_deployment(config, trace, Fraction::ONE)
 }
 
 /// [`run_cooling_load`] with telemetry: the run's tick count,
 /// melt-fraction series, and headline peaks are recorded into `sink` once
-/// the run completes (see [`record_cooling_run`]). Only call from serial
+/// the run completes (see `record_cooling_run`). Only call from serial
 /// code — the gauges are last-value-wins.
 pub fn run_cooling_load_with(
     config: &ClusterConfig,
@@ -198,7 +158,7 @@ pub fn select_melting_point(
 /// evaluations run unobserved (per-candidate series would race on the
 /// gauges); the search records `cluster.candidates_evaluated` /
 /// `cluster.candidates_refrozen` counters and then replays the *winner's*
-/// stored series into `sink` serially (see [`record_cooling_run`]) — so
+/// stored series into `sink` serially (see `record_cooling_run`) — so
 /// the snapshot describes the selected configuration, byte-identically at
 /// any thread count.
 pub fn select_melting_point_with(

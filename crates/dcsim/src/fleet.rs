@@ -107,14 +107,6 @@ impl DatacenterSpec {
         self
     }
 
-    /// Sets per-server idle / busy power (W).
-    #[must_use]
-    pub fn power_w(mut self, idle: f64, busy: f64) -> Self {
-        self.idle_w = idle;
-        self.busy_w = busy;
-        self
-    }
-
     /// The tariff in force at trace time `t_s` (local peak = 08:00–20:00).
     pub fn tariff_at(&self, t_s: f64) -> f64 {
         let local_h = (t_s / 3600.0 + self.utc_offset_h).rem_euclid(24.0);

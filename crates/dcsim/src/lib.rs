@@ -47,10 +47,10 @@ pub mod throttle;
 
 pub use balancer::{Balancer, LeastLoaded, RandomBalancer, RoundRobin};
 pub use calendar::CalendarQueue;
-pub use cluster::{record_cooling_run, select_melting_point, ClusterConfig, CoolingLoadRun};
+pub use cluster::{select_melting_point, ClusterConfig, CoolingLoadRun};
 pub use datacenter::Datacenter;
 pub use discrete::{DiscreteClusterSim, DiscreteMetrics, FaultAction, FaultHook};
 pub use fleet::{DatacenterSpec, FleetConfig, FleetMetrics, FleetSim};
 pub use heterogeneous::{deployment_sweep, run_partial_deployment, DeploymentPoint};
 pub use relocation::{run_relocation, wax_vs_relocation, RelocationRun};
-pub use throttle::{record_constrained_run, ConstrainedConfig, ConstrainedRun};
+pub use throttle::{ConstrainedConfig, ConstrainedRun};

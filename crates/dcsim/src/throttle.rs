@@ -134,9 +134,7 @@ fn max_feasible_util(
 /// Records one finished constrained run into `sink`: tick counts (total
 /// and thermally throttled), the melt-fraction series, and the headline
 /// gains. Post-hoc from the stored series, so all gauge writes are serial.
-/// Public so alternative search paths (the `tts-design` seam) can replay
-/// their winner identically.
-pub fn record_constrained_run(sink: &MetricsSink, run: &ConstrainedRun) {
+fn record_constrained_run(sink: &MetricsSink, run: &ConstrainedRun) {
     if !sink.is_enabled() {
         return;
     }
@@ -163,7 +161,7 @@ pub fn record_constrained_run(sink: &MetricsSink, run: &ConstrainedRun) {
 }
 
 /// [`run_constrained`] with telemetry recorded into `sink` after the run
-/// (see [`record_constrained_run`]). Only call from serial code — the
+/// (see `record_constrained_run`). Only call from serial code — the
 /// gauges are last-value-wins.
 pub fn run_constrained_with(
     config: &ConstrainedConfig,
@@ -328,7 +326,7 @@ pub fn select_melting_point_constrained(
 /// [`select_melting_point_constrained`] with telemetry: candidate runs
 /// stay unobserved (they would race on the gauges); the search counts
 /// `throttle.candidates_evaluated` and then serially replays the winner's
-/// stored series into `sink` (see [`record_constrained_run`]), keeping the snapshot
+/// stored series into `sink` (see `record_constrained_run`), keeping the snapshot
 /// byte-identical at any thread count.
 pub fn select_melting_point_constrained_with(
     config: &ConstrainedConfig,

@@ -164,16 +164,6 @@ impl Lp {
         self.rows.len() - 1
     }
 
-    /// Number of structural variables.
-    pub fn num_vars(&self) -> usize {
-        self.lower.len()
-    }
-
-    /// Number of range rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Solves the program. Deterministic: identical inputs give identical
     /// outcomes, bit for bit.
     pub fn solve(&self) -> Outcome {

@@ -85,11 +85,6 @@ impl WaxContainer {
         self
     }
 
-    /// Whether both large faces are exposed to the air stream.
-    pub fn is_elevated(&self) -> bool {
-        self.elevated
-    }
-
     /// The validation-experiment box: 100 mL holding 90 mL (70 g) of wax.
     /// Modeled as 10 cm × 10 cm × 1 cm.
     pub fn validation_box() -> Self {
@@ -155,11 +150,6 @@ impl WaxContainer {
         let g_wax = self.wax_internal_conductance_per_m2() * area;
         let g = 1.0 / (1.0 / g_film + 1.0 / g_wall + 1.0 / g_wax);
         WattsPerKelvin::new(g)
-    }
-
-    /// Frontal area presented to the airflow (the face blocking the duct).
-    pub fn frontal_area(&self) -> SquareMeters {
-        SquareMeters::new(self.width.value() * self.height.value())
     }
 }
 

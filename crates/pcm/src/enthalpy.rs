@@ -136,11 +136,6 @@ impl EnthalpyCurve {
         }
     }
 
-    /// Enthalpy at the solidus (J/g).
-    pub fn solidus_enthalpy(&self) -> JoulesPerGram {
-        JoulesPerGram::new(self.h_sol)
-    }
-
     /// Enthalpy at the liquidus (J/g).
     pub fn liquidus_enthalpy(&self) -> JoulesPerGram {
         JoulesPerGram::new(self.h_liq)

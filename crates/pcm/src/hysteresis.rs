@@ -144,12 +144,6 @@ impl HystereticPcmState {
     pub fn supercooling_k(&self) -> f64 {
         self.supercooling_k
     }
-
-    /// Wax temperature on the currently governing branch for the given
-    /// air temperature.
-    pub fn temperature_against(&self, air_temp: Celsius) -> Celsius {
-        self.active_curve(air_temp).temperature_at(self.enthalpy)
-    }
 }
 
 #[cfg(test)]

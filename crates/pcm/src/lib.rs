@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blend;
 pub mod container;
 pub mod cost;
 pub mod degradation;
@@ -53,7 +52,6 @@ pub mod material;
 pub mod selection;
 pub mod state;
 
-pub use blend::BlendState;
 pub use container::{ContainerBank, WaxContainer};
 pub use degradation::DegradationModel;
 pub use enthalpy::EnthalpyCurve;

@@ -1,7 +1,7 @@
 //! Integration tests for the PCM extension models: hysteresis loop
-//! closure, degradation monotonicity, and blend enthalpy bounds.
+//! closure and degradation monotonicity.
 
-use tts_pcm::{BlendState, DegradationModel, EnthalpyCurve, HystereticPcmState, PcmMaterial};
+use tts_pcm::{DegradationModel, HystereticPcmState, PcmMaterial};
 use tts_units::{Celsius, Fraction, Grams, Seconds, WattsPerKelvin};
 
 const STEP: Seconds = Seconds::new(60.0);
@@ -107,70 +107,4 @@ fn degradation_is_monotone_and_bounded() {
             assert!(model.capacity_after(cycles - 1).value() > 0.8);
         }
     }
-}
-
-#[test]
-fn blend_enthalpy_stays_between_its_components() {
-    let a = PcmMaterial::eicosane(); // 36.4 °C
-    let b = PcmMaterial::commercial_paraffin(Celsius::new(28.0));
-    let curve_a = EnthalpyCurve::for_material(&a);
-    let curve_b = EnthalpyCurve::for_material(&b);
-    for tenth in [0.25, 0.5, 0.75] {
-        let blend = BlendState::new(
-            &a,
-            &b,
-            Fraction::new(tenth),
-            Grams::new(500.0),
-            Celsius::new(20.0),
-        );
-        let mut prev = f64::NEG_INFINITY;
-        for deg in 0..60 {
-            let t = Celsius::new(deg as f64);
-            let h = blend.enthalpy_at(t).value();
-            let ha = curve_a.enthalpy_at(t).value();
-            let hb = curve_b.enthalpy_at(t).value();
-            assert!(
-                h >= ha.min(hb) - 1e-9 && h <= ha.max(hb) + 1e-9,
-                "fraction {tenth}, {deg} °C: blend enthalpy {h} outside [{}, {}]",
-                ha.min(hb),
-                ha.max(hb)
-            );
-            assert!(h > prev, "blend enthalpy must be strictly increasing");
-            prev = h;
-        }
-        // The mass-weighted identity holds exactly.
-        let t = Celsius::new(31.0);
-        let expect =
-            tenth * curve_a.enthalpy_at(t).value() + (1.0 - tenth) * curve_b.enthalpy_at(t).value();
-        assert!((blend.enthalpy_at(t).value() - expect).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn blend_melt_fraction_and_energy_stay_bounded_under_stepping() {
-    let a = PcmMaterial::eicosane();
-    let b = PcmMaterial::commercial_paraffin(Celsius::new(28.0));
-    let mut blend = BlendState::new(
-        &a,
-        &b,
-        Fraction::new(0.5),
-        Grams::new(500.0),
-        Celsius::new(20.0),
-    );
-    let latent = blend.latent_capacity().value();
-    let mut prev_energy = blend.stored_energy().value();
-    for i in 0..2_000 {
-        // A warm/cool square wave sweeps the blend through both plateaus.
-        let air = if (i / 500) % 2 == 0 { 45.0 } else { 15.0 };
-        let q = blend.step(Celsius::new(air), G, STEP).value();
-        let f = blend.melt_fraction().value();
-        let e = blend.stored_energy().value();
-        assert!((-1e-9..=1.0 + 1e-9).contains(&f), "melt fraction {f}");
-        assert!(
-            (e - prev_energy - q * STEP.value()).abs() <= 1e-6 + 1e-12 * e.abs(),
-            "energy bookkeeping broke at step {i}"
-        );
-        prev_energy = e;
-    }
-    assert!(latent > 0.0);
 }

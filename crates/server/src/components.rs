@@ -50,11 +50,6 @@ impl CpuSpec {
     pub fn throttle_ratio(&self) -> Fraction {
         Fraction::new(self.throttle_ghz / self.nominal_ghz)
     }
-
-    /// Total core count.
-    pub fn total_cores(&self) -> usize {
-        self.sockets * self.cores_per_socket
-    }
 }
 
 /// DRAM subsystem power (uniform access assumption, §3: "memory accesses

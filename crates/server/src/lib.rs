@@ -39,12 +39,10 @@ pub mod blockage;
 pub mod components;
 pub mod melt_curve;
 pub mod model;
-pub mod rack;
 pub mod spec;
 pub mod validation;
 
 pub use components::{CpuSpec, DrivesSpec, FansSpec, MemorySpec, PsuSpec};
 pub use melt_curve::ServerWaxCharacteristics;
 pub use model::ServerThermalModel;
-pub use rack::RackModel;
 pub use spec::{ServerClass, ServerSpec, WaxPlacement};

@@ -85,9 +85,7 @@ pub struct ServerThermalModel {
     // Node handles.
     inlet: NodeId,
     front: NodeId,
-    hot: Vec<NodeId>,
     waxzone: NodeId,
-    bypass: NodeId,
     merge: NodeId,
     cpu_nodes: Vec<NodeId>,
     dram: NodeId,
@@ -230,9 +228,7 @@ impl ServerThermalModel {
             flow_path,
             inlet,
             front,
-            hot,
             waxzone,
-            bypass,
             merge,
             cpu_nodes,
             dram,
@@ -381,13 +377,6 @@ impl ServerThermalModel {
             .unwrap_or(Watts::ZERO)
     }
 
-    /// Energy stored in the wax relative to its initial state.
-    pub fn wax_stored_energy(&self) -> Joules {
-        self.pcm
-            .map(|id| self.net.pcm(id).stored_energy())
-            .unwrap_or(Joules::ZERO)
-    }
-
     /// Latent capacity of the installed wax.
     pub fn wax_latent_capacity(&self) -> Joules {
         self.pcm
@@ -442,30 +431,11 @@ impl ServerThermalModel {
         &self.net
     }
 
-    /// Mutable access for experiment rigs that adjust boundary conditions
-    /// (e.g. changing inlet temperature to model chassis preheat).
-    pub fn network_mut(&mut self) -> &mut ThermalNetwork {
-        &mut self.net
-    }
-
     /// Routes the underlying network's hot-path telemetry (steps, cache
     /// rebuilds, settle iterations) to `sink`; see
     /// [`ThermalNetwork::set_metrics`].
     pub fn set_metrics(&mut self, sink: &tts_obs::MetricsSink) {
         self.net.set_metrics(sink);
-    }
-
-    /// The bypass-lane air temperature.
-    pub fn bypass_air_temp(&self) -> Celsius {
-        self.net.temperature(self.bypass)
-    }
-
-    /// Hot-lane air temperature behind socket `s` (0-based).
-    ///
-    /// # Panics
-    /// Panics if `s` is out of range.
-    pub fn hot_lane_temp(&self, s: usize) -> Celsius {
-        self.net.temperature(self.hot[s])
     }
 }
 

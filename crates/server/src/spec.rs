@@ -394,12 +394,6 @@ impl ServerSpec {
             .wall_power(self.internal_power(utilization, freq), utilization)
     }
 
-    /// Heat dissipated into the room: every wall watt eventually becomes
-    /// heat the cooling system must remove.
-    pub fn heat_output(&self, utilization: Fraction, freq: Fraction) -> Watts {
-        self.wall_power(utilization, freq)
-    }
-
     /// Relative throughput of this server at a utilization and frequency
     /// (work ∝ busy cycles).
     pub fn throughput(&self, utilization: Fraction, freq: Fraction) -> f64 {

@@ -163,7 +163,6 @@ enum Phase {
 pub struct RequestParser {
     buf: Vec<u8>,
     phase: Phase,
-    consumed: usize,
 }
 
 impl Default for RequestParser {
@@ -179,15 +178,7 @@ impl RequestParser {
         Self {
             buf: Vec::new(),
             phase: Phase::Head,
-            consumed: 0,
         }
-    }
-
-    /// Total bytes fed so far (used to distinguish an idle close from a
-    /// truncated request).
-    #[must_use]
-    pub fn bytes_fed(&self) -> usize {
-        self.consumed
     }
 
     /// Whether the parser is holding a partially received request: a
@@ -212,7 +203,6 @@ impl RequestParser {
         if matches!(self.phase, Phase::Poisoned) {
             return Ok(None);
         }
-        self.consumed = self.consumed.saturating_add(bytes.len());
         self.buf.extend_from_slice(bytes);
         if let Phase::Head = self.phase {
             // The caps are applied to positions in the byte stream

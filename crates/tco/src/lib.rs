@@ -33,14 +33,10 @@
 
 pub mod analyses;
 pub mod model;
-pub mod npv;
 pub mod params;
-pub mod sensitivity;
 
 pub use analyses::{
     added_servers, cooling_downsize_savings_per_year, retrofit_savings_per_year, tco_efficiency,
 };
 pub use model::{MonthlyTco, TcoInput};
-pub use npv::{wax_npv, NpvInputs, NpvResult};
 pub use params::{Range, Table2};
-pub use sensitivity::{downsize_band, retrofit_band, SensitivityBand};

@@ -27,8 +27,8 @@
 //! * [`integrator`] — exponential-Euler (default), RK4 and explicit-Euler
 //!   integrators for the capacitive nodes (the ablation bench compares
 //!   them).
-//! * [`trace`] — time-series recording and comparison (RMSE, mean
-//!   difference) used by the model-validation experiment (Figure 4).
+//! * [`trace`] — time-series comparison (RMSE, mean difference) used by
+//!   the model-validation experiment (Figure 4).
 //! * [`reference`] — parameter perturbation and sensor-noise utilities for
 //!   building the high-resolution "real server" stand-in.
 //!
@@ -64,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod airflow;
 pub mod audit;
 pub mod convection;
@@ -75,7 +74,6 @@ pub mod reference;
 pub mod steady;
 pub mod trace;
 
-pub use adaptive::{step_adaptive, AdaptiveReport};
 pub use airflow::{FanCurve, FlowPath, OperatingPoint};
 pub use audit::{audit, AuditFinding};
 pub use integrator::Integrator;
@@ -83,4 +81,4 @@ pub use network::{
     AdvectionId, BoundaryControls, BoundaryFault, EdgeId, NodeId, PcmId, ThermalNetwork,
 };
 pub use steady::{solve_steady_state, SteadyState};
-pub use trace::{compare, TraceComparison, TraceRecorder};
+pub use trace::{compare, TraceComparison};

@@ -375,11 +375,6 @@ impl ThermalNetwork {
         Watts::new(self.pcm[id.0].last_heat)
     }
 
-    /// Total heat currently absorbed by all PCM elements (W, last step).
-    pub fn total_pcm_heat_flow(&self) -> Watts {
-        Watts::new(self.pcm.iter().map(|p| p.last_heat).sum())
-    }
-
     /// Simulation time.
     pub fn time(&self) -> Seconds {
         Seconds::new(self.time)

@@ -1,70 +1,8 @@
-//! Time-series recording and comparison for model validation.
+//! Time-series comparison for model validation.
 //!
 //! The paper's Figure 4 compares transient temperature traces (real server
 //! vs. Icepak, wax vs. placebo) and reports a steady-state mean difference
-//! of 0.22 °C. [`TraceRecorder`] captures named series during a simulation;
-//! [`compare`] computes the agreement statistics.
-
-use std::collections::BTreeMap;
-use tts_units::Seconds;
-
-/// A set of named time series recorded from a simulation.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceRecorder {
-    series: BTreeMap<String, Vec<(f64, f64)>>,
-}
-
-tts_units::derive_json! { struct TraceRecorder { series } }
-
-impl TraceRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a `(time, value)` sample to the named series.
-    pub fn record(&mut self, name: &str, time: Seconds, value: f64) {
-        self.series
-            .entry(name.to_string())
-            .or_default()
-            .push((time.value(), value));
-    }
-
-    /// The samples of a series, or an empty slice if never recorded.
-    pub fn series(&self, name: &str) -> &[(f64, f64)] {
-        self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Just the values of a series.
-    pub fn values(&self, name: &str) -> Vec<f64> {
-        self.series(name).iter().map(|&(_, v)| v).collect()
-    }
-
-    /// Names of all recorded series, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
-    }
-
-    /// Number of samples in a series.
-    pub fn len(&self, name: &str) -> usize {
-        self.series(name).len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
-    /// Restricts a series to samples with `t0 <= time < t1` and returns
-    /// the values.
-    pub fn window(&self, name: &str, t0: Seconds, t1: Seconds) -> Vec<f64> {
-        self.series(name)
-            .iter()
-            .filter(|(t, _)| *t >= t0.value() && *t < t1.value())
-            .map(|&(_, v)| v)
-            .collect()
-    }
-}
+//! of 0.22 °C. [`compare`] computes the agreement statistics.
 
 /// Agreement statistics between two equal-length sampled traces.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,30 +92,6 @@ mod tests {
         let b = vec![3.0, 2.0, 1.0];
         let c = compare(&a, &b);
         assert!((c.correlation + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recorder_round_trips_series() {
-        let mut r = TraceRecorder::new();
-        r.record("outlet", Seconds::new(0.0), 25.0);
-        r.record("outlet", Seconds::new(60.0), 26.0);
-        r.record("cpu", Seconds::new(0.0), 42.0);
-        assert_eq!(r.series("outlet"), &[(0.0, 25.0), (60.0, 26.0)]);
-        assert_eq!(r.values("cpu"), vec![42.0]);
-        assert_eq!(r.names(), vec!["cpu", "outlet"]);
-        assert_eq!(r.len("outlet"), 2);
-        assert!(!r.is_empty());
-        assert!(r.series("nonexistent").is_empty());
-    }
-
-    #[test]
-    fn window_filters_by_time() {
-        let mut r = TraceRecorder::new();
-        for i in 0..10 {
-            r.record("t", Seconds::new(i as f64 * 100.0), i as f64);
-        }
-        let w = r.window("t", Seconds::new(200.0), Seconds::new(500.0));
-        assert_eq!(w, vec![2.0, 3.0, 4.0]);
     }
 
     #[test]

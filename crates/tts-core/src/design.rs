@@ -1,18 +1,19 @@
 //! The design-search seam: `tts-design` objectives over the dcsim oracles.
 //!
-//! This module is the single evaluation path shared by the paper's
-//! melting-point searches (fig11's cooling-load grid, fig12's constrained
-//! grid) and the `design` experiment's surrogate-assisted searches. Both
-//! express the simulator as an [`Objective`] over a typed [`DesignSpace`]
-//! and go through [`tts_design::minimize_with_cache`], so a grid sweep and
-//! a CMA-ES run against the same configuration share one byte-keyed memo —
-//! every point the cheap search pays for is free to the cross-check.
+//! The `design` experiment's surrogate-assisted searches express the
+//! simulator as an [`Objective`] over a typed [`DesignSpace`] and go
+//! through [`tts_design::minimize_with_cache`], so a CMA-ES run and its
+//! grid cross-check against the same configuration share one byte-keyed
+//! memo: every point the cheap search pays for is free to the
+//! cross-check. (fig11 and fig12 pick their wax with the plain dcsim grid
+//! sweeps, [`select_melting_point_with`] and
+//! [`select_melting_point_constrained_with`].)
 //!
 //! Two spaces are bound here:
 //!
 //! * [`melting_point_space`] — the paper's one-dimensional paraffin
 //!   catalogue (30–68 °C in half-degree steps), evaluated by the same
-//!   [`run_cooling_load`] / [`run_constrained`] oracles the grids use;
+//!   [`run_cooling_load`] oracle the fig11 grid uses;
 //! * [`joint_space`] — the joint design problem the paper leaves open:
 //!   server class × melting point × wax mass × tariff phase × ambient
 //!   offset, scored by a time-of-use cooling cost model
@@ -20,14 +21,15 @@
 //!
 //! Determinism: the snap lattice `lo + k·step` with `step = 0.5` is
 //! bit-identical to the accumulated `c += 0.5` grid in
-//! [`default_melting_candidates`] (0.5 is a power of two), so memo keys
-//! from either path coincide exactly.
+//! [`default_melting_candidates`] (0.5 is a power of two), so a seam grid
+//! search visits exactly the points the dcsim sweep does.
+//!
+//! [`select_melting_point_with`]: tts_dcsim::cluster::select_melting_point_with
+//! [`select_melting_point_constrained_with`]: tts_dcsim::throttle::select_melting_point_constrained_with
+//! [`default_melting_candidates`]: tts_dcsim::cluster::default_melting_candidates
 
 use tts_cooling::Tariff;
-use tts_dcsim::cluster::{record_cooling_run, run_cooling_load, ClusterConfig, CoolingLoadRun};
-use tts_dcsim::throttle::{
-    record_constrained_run, run_constrained, ConstrainedConfig, ConstrainedRun,
-};
+use tts_dcsim::cluster::{run_cooling_load, ClusterConfig, CoolingLoadRun};
 pub use tts_design::{
     minimize, minimize_with_cache, DesignSpace, Dim, EvalCache, Objective, SearchConfig,
     SearchResult, Strategy, INFEASIBLE,
@@ -82,36 +84,6 @@ impl Objective for CoolingLoadObjective<'_> {
     }
 }
 
-/// The fig12 oracle as an objective. The scalar is the negated peak gain
-/// (the search minimizes); the two-stage gain/delay selection rule is
-/// re-applied over the archive of full outputs by
-/// [`optimize_melting_point_constrained`] — exactly the split the
-/// [`Objective`] seam exists for.
-pub struct ConstrainedObjective<'a> {
-    /// The oversubscribed cluster (geometry + thermal limit).
-    pub config: &'a ConstrainedConfig,
-    /// The utilization trace.
-    pub trace: &'a TimeSeries,
-}
-
-impl Objective for ConstrainedObjective<'_> {
-    type Out = ConstrainedRun;
-
-    fn evaluate(&self, x: &[f64]) -> ConstrainedRun {
-        let cfg = ConstrainedConfig {
-            chars: self.config.chars.with_melting_point(Celsius::new(x[0])),
-            spec: self.config.spec.clone(),
-            servers: self.config.servers,
-            limit: self.config.limit,
-        };
-        run_constrained(&cfg, self.trace)
-    }
-
-    fn value(&self, out: &ConstrainedRun) -> f64 {
-        -out.peak_gain.value()
-    }
-}
-
 /// Searches the melting-point space for `config` with an explicit
 /// [`SearchConfig`] and a caller-owned memo — the entry point the `design`
 /// experiment uses to run a CMA-ES search and a grid cross-check against
@@ -126,97 +98,6 @@ pub fn search_melting_point(
     let space = melting_point_space();
     let obj = CoolingLoadObjective { config, trace };
     minimize_with_cache(&space, &obj, search, sink, cache)
-}
-
-/// Grid-searches `candidates_c` through the [`Objective`] seam with the
-/// paper sweep's exact semantics: every candidate evaluated (one ordered
-/// `par_map` batch), first strictly-best refrozen candidate wins, legacy
-/// `cluster.candidates_evaluated` / `cluster.candidates_refrozen` counters,
-/// and the winner's series replayed serially into `sink`.
-///
-/// This is the path behind `MeltingPointChoice::Optimize` — fig11 and the
-/// `design` experiment share it, so both hit the same memo keys.
-pub fn optimize_melting_point(
-    config: &ClusterConfig,
-    trace: &TimeSeries,
-    candidates_c: impl IntoIterator<Item = f64>,
-    sink: &MetricsSink,
-) -> (PcmMaterial, CoolingLoadRun) {
-    let space = melting_point_space();
-    let obj = CoolingLoadObjective { config, trace };
-    let candidates: Vec<Vec<f64>> = candidates_c.into_iter().map(|c| vec![c]).collect();
-    let cfg = SearchConfig {
-        strategy: Strategy::Grid(candidates.clone()),
-        budget: candidates.len(),
-        ..SearchConfig::default()
-    };
-    // The search driver is serial (only the evaluations fan out, and they
-    // never touch the sink), so its own design.* instrumentation can flow
-    // into `sink` alongside the legacy counters, byte-identically at any
-    // thread count.
-    let mut cache = EvalCache::new();
-    let r = minimize_with_cache(&space, &obj, &cfg, sink, &mut cache);
-    sink.counter("cluster.candidates_evaluated")
-        .add(r.archive.len() as u64);
-    let refrozen = r
-        .archive
-        .iter()
-        .filter(|(_, run)| run.refrozen_at_end)
-        .count();
-    sink.counter("cluster.candidates_refrozen")
-        .add(refrozen as u64);
-    assert!(
-        r.best_value.is_finite(),
-        "at least one candidate melting point must refreeze daily"
-    );
-    record_cooling_run(sink, &r.best_out);
-    (
-        PcmMaterial::commercial_paraffin(Celsius::new(r.best_x[0])),
-        r.best_out,
-    )
-}
-
-/// Grid-searches `candidates_c` for the constrained scenario through the
-/// seam, re-applying the fig12 two-stage rule over the archive: among
-/// candidates within 95 % of the best peak gain, take the longest throttle
-/// delay (`max_by` keeps the last of equal delays, as the legacy sweep
-/// did). Counts `throttle.candidates_evaluated` and replays the winner
-/// (see [`record_constrained_run`]).
-pub fn optimize_melting_point_constrained(
-    config: &ConstrainedConfig,
-    trace: &TimeSeries,
-    candidates_c: impl IntoIterator<Item = f64>,
-    sink: &MetricsSink,
-) -> (PcmMaterial, ConstrainedRun) {
-    let space = melting_point_space();
-    let obj = ConstrainedObjective { config, trace };
-    let candidates: Vec<Vec<f64>> = candidates_c.into_iter().map(|c| vec![c]).collect();
-    let cfg = SearchConfig {
-        strategy: Strategy::Grid(candidates.clone()),
-        budget: candidates.len(),
-        ..SearchConfig::default()
-    };
-    let mut cache = EvalCache::new();
-    let r = minimize_with_cache(&space, &obj, &cfg, sink, &mut cache);
-    sink.counter("throttle.candidates_evaluated")
-        .add(r.archive.len() as u64);
-    let best_gain = r
-        .archive
-        .iter()
-        .map(|(_, run)| run.peak_gain.value())
-        .fold(f64::MIN, f64::max);
-    let (x, run) = r
-        .archive
-        .into_iter()
-        .filter(|(_, run)| run.peak_gain.value() >= 0.95 * best_gain)
-        .max_by(|(_, a), (_, b)| {
-            a.delay_hours
-                .partial_cmp(&b.delay_hours)
-                .expect("delays are finite")
-        })
-        .expect("at least one candidate melting point");
-    record_constrained_run(sink, &run);
-    (PcmMaterial::commercial_paraffin(Celsius::new(x[0])), run)
 }
 
 /// Coefficient of performance of the cooling plant in the joint cost
@@ -456,21 +337,21 @@ mod tests {
 
     #[test]
     fn seam_grid_matches_legacy_select() {
+        // The seam's grid search over the paraffin catalogue must pick the
+        // wax (and reproduce the run) the dcsim sweep behind fig11 picks.
         let (config, trace) = one_u_config();
+        let candidates = default_melting_candidates();
+        let grid = SearchConfig {
+            strategy: Strategy::Grid(candidates.iter().map(|&c| vec![c]).collect()),
+            budget: candidates.len(),
+            ..SearchConfig::default()
+        };
         let sink = MetricsSink::fresh();
-        let (material, run) =
-            optimize_melting_point(&config, &trace, default_melting_candidates(), &sink);
-        let (legacy_material, legacy_run) =
-            select_melting_point(&config, &trace, default_melting_candidates());
-        assert_eq!(material.melting_point(), legacy_material.melting_point());
-        assert_eq!(run, legacy_run);
-        // Legacy counter semantics preserved through the seam.
-        assert_eq!(
-            sink.counter("cluster.candidates_evaluated").value(),
-            default_melting_candidates().len() as u64
-        );
-        assert!(sink.counter("cluster.candidates_refrozen").value() >= 1);
-        // The seam additionally exposes its own instrumentation.
+        let r = search_melting_point(&config, &trace, &grid, &sink, &mut EvalCache::new());
+        let (legacy_material, legacy_run) = select_melting_point(&config, &trace, candidates);
+        assert_eq!(r.best_x[0], legacy_material.melting_point().value());
+        assert_eq!(r.best_out, legacy_run);
+        assert_eq!(r.best_value, legacy_run.peak_with_wax.value());
         assert_eq!(
             sink.counter("design.evals").value(),
             default_melting_candidates().len() as u64

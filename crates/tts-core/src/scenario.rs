@@ -1,48 +1,35 @@
 //! The high-level scenario builder.
+//!
+//! [`Scenario::cooling_load_study`] and [`Scenario::constrained_study`] pick
+//! their wax with the dcsim grid sweeps over the paraffin catalogue
+//! ([`select_melting_point_with`], [`select_melting_point_constrained_with`])
+//! unless a fixed melting point is given.
 
-use crate::design::{optimize_melting_point, optimize_melting_point_constrained};
 use tts_dcsim::cluster::{
-    default_melting_candidates, run_cooling_load_with, ClusterConfig, CoolingLoadRun,
+    default_melting_candidates, run_cooling_load_with, select_melting_point_with, ClusterConfig,
+    CoolingLoadRun,
 };
-use tts_dcsim::throttle::{run_constrained_with, ConstrainedConfig, ConstrainedRun};
+use tts_dcsim::throttle::{
+    run_constrained_with, select_melting_point_constrained_with, ConstrainedConfig, ConstrainedRun,
+};
 use tts_obs::MetricsSink;
 use tts_pcm::PcmMaterial;
 use tts_server::{ServerClass, ServerSpec, ServerWaxCharacteristics};
 use tts_units::{Celsius, Fraction};
 use tts_workload::{GoogleTrace, TimeSeries};
 
+/// The §5.2 oversubscription level: the throttled-cluster utilization the
+/// undersized cooling plant can sustain.
+const SUSTAINABLE_UTIL: f64 = 0.71;
+
 /// How the wax melting point is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MeltingPointChoice {
-    /// Search the paraffin catalogue for the best melting point (the
-    /// paper's approach), through the [`crate::design`] evaluation seam —
-    /// the same path (and memo keys) the `design` experiment uses.
+    /// Grid-search the paraffin catalogue for the best melting point (the
+    /// paper's approach).
     Optimize,
     /// Use a fixed melting point (e.g. the §3 retail wax at 39 °C).
     Fixed(Celsius),
-}
-
-impl tts_units::json::ToJson for MeltingPointChoice {
-    fn to_json(&self) -> tts_units::json::Json {
-        use tts_units::json::Json;
-        match self {
-            Self::Optimize => Json::Str("Optimize".to_string()),
-            Self::Fixed(t) => Json::Obj(vec![("Fixed".to_string(), t.to_json())]),
-        }
-    }
-}
-
-impl tts_units::json::FromJson for MeltingPointChoice {
-    fn from_json(v: &tts_units::json::Json) -> Result<Self, tts_units::json::JsonError> {
-        use tts_units::json::{Json, JsonError};
-        match v {
-            Json::Str(s) if s == "Optimize" => Ok(Self::Optimize),
-            other => match other.get("Fixed") {
-                Some(t) => Ok(Self::Fixed(Celsius::from_json(t)?)),
-                None => Err(JsonError::new("unknown MeltingPointChoice variant")),
-            },
-        }
-    }
 }
 
 /// A cluster-scale what-if: server class × workload × wax × cooling.
@@ -62,7 +49,6 @@ pub struct Scenario {
     servers: usize,
     trace: Option<TimeSeries>,
     melting_point: MeltingPointChoice,
-    sustainable_util: Fraction,
     sink: MetricsSink,
 }
 
@@ -104,7 +90,6 @@ impl Scenario {
             servers: 1008,
             trace: None,
             melting_point: MeltingPointChoice::Optimize,
-            sustainable_util: Fraction::new(0.71),
             sink: MetricsSink::disabled(),
         }
     }
@@ -134,13 +119,6 @@ impl Scenario {
     /// Fixes the wax melting point instead of optimizing.
     pub fn melting_point(mut self, choice: MeltingPointChoice) -> Self {
         self.melting_point = choice;
-        self
-    }
-
-    /// Sets the §5.2 oversubscription level: the throttled-cluster
-    /// utilization the undersized cooling plant can sustain.
-    pub fn sustainable_util(mut self, util: Fraction) -> Self {
-        self.sustainable_util = util;
         self
     }
 
@@ -174,7 +152,7 @@ impl Scenario {
         };
         let (material, run) = match self.melting_point {
             MeltingPointChoice::Optimize => {
-                optimize_melting_point(&config, &trace, default_melting_candidates(), &self.sink)
+                select_melting_point_with(&config, &trace, default_melting_candidates(), &self.sink)
             }
             MeltingPointChoice::Fixed(t) => {
                 let cfg = ClusterConfig {
@@ -205,11 +183,11 @@ impl Scenario {
             self.spec(),
             self.servers,
             chars.clone(),
-            self.sustainable_util,
+            Fraction::new(SUSTAINABLE_UTIL),
         );
         let limit_kw = config.limit.value();
         let (material, run) = match self.melting_point {
-            MeltingPointChoice::Optimize => optimize_melting_point_constrained(
+            MeltingPointChoice::Optimize => select_melting_point_constrained_with(
                 &config,
                 &trace,
                 default_melting_candidates(),
