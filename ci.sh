@@ -37,6 +37,7 @@ echo "==> metrics sidecar smoke (fig7, byte-identical across thread counts)"
 # sidecar must parse through the in-repo JSON layer (repro also
 # round-trips it before writing; a parse failure aborts the run).
 REPRO=target/release/repro
+REPRO_ABS="$(pwd)/$REPRO"
 
 # bench_gate <report> <baseline> <pct> <label>: fails if any benchmark in
 # both files regressed more than <pct> %. Exit 3 means a report/baseline
@@ -67,6 +68,21 @@ expect_usage_error() {
 expect_usage_error nosuch
 expect_usage_error fig7 --bogus 1
 
+echo "==> golden record (repro all --write at 1 thread reproduces results/*.json and EXPERIMENTS.md)"
+# The committed record is a golden file. A full regeneration must
+# rewrite every results/*.json byte for byte, and EXPERIMENTS.md except
+# its wall-clock timing line. Later steps compare 4-thread runs to it.
+mkdir "$TMPDIR_CI/all"
+(cd "$TMPDIR_CI/all" && TTS_THREADS=1 "$REPRO_ABS" all --write > /dev/null)
+for f in "$TMPDIR_CI"/all/results/*.json; do
+  cmp "results/$(basename "$f")" "$f"
+done
+for f in results/*.json; do
+  [ -e "$TMPDIR_CI/all/$f" ] || { echo "golden record: repro all --write did not write $f"; exit 1; }
+done
+timing='^\*Total regeneration time: '
+diff <(grep -v "$timing" EXPERIMENTS.md) <(grep -v "$timing" "$TMPDIR_CI/all/EXPERIMENTS.md")
+
 echo "==> bench gate (disabled-metrics thermal_solver within 5% of baseline)"
 # Metrics are off by default; the solver hot path must stay within the
 # pre-observability envelope recorded in BENCH_baseline.json.
@@ -77,7 +93,6 @@ echo "==> ttsd smoke (serve fig7, byte-identical to repro, cold and cached, 1 an
 # results/fig7.summary.json — whether computed or cached, at any thread
 # count — then drain gracefully and flush its final metrics snapshot.
 TTSD=target/release/ttsd
-REPRO_ABS="$(pwd)/$REPRO"
 (cd "$TMPDIR_CI" && "$REPRO_ABS" fig7 --write > /dev/null)
 for T in 1 4; do
   PORT_FILE="$TMPDIR_CI/ttsd.t$T.port"
@@ -164,33 +179,28 @@ TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/fleet_engine.json" \
   cargo bench --offline -q -p tts-bench --bench fleet_engine
 bench_gate "$TMPDIR_CI/fleet_engine.json" BENCH_fleet.json 20 "fleet bench gate"
 
-echo "==> fig11/fig12 series (byte-identical to the committed results at 1 and 4 threads)"
+echo "==> fig11/fig12 series (byte-identical to the committed results at 4 threads)"
 # The golden tests compare these figures to a 1e-9 relative error; this
-# step holds the melting-point sweeps behind them to the committed bytes.
-for T in 1 4; do
-  (cd "$TMPDIR_CI" && TTS_THREADS=$T "$REPRO_ABS" fig11 --write > /dev/null \
-    && TTS_THREADS=$T "$REPRO_ABS" fig12 --write > /dev/null)
-  for f in fig11.summary fig11a fig11b fig11c fig12.summary fig12a fig12b fig12c; do
-    cmp "results/$f.json" "$TMPDIR_CI/results/$f.json"
-  done
+# step holds the melting-point sweeps behind them to the committed bytes
+# at a second worker count (the golden record step runs one thread).
+(cd "$TMPDIR_CI" && TTS_THREADS=4 "$REPRO_ABS" fig11 --write > /dev/null \
+  && TTS_THREADS=4 "$REPRO_ABS" fig12 --write > /dev/null)
+for f in fig11.summary fig11a fig11b fig11c fig12.summary fig12a fig12b fig12c; do
+  cmp "results/$f.json" "$TMPDIR_CI/results/$f.json"
 done
 
-echo "==> schedule gate (co-optimizer beats passive baseline, byte-identical at 1 and 4 threads and to the committed results)"
+echo "==> schedule gate (co-optimizer beats passive baseline, byte-identical at 4 threads to the golden record)"
 # The receding-horizon PCM/job co-optimizer must strictly beat the
 # passive run-on-arrival baseline on the default two-day diurnal trace,
 # and — like every other result surface — its summary bytes must not
-# depend on the worker count. They must also equal the committed
-# results: a solver change that moves one pivot or one rounding shows
-# up here even when both thread counts drift together.
-for T in 1 4; do
-  (cd "$TMPDIR_CI" && TTS_THREADS=$T "$REPRO_ABS" schedule --write > /dev/null)
-  cp "$TMPDIR_CI/results/schedule.summary.json" "$TMPDIR_CI/schedule.t$T.summary.json"
-done
-cmp "$TMPDIR_CI/schedule.t1.summary.json" "$TMPDIR_CI/schedule.t4.summary.json"
-cmp results/schedule.summary.json "$TMPDIR_CI/schedule.t1.summary.json"
-cmp results/schedule.json "$TMPDIR_CI/results/schedule.json"
-opt_cost=$(grep -o '"cost_optimized_usd": *[0-9.eE+-]*' "$TMPDIR_CI/schedule.t1.summary.json" | awk '{print $2}')
-pas_cost=$(grep -o '"cost_passive_usd": *[0-9.eE+-]*' "$TMPDIR_CI/schedule.t1.summary.json" | awk '{print $2}')
+# depend on the worker count. The golden record step already holds the
+# 1-thread run to the committed results: a solver change that moves one
+# pivot or one rounding shows up there.
+(cd "$TMPDIR_CI" && TTS_THREADS=4 "$REPRO_ABS" schedule --write > /dev/null)
+cmp "$TMPDIR_CI/all/results/schedule.summary.json" "$TMPDIR_CI/results/schedule.summary.json"
+cmp "$TMPDIR_CI/all/results/schedule.json" "$TMPDIR_CI/results/schedule.json"
+opt_cost=$(grep -o '"cost_optimized_usd": *[0-9.eE+-]*' "$TMPDIR_CI/results/schedule.summary.json" | awk '{print $2}')
+pas_cost=$(grep -o '"cost_passive_usd": *[0-9.eE+-]*' "$TMPDIR_CI/results/schedule.summary.json" | awk '{print $2}')
 [ -n "$opt_cost" ] && [ -n "$pas_cost" ] || { echo "schedule summary lacks cost fields"; exit 1; }
 awk -v o="$opt_cost" -v p="$pas_cost" 'BEGIN { exit !(o < p) }' || {
   echo "schedule gate: optimizer did not beat passive ($opt_cost vs $pas_cost)"; exit 1; }

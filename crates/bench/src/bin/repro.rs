@@ -15,9 +15,13 @@
 //! (`--horizon-h`, `--slot-min`), documented in EXPERIMENTS.md's
 //! parameter tables and `GET /v1/experiments`.
 //!
-//! With `--write`, the harness also rewrites `EXPERIMENTS.md` (the
-//! paper-vs-measured record) and dumps raw results as JSON under
-//! `results/`; a failed write ends the run with exit 1.
+//! Stdout is the paper-vs-measured record itself: each artifact prints
+//! the `EXPERIMENTS.md` sections it files (markdown), then a summary of
+//! every paper-vs-measured comparison. With `--write`, the harness also
+//! rewrites `EXPERIMENTS.md` — the same sections behind the serving
+//! endpoints preamble and followed by a timing line — and dumps raw
+//! results as JSON under `results/`; a failed write ends the run with
+//! exit 1. Progress and timing go to stderr.
 //!
 //! `--threads N` pins the `tts_exec` worker count for every sweep in the
 //! run (overriding `TTS_THREADS` and the machine default). Results are
@@ -37,9 +41,10 @@
 //! regressed by more than the given percentage — the CI gate that keeps
 //! the disabled-metrics hot paths at full speed.
 //!
-//! The per-figure rendering lives in the experiment implementations
-//! (`thermal_time_shifting::experiment`); this binary dispatches by name,
-//! prints what each [`Figure`] rendered, and files its artifacts.
+//! Registry experiments render their own sections
+//! ([`Figure::markdown`]); the artifacts that are plain library calls or
+//! analyses over other figures (Table 1/2, Figures 1/4/10, TCO, the
+//! extension studies) are rendered here.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -48,9 +53,12 @@ use thermal_time_shifting::experiment::{self, ExecCtx, Figure, ParamSpec, Params
 use thermal_time_shifting::experiments::{self, Comparison};
 use thermal_time_shifting::params;
 use tts_bench::{comparison_row, format_quantity, text_table};
+use tts_server::validation::{self, ValidationConfig};
 use tts_server::ServerClass;
+use tts_tco::Table2;
 use tts_units::json::Json;
 use tts_units::Fraction;
+use tts_workload::GoogleTrace;
 
 /// A selectable artifact: its name, the registry experiments it runs
 /// (their schemas are the parameter flags it accepts), and the
@@ -140,35 +148,16 @@ fn main() {
             render(&mut report);
         }
     }
-    let Report {
-        ctx,
-        mut md,
-        comparisons,
-        ..
-    } = report;
-
-    // Summary.
-    let mut rows = Vec::new();
-    for (ctx_label, c) in &comparisons {
-        rows.push(vec![
-            ctx_label.clone(),
-            c.metric.clone(),
-            format_quantity(c.paper, &c.unit),
-            format_quantity(c.measured, &c.unit),
-            format!("{:+.0}%", c.relative_error() * 100.0),
-        ]);
-    }
-    if !rows.is_empty() {
-        let summary = text_table(
-            &["experiment", "metric", "paper", "measured", "deviation"],
-            &rows,
+    if !report.comparisons.is_empty() {
+        let mut summary = String::from(
+            "\n## Summary\n\n| experiment | metric | paper | measured | deviation |\n|---|---|---|---|---|\n",
         );
-        println!("\n=== paper vs. measured summary ===\n{summary}");
-        md.push_str("\n## Summary\n\n| experiment | metric | paper | measured | deviation |\n|---|---|---|---|---|\n");
-        for (ctx_label, c) in &comparisons {
-            md.push_str(&format!("| {} {}\n", ctx_label, comparison_row(c)));
+        for (ctx_label, c) in &report.comparisons {
+            let _ = writeln!(summary, "| {} {}", ctx_label, comparison_row(c));
         }
+        report.section(&summary);
     }
+    let Report { ctx, mut md, .. } = report;
 
     let _ = writeln!(
         md,
@@ -178,7 +167,7 @@ fn main() {
 
     if write {
         write_file("EXPERIMENTS.md", &md);
-        println!("wrote EXPERIMENTS.md");
+        eprintln!("wrote EXPERIMENTS.md");
     }
     if let Some(path) = metrics {
         let sidecar = ctx.sidecar(None, wall_unix).expect("metrics enabled");
@@ -188,7 +177,7 @@ fn main() {
         let parsed = tts_units::json::parse(&text).expect("metrics sidecar parses back");
         assert_eq!(parsed, sidecar, "metrics sidecar round-trips losslessly");
         write_file(&path, &text);
-        println!("wrote metrics sidecar to {path}");
+        eprintln!("wrote metrics sidecar to {path}");
     }
     eprintln!("done in {:.1} s", started.elapsed().as_secs_f64());
 }
@@ -390,6 +379,7 @@ fn write_file(path: &str, contents: &str) {
 
 /// What one run accumulates: the `EXPERIMENTS.md` text, the
 /// paper-vs-measured rows, and the registry figures rendered so far.
+/// Sections reach the record only through [`Report::section`].
 struct Report {
     ctx: ExecCtx,
     write: bool,
@@ -400,10 +390,17 @@ struct Report {
 }
 
 impl Report {
+    /// Prints one `EXPERIMENTS.md` section and appends it to the record,
+    /// so stdout is exactly the sections `--write` files.
+    fn section(&mut self, markdown: &str) {
+        print!("{markdown}");
+        self.md.push_str(markdown);
+    }
+
     /// Runs one registered experiment with its scoped params, unless this
-    /// run already has its figure: prints the rendered text, collects the
-    /// markdown and comparisons, and (with `--write`) files its JSON
-    /// artifacts plus the machine-readable summary from `emit_json`.
+    /// run already has its figure: emits its section, collects its
+    /// comparisons, and (with `--write`) files its JSON artifacts plus the
+    /// machine-readable summary from `emit_json`.
     fn experiment(&mut self, name: &str) {
         if self.figures.iter().any(|f| f.name == name) {
             return;
@@ -419,9 +416,7 @@ impl Report {
             eprintln!("{name}: {msg}");
             std::process::exit(2);
         });
-        println!("=== {} ===", fig.title);
-        println!("{}", fig.text);
-        self.md.push_str(&fig.markdown);
+        self.section(&fig.markdown);
         self.comparisons.extend(fig.comparisons.iter().cloned());
         if self.write {
             for (path, doc) in &fig.artifacts {
@@ -689,8 +684,6 @@ fn chaos(args: &[String]) -> i32 {
 }
 
 fn run_table1(r: &mut Report) {
-    let md = &mut r.md;
-    println!("=== Table 1: properties of common solid-liquid PCMs ===");
     let rows = experiments::table1();
     let table = text_table(
         &[
@@ -719,57 +712,41 @@ fn run_table1(r: &mut Report) {
             })
             .collect::<Vec<_>>(),
     );
-    println!("{table}");
-    md.push_str("## Table 1 — PCM comparison\n\nReproduced as a data table (paper values embedded); only the paraffins pass the datacenter screen, as in §2.1.\n\n```text\n");
-    md.push_str(&table);
-    md.push_str("```\n\n");
+    r.section(&format!(
+        "## Table 1 — PCM comparison\n\nReproduced as a data table (paper values embedded); \
+         only the paraffins pass the datacenter screen, as in §2.1.\n\n```text\n{table}```\n\n"
+    ));
 }
 
 fn run_fig1(r: &mut Report) {
-    let md = &mut r.md;
-    println!("=== Figure 1: thermal time shifting (concept, from a real run) ===");
-    let (t, no_wax, with_wax) = experiments::concept_figure();
+    let (no_wax, with_wax) = experiments::concept_figure();
     let chart = ascii_chart(
         &[("heat output", &no_wax), ("cooling load w/ PCM", &with_wax)],
         72,
         14,
     );
-    println!(
-        "one day, 1U cluster; x = 0..{:.0} h\n{chart}",
-        t.last().unwrap_or(&24.0)
-    );
-    md.push_str("## Figure 1 — concept\n\nRendered from a real 1U cluster run (first day): the wax flattens the daytime peak and returns the heat overnight.\n\n```text\n");
-    md.push_str(&chart);
-    md.push_str("```\n\n");
+    r.section(&format!(
+        "## Figure 1 — concept\n\nRendered from a real 1U cluster run (first day): the wax \
+         flattens the daytime peak and returns the heat overnight.\n\n```text\n{chart}```\n\n"
+    ));
 }
 
 fn run_fig4(r: &mut Report) {
-    let (md, comparisons) = (&mut r.md, &mut r.comparisons);
-    println!("=== Figure 4: model validation (1 h idle + 12 h load + 12 h idle) ===");
-    let r = experiments::fig4();
+    let v = validation::run(&ValidationConfig::default());
     let chart = ascii_chart(
         &[
-            ("real wax", &r.real_wax),
-            ("real placebo", &r.real_placebo),
-            ("model wax", &r.icepak_wax),
-            ("model placebo", &r.icepak_placebo),
+            ("real wax", &v.real_wax),
+            ("real placebo", &v.real_placebo),
+            ("model wax", &v.icepak_wax),
+            ("model placebo", &v.icepak_placebo),
         ],
         72,
         16,
     );
-    println!("{chart}");
-    println!(
-        "steady-state mean difference (model vs real, loaded):  wax {:+.2} K, placebo {:+.2} K",
-        r.steady_wax.mean_difference, r.steady_placebo.mean_difference
-    );
-    println!(
-        "transient correlation (wax): r = {:.3}\n",
-        r.transient_wax.correlation
-    );
     // Figure 4 (c): per-sensor steady-state bars.
-    let sensor_table = text_table(
+    let sensors = text_table(
         &["sensor", "Real °C", "Icepak °C", "Difference K"],
-        &r.sensors
+        &v.sensors
             .iter()
             .map(|s| {
                 vec![
@@ -781,64 +758,41 @@ fn run_fig4(r: &mut Report) {
             })
             .collect::<Vec<_>>(),
     );
-    println!("Figure 4 (c) — steady state while hot:\n{sensor_table}");
-    comparisons.push((
+    r.comparisons.push((
         "Fig 4".into(),
         Comparison::new(
             "steady-state mean difference (abs)",
             0.22,
-            r.steady_wax.mean_difference.abs(),
+            v.steady_wax.mean_difference.abs(),
             "K",
         ),
     ));
-    md.push_str("## Figure 4 — model validation\n\nOur \"real server\" is a perturbed high-resolution reference model with noisy sensors (see DESIGN.md). Four traces (temperatures near the wax box):\n\n```text\n");
-    md.push_str(&chart);
-    md.push_str("```\n\n");
-    let _ = writeln!(
-        md,
-        "Steady-state mean difference: wax {:+.2} K, placebo {:+.2} K (paper: 0.22 °C). Transient correlation r = {:.3}.\n",
-        r.steady_wax.mean_difference, r.steady_placebo.mean_difference, r.transient_wax.correlation
-    );
-    md.push_str("Figure 4 (c) — per-sensor steady state while hot:\n\n```text\n");
-    md.push_str(&text_table(
-        &["sensor", "Real °C", "Icepak °C", "Difference K"],
-        &r.sensors
-            .iter()
-            .map(|s| {
-                vec![
-                    s.name.clone(),
-                    format!("{:.2}", s.real_c),
-                    format!("{:.2}", s.icepak_c),
-                    format!("{:+.2}", s.difference()),
-                ]
-            })
-            .collect::<Vec<_>>(),
+    r.section(&format!(
+        "## Figure 4 — model validation\n\nOur \"real server\" is a perturbed high-resolution \
+         reference model with noisy sensors (see DESIGN.md). Four traces (temperatures near the \
+         wax box):\n\n```text\n{chart}```\n\nSteady-state mean difference: wax {:+.2} K, \
+         placebo {:+.2} K (paper: 0.22 °C). Transient correlation r = {:.3}.\n\n\
+         Figure 4 (c) — per-sensor steady state while hot:\n\n```text\n{sensors}```\n\n",
+        v.steady_wax.mean_difference, v.steady_placebo.mean_difference, v.transient_wax.correlation
     ));
-    md.push_str("```\n\n");
 }
 
 fn run_fig10(r: &mut Report) {
-    let md = &mut r.md;
-    println!("=== Figure 10: two-day datacenter workload trace ===");
-    let trace = experiments::fig10();
+    let trace = GoogleTrace::default_two_day();
     let total = trace.total();
     let pct: Vec<f64> = total.values().iter().map(|v| v * 100.0).collect();
     let chart = ascii_chart(&[("total load %", &pct)], 72, 12);
-    println!("{chart}");
-    println!(
-        "mean {:.1} %, peak {:.1} % (paper: normalized to 50 % / 95 %)\n",
+    r.section(&format!(
+        "## Figure 10 — workload trace\n\nSynthetic two-day Google-like trace (three job \
+         types), normalized to exactly 50 % mean / 95 % peak:\n\n```text\n{chart}```\n\n\
+         Measured mean {:.1} %, peak {:.1} %.\n\n",
         total.mean() * 100.0,
         total.peak() * 100.0
-    );
-    md.push_str("## Figure 10 — workload trace\n\nSynthetic two-day Google-like trace (three job types), normalized to exactly 50 % mean / 95 % peak:\n\n```text\n");
-    md.push_str(&chart);
-    md.push_str("```\n\n");
+    ));
 }
 
 fn run_table2(r: &mut Report) {
-    let md = &mut r.md;
-    println!("=== Table 2: TCO parameters ===");
-    let t = experiments::table2();
+    let t = Table2::paper();
     let rows = vec![
         (
             "FacilitySpaceCapEx",
@@ -866,29 +820,24 @@ fn run_table2(r: &mut Report) {
             .map(|(n, r, u)| vec![n.to_string(), r.to_string(), u.to_string()])
             .collect::<Vec<_>>(),
     );
-    println!("{table}");
-    md.push_str("## Table 2 — TCO parameters\n\nEmbedded verbatim; the per-server rows are derived from server price (price/48 months, price × 0.0055 interest) and reproduce the printed bands.\n\n```text\n");
-    md.push_str(&table);
-    md.push_str("```\n\n");
+    r.section(&format!(
+        "## Table 2 — TCO parameters\n\nEmbedded verbatim; the per-server rows are derived \
+         from server price (price/48 months, price × 0.0055 interest) and reproduce the \
+         printed bands.\n\n```text\n{table}```\n\n"
+    ));
 }
 
 /// The §5 TCO tables, from the fig11/fig12 figures `tco` runs first.
 fn run_tco(r: &mut Report) {
-    let Report {
-        figures,
-        md,
-        comparisons,
-        ..
-    } = r;
     let figure = |name: &str| {
-        figures
+        r.figures
             .iter()
             .find(|f| f.name == name)
             .expect("tco runs fig11 and fig12 first")
     };
     let (fig11, fig12) = (figure("fig11"), figure("fig12"));
-    println!("=== TCO analyses (§5.1/§5.2) ===");
-    md.push_str("## TCO analyses\n\n");
+    let mut md = String::from("## TCO analyses\n\n");
+    let mut comparisons = Vec::new();
     for class in ServerClass::ALL {
         // The §5 analyses consume only the headline scalars, handed over
         // through the figures' key/value surface.
@@ -899,34 +848,18 @@ fn run_tco(r: &mut Report) {
             .key_value(&format!("peak_gain_frac.{class}"))
             .expect("fig12 reports a peak gain per class");
         let s = experiments::tco_summary_from(class, Fraction::new(reduction), Fraction::new(gain));
-        println!(
-            "--- {class} (measured reduction {:.1} %, gain {:.1} %) ---",
+        let _ = writeln!(
+            md,
+            "### {class}\n\nMeasured peak cooling-load reduction {:.1} %, peak throughput gain \
+             {:.1} %.\n\n| metric | paper | measured | deviation |\n|---|---|---|---|",
             s.peak_reduction_pct,
             gain * 100.0
         );
         for c in [
-            &s.downsize_savings_per_year,
-            &s.added_servers,
-            &s.retrofit_savings_per_year,
-            &s.tco_efficiency_pct,
-        ] {
-            println!(
-                "  {:<34} paper {:>12}  measured {:>12}",
-                c.metric,
-                format_quantity(c.paper, &c.unit),
-                format_quantity(c.measured, &c.unit)
-            );
-            comparisons.push((format!("TCO {class}"), c.clone()));
-        }
-        let _ = writeln!(
-            md,
-            "### {class}\n\n| metric | paper | measured | deviation |\n|---|---|---|---|"
-        );
-        for c in [
-            &s.downsize_savings_per_year,
-            &s.added_servers,
-            &s.retrofit_savings_per_year,
-            &s.tco_efficiency_pct,
+            s.downsize_savings_per_year,
+            s.added_servers,
+            s.retrofit_savings_per_year,
+            s.tco_efficiency_pct,
         ] {
             let _ = writeln!(
                 md,
@@ -936,25 +869,20 @@ fn run_tco(r: &mut Report) {
                 format_quantity(c.measured, &c.unit),
                 c.relative_error() * 100.0
             );
+            comparisons.push((format!("TCO {class}"), c));
         }
         md.push('\n');
     }
+    r.comparisons.extend(comparisons);
+    r.section(&md);
 }
 
 fn run_extensions(r: &mut Report) {
-    let md = &mut r.md;
     use thermal_time_shifting::extensions::*;
-    println!("=== Extension studies (beyond the paper) ===");
-    md.push_str("## Extension studies (beyond the paper)\n\n");
     let class = ServerClass::LowPower1U;
+    let mut md = String::from("## Extension studies (beyond the paper)\n\n");
 
     let opex = cooling_opex_study(class);
-    println!(
-        "cooling electricity (tariff + economizer): ${:.0}/yr -> ${:.0}/yr with PCM ({:.2} % saved)",
-        opex.without_pcm_per_year.value(),
-        opex.with_pcm_per_year.value(),
-        opex.saving.percent()
-    );
     let _ = writeln!(
         md,
         "* **Cooling electricity** (tariff + temperate-climate economizer, 1U cluster): ${:.0}/yr → ${:.0}/yr with PCM ({:.2} % saved by shifting cooling work into cheap, cold nights — Figure 1's \"additional advantages\").",
@@ -964,11 +892,6 @@ fn run_extensions(r: &mut Report) {
     );
 
     let reloc = relocation_study(class);
-    println!(
-        "relocation bill: ${:.0}/yr -> ${:.0}/yr with PCM per cluster",
-        reloc.without_pcm_per_year.value(),
-        reloc.with_pcm_per_year.value()
-    );
     let _ = writeln!(
         md,
         "* **Job relocation vs. wax** (§5.2's other lever, $0.12/server-hour WAN+SLA): ${:.0}/yr → ${:.0}/yr per oversubscribed cluster.",
@@ -976,17 +899,11 @@ fn run_extensions(r: &mut Report) {
         reloc.with_pcm_per_year.value()
     );
 
-    println!("partial deployment curve:");
     let _ = writeln!(
         md,
         "* **Rack-by-rack deployment** (fraction equipped → peak reduction):"
     );
     for p in partial_deployment_study(class, 5) {
-        println!(
-            "  {:>4.0} % equipped -> {:>5.2} % reduction",
-            p.equipped.percent(),
-            p.peak_reduction.percent()
-        );
         let _ = writeln!(
             md,
             "  * {:.0} % equipped → {:.2} % peak reduction",
@@ -996,11 +913,6 @@ fn run_extensions(r: &mut Report) {
     }
 
     let crowd = flash_crowd_study(class);
-    println!(
-        "flash crowd (+20 % for 1 h at peak): calm {:.2} % vs surge {:.2} % reduction",
-        crowd.calm_reduction.percent(),
-        crowd.surge_reduction.percent()
-    );
     let _ = writeln!(
         md,
         "* **Flash crowd** (+20 % for 1 h on the daily peak): peak reduction {:.2} % calm → {:.2} % with the surge (re-optimized wax still absorbs most of it).",
@@ -1009,11 +921,6 @@ fn run_extensions(r: &mut Report) {
     );
 
     let life = lifetime_study(class);
-    println!(
-        "wax endurance: {:.1} % capacity after 4 y, {:.1} % after 10 y of daily cycles",
-        life.capacity_after_server_life.percent(),
-        life.capacity_after_plant_life.percent()
-    );
     let _ = writeln!(
         md,
         "* **Cycling endurance** (Table 1 stability made quantitative): the selected commercial paraffin keeps {:.1} % of its latent capacity after the 4-year server life and {:.1} % after the 10-year plant life; 80 % end-of-life is reached only after {} daily cycles.\n",
@@ -1021,6 +928,7 @@ fn run_extensions(r: &mut Report) {
         life.capacity_after_plant_life.percent(),
         life.cycles_to_80pct
     );
+    r.section(&md);
 }
 
 fn yesno(b: bool) -> String {

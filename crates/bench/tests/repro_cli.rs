@@ -1,6 +1,7 @@
 //! The `repro` binary's front door: bad input exits 2 with the same
-//! message the HTTP API gives, and every accepted flag reaches the run
-//! (a flag that is parsed but dropped would leave the output unchanged).
+//! message the HTTP API gives, every accepted flag reaches the run
+//! (a flag that is parsed but dropped would leave the output unchanged),
+//! and stdout is exactly the record `--write` files.
 
 use std::process::{Command, Output};
 use thermal_time_shifting::experiment::{self, Params};
@@ -101,4 +102,38 @@ fn failed_writes_exit_nonzero_and_name_the_path() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{stderr}");
     assert!(stderr.contains("cannot write results/"), "{stderr}");
+}
+
+/// The sections of an `EXPERIMENTS.md`: everything after the serving
+/// endpoints preamble, without the trailing timing line.
+fn filed_sections(md: &str) -> &str {
+    let start = md
+        .match_indices("\n## ")
+        .map(|(i, _)| i + 1)
+        .find(|&i| !md[i..].starts_with("## Serving endpoints"))
+        .expect("a section follows the preamble");
+    let end = md
+        .rfind("\n*Total regeneration time: ")
+        .expect("a timing line");
+    &md[start..end]
+}
+
+#[test]
+fn stdout_is_exactly_the_filed_sections() {
+    for (artifact, heading) in [("table1", "## Table 1"), ("fig7", "## Figure 7")] {
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("repro_sections_{artifact}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([artifact, "--write"])
+            .current_dir(&dir)
+            .output()
+            .expect("repro runs");
+        assert!(out.status.success(), "repro {artifact}: {out:?}");
+        let md = std::fs::read_to_string(dir.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+        let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+        assert!(stdout.starts_with(heading), "repro {artifact}: {stdout}");
+        assert_eq!(stdout, filed_sections(&md), "repro {artifact}");
+    }
 }

@@ -13,9 +13,9 @@ use tts_units::json::{FromJson, Json, JsonError, ToJson};
 
 /// One typed, scheduled fault. Simulation-level faults carry an onset
 /// time (seconds into the scenario window); connection-level faults
-/// (`SlowLoris`, `MidBodyDisconnect`, `QueueStorm`) are driven as
-/// client batches against a live `ttsd` and carry client counts
-/// instead.
+/// (`SlowLoris`, `MidBodyDisconnect`, `QueueStorm`, `NestedBody`) are
+/// driven as client batches against a live `ttsd` and carry client
+/// counts instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
     /// A server dies; its jobs are re-dispatched (event level, `dcsim`).
@@ -123,6 +123,14 @@ pub enum Fault {
         /// Concurrent storm clients.
         clients: usize,
     },
+    /// Clients that POST a JSON body nested past the parser's nesting
+    /// cap, so the answer must be a `400` from a server that stays up
+    /// (connection level, `svc`). Never sampled: only the default storm
+    /// drives it.
+    NestedBody {
+        /// Concurrent hostile clients.
+        clients: usize,
+    },
     /// Economizer outside-air damper jams at a fixed position: the
     /// free-cooling blend is scaled by `stuck_frac` (backend level,
     /// `cooling::freecooling`).
@@ -173,6 +181,7 @@ impl Fault {
             Fault::SlowLoris { .. } => "SlowLoris",
             Fault::MidBodyDisconnect { .. } => "MidBodyDisconnect",
             Fault::QueueStorm { .. } => "QueueStorm",
+            Fault::NestedBody { .. } => "NestedBody",
             Fault::EconomizerDamperStuck { .. } => "EconomizerDamperStuck",
             Fault::PumpDerate { .. } => "PumpDerate",
             Fault::ReuseDropout { .. } => "ReuseDropout",
@@ -197,7 +206,8 @@ impl Fault {
             | Fault::ReuseDropout { at_s, .. } => Some(at_s),
             Fault::SlowLoris { .. }
             | Fault::MidBodyDisconnect { .. }
-            | Fault::QueueStorm { .. } => None,
+            | Fault::QueueStorm { .. }
+            | Fault::NestedBody { .. } => None,
         }
     }
 }
@@ -303,6 +313,9 @@ impl ToJson for Fault {
             Fault::QueueStorm { clients } => {
                 num(&mut fields, "clients", clients as f64);
             }
+            Fault::NestedBody { clients } => {
+                num(&mut fields, "clients", clients as f64);
+            }
             Fault::EconomizerDamperStuck {
                 at_s,
                 duration_s,
@@ -389,6 +402,9 @@ impl FromJson for Fault {
                 body_frac: get_f64(v, kind, "body_frac")?,
             }),
             "QueueStorm" => Ok(Fault::QueueStorm {
+                clients: get_usize(v, kind, "clients")?,
+            }),
+            "NestedBody" => Ok(Fault::NestedBody {
                 clients: get_usize(v, kind, "clients")?,
             }),
             "EconomizerDamperStuck" => Ok(Fault::EconomizerDamperStuck {
@@ -535,7 +551,7 @@ impl FaultPlan {
     /// `(kind, count)` pairs in taxonomy order — a deterministic digest
     /// for summaries.
     pub fn kind_counts(&self) -> Vec<(String, u64)> {
-        const KINDS: [&str; 15] = [
+        const KINDS: [&str; 16] = [
             "ServerKill",
             "ServerRevive",
             "CoolingDerating",
@@ -548,6 +564,7 @@ impl FaultPlan {
             "SlowLoris",
             "MidBodyDisconnect",
             "QueueStorm",
+            "NestedBody",
             "EconomizerDamperStuck",
             "PumpDerate",
             "ReuseDropout",
@@ -620,6 +637,28 @@ mod tests {
     }
 
     #[test]
+    fn nested_body_round_trips_and_is_never_sampled() {
+        let plan = FaultPlan {
+            faults: vec![Fault::NestedBody { clients: 2 }],
+        };
+        let back = FaultPlan::from_json(&plan.to_json()).expect("round-trip");
+        assert_eq!(back, plan);
+        assert_eq!(plan.faults[0].kind(), "NestedBody");
+        assert_eq!(plan.faults[0].at(), None);
+        let cfg = PlanConfig {
+            max_faults: 40,
+            ..PlanConfig::default()
+        };
+        for seed in 0..200 {
+            let sampled = FaultPlan::sample(seed, &cfg);
+            assert!(
+                sampled.faults.iter().all(|f| f.kind() != "NestedBody"),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
     fn unknown_kind_is_rejected() {
         let v = tts_units::json::parse(r#"{"kind":"MeteorStrike"}"#).unwrap();
         assert!(Fault::from_json(&v).is_err());
@@ -629,7 +668,7 @@ mod tests {
     fn kind_counts_cover_the_taxonomy() {
         let plan = FaultPlan::sample(1, &PlanConfig::default());
         let counts = plan.kind_counts();
-        assert_eq!(counts.len(), 15);
+        assert_eq!(counts.len(), 16);
         let total: u64 = counts.iter().map(|(_, c)| c).sum();
         assert_eq!(total, plan.faults.len() as u64);
     }

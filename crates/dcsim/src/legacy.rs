@@ -362,7 +362,7 @@ impl<B: Balancer> LegacySim<B> {
             }
         }
         let cores = self.cores_per_server;
-        tts_exec::par_for_each_mut(&mut self.servers, |s| s.account(end, cores));
+        tts_exec::par_map_mut(&mut self.servers, |s| s.account(end, cores));
         self.metrics(end)
     }
 

@@ -137,7 +137,7 @@ pub fn thread_budget() -> Option<usize> {
     }
 }
 
-/// The thread count used by [`par_map`] / [`par_for_each`]: the calling
+/// The thread count used by [`par_map`] / [`par_map_mut`]: the calling
 /// thread's [`with_thread_budget`] lease if inside one, else the
 /// [`set_thread_override`] value if set, else `TTS_THREADS`, else the
 /// machine's available parallelism. Always at least 1.
@@ -266,60 +266,6 @@ fn record_worker_stats(sink: &MetricsSink, loads: &[u64]) {
         .set(if mean > 0.0 { max / mean } else { 0.0 });
 }
 
-/// Runs `f` on every item for its side effects (ordered completion is not
-/// observable; use [`par_map`] when results must be collected).
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    par_map(items, |item| f(item));
-}
-
-/// Applies `f` to every element of a mutable slice in parallel, each
-/// element visited exactly once (disjoint `&mut` access — deterministic by
-/// construction). Used for independent per-server state updates.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    par_for_each_mut_with(thread_count(), items, f)
-}
-
-/// [`par_for_each_mut`] with an explicit worker count.
-pub fn par_for_each_mut_with<T, F>(threads: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let workers = threads.max(1).min(items.len());
-    if workers <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    // Static chunking keeps the borrow checker happy with plain safe code;
-    // per-element cost is near-uniform in our per-server update loops.
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for part in items.chunks_mut(chunk) {
-            handles.push(scope.spawn(|| {
-                for item in part {
-                    f(item);
-                }
-            }));
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-}
-
 /// Applies `f` to every element of a mutable slice in parallel and
 /// returns the per-element results **in input order**. The in-place
 /// sibling of [`par_map`]: each element is visited exactly once through a
@@ -348,10 +294,10 @@ where
     if workers <= 1 {
         return items.iter_mut().map(f).collect();
     }
-    // Static chunking (as in `par_for_each_mut_with`): contiguous chunks
-    // keep the borrow checker happy with plain safe code, and chunk order
-    // equals input order, so concatenating per-chunk results reassembles
-    // the serial output exactly.
+    // Static chunking: contiguous chunks keep the borrow checker happy
+    // with plain safe code, and chunk order equals input order, so
+    // concatenating per-chunk results reassembles the serial output
+    // exactly.
     let chunk = items.len().div_ceil(workers);
     let mut out = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
@@ -409,16 +355,6 @@ mod tests {
         // 3 items with 64 requested threads must still produce 3 results.
         let out = par_map_with(64, &[1, 2, 3], |&x| x * 10);
         assert_eq!(out, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn for_each_mut_visits_every_element_once() {
-        for threads in [1, 2, 5, 16] {
-            let mut data: Vec<u64> = (0..83).collect();
-            par_for_each_mut_with(threads, &mut data, |v| *v += 1000);
-            let expected: Vec<u64> = (0..83).map(|v| v + 1000).collect();
-            assert_eq!(data, expected, "threads={threads}");
-        }
     }
 
     #[test]
@@ -519,6 +455,8 @@ mod tests {
 
     #[test]
     fn map_mut_mutates_and_returns_in_input_order() {
+        // Includes a unit-result map: the in-place per-element update the
+        // legacy engine runs through `par_map_mut`.
         for threads in [1, 2, 5, 16] {
             let mut data: Vec<u64> = (0..83).collect();
             let out = par_map_mut_with(threads, &mut data, |v| {
@@ -529,6 +467,11 @@ mod tests {
             let expected: Vec<u64> = mutated.iter().map(|v| v * 2).collect();
             assert_eq!(data, mutated, "threads={threads}");
             assert_eq!(out, expected, "threads={threads}");
+
+            let mut data: Vec<u64> = (0..83).collect();
+            let unit = par_map_mut_with(threads, &mut data, |v| *v += 1000);
+            assert_eq!(unit.len(), 83, "threads={threads}");
+            assert_eq!(data, mutated, "threads={threads}");
         }
     }
 
@@ -545,16 +488,5 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b));
         assert_eq!(bits(&serial), bits(&parallel));
-    }
-
-    #[test]
-    fn side_effect_for_each_runs_every_item() {
-        use std::sync::atomic::AtomicU64;
-        let sum = AtomicU64::new(0);
-        let items: Vec<u64> = (1..=100).collect();
-        par_for_each(&items, |&i| {
-            sum.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 5050);
     }
 }

@@ -2,7 +2,7 @@
 //! misbehaving clients and check that it *always* answers (or times the
 //! client out) with a mapped status — never hangs, never emits garbage.
 //!
-//! Three client breeds, matching the `tts_chaos` fault taxonomy:
+//! Four client breeds, matching the `tts_chaos` fault taxonomy:
 //!
 //! * **Slow loris** ([`Fault::SlowLoris`]) — dribbles request-header
 //!   bytes with long gaps and then stalls; the server's read timeout
@@ -14,6 +14,12 @@
 //!   well-formed requests against a tiny worker pool; every client gets
 //!   `200` or an explicit `503` backpressure answer, never a silent
 //!   drop.
+//! * **Nested body** ([`Fault::NestedBody`]) — POSTs an experiment a
+//!   body of thousands of nested `[`, past the JSON parser's nesting
+//!   cap; the answer must be `400` (retried while the queue answers
+//!   `503`), not a worker stack overflow that takes the process down.
+//!
+//! After every storm the server must still answer `GET /healthz`.
 //!
 //! Wall-clock outcomes (who got `200` vs `503`) are scheduling-
 //! dependent, so [`StormReport::deterministic_json`] exposes only the
@@ -113,7 +119,7 @@ impl StormReport {
 
 /// The built-in storm: one fault of each connection-level kind, sized
 /// to finish in a couple of seconds while still exercising timeout,
-/// truncation, and backpressure paths.
+/// truncation, backpressure, and parser-depth paths.
 pub fn default_storm() -> Vec<Fault> {
     vec![
         Fault::SlowLoris {
@@ -125,6 +131,7 @@ pub fn default_storm() -> Vec<Fault> {
             body_frac: 0.5,
         },
         Fault::QueueStorm { clients: 12 },
+        Fault::NestedBody { clients: 2 },
     ]
 }
 
@@ -154,6 +161,7 @@ pub fn run_storm(faults: &[Fault], cfg: &StormConfig) -> StormReport {
             Fault::SlowLoris { clients, .. } => ("slow_loris", clients),
             Fault::MidBodyDisconnect { clients, .. } => ("mid_body_disconnect", clients),
             Fault::QueueStorm { clients } => ("queue_storm", clients),
+            Fault::NestedBody { clients } => ("nested_body", clients),
             _ => continue,
         };
         match clients_by_kind.iter_mut().find(|(k, _)| k == kind) {
@@ -163,13 +171,18 @@ pub fn run_storm(faults: &[Fault], cfg: &StormConfig) -> StormReport {
         for _ in 0..n {
             let fault = *fault;
             let timeout = cfg.client_timeout;
-            handles.push(std::thread::spawn(move || drive(addr, &fault, timeout)));
+            handles.push(std::thread::spawn(move || {
+                (fault, drive(addr, &fault, timeout))
+            }));
         }
     }
-    let outcomes: Vec<ClientOutcome> = handles
+    let outcomes: Vec<(Fault, ClientOutcome)> = handles
         .into_iter()
         .map(|h| h.join().expect("storm client thread"))
         .collect();
+    // Every client is done, so the queue is empty: a healthy server
+    // answers a one-client queue storm (one `GET /healthz`) at once.
+    let health = drive(addr, &Fault::QueueStorm { clients: 1 }, cfg.client_timeout);
 
     shutdown.trigger();
     join.join()
@@ -178,7 +191,14 @@ pub fn run_storm(faults: &[Fault], cfg: &StormConfig) -> StormReport {
 
     let mut checker = Checker::new();
     let (mut answered, mut closed, mut timed_out) = (0u64, 0u64, 0u64);
-    for (i, outcome) in outcomes.iter().enumerate() {
+    for (i, (fault, outcome)) in outcomes.iter().enumerate() {
+        if let Fault::NestedBody { .. } = fault {
+            checker.check(
+                "svc.nested_body_rejected",
+                *outcome == ClientOutcome::Answered(400),
+                || format!("client {i}: nested body got {outcome:?}, want a 400"),
+            );
+        }
         match *outcome {
             ClientOutcome::Answered(status) => {
                 answered += 1;
@@ -202,6 +222,11 @@ pub fn run_storm(faults: &[Fault], cfg: &StormConfig) -> StormReport {
             }
         }
     }
+    checker.check(
+        "svc.survives_storm",
+        health == ClientOutcome::Answered(200),
+        || format!("GET /healthz after the storm: {health:?}"),
+    );
     let (checks, violations) = checker.into_parts();
     StormReport {
         clients_by_kind,
@@ -215,11 +240,12 @@ pub fn run_storm(faults: &[Fault], cfg: &StormConfig) -> StormReport {
 
 /// Runs one misbehaving client to completion.
 fn drive(addr: SocketAddr, fault: &Fault, timeout: Duration) -> ClientOutcome {
-    let Ok(mut stream) = TcpStream::connect(addr) else {
+    if let Fault::NestedBody { .. } = *fault {
+        return nested_body(addr, timeout);
+    }
+    let Some(mut stream) = connect(addr, timeout) else {
         return ClientOutcome::Closed;
     };
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
     match *fault {
         Fault::SlowLoris { byte_gap_ms, .. } => {
             // Dribble a header prefix, then stall: the server's read
@@ -252,6 +278,45 @@ fn drive(addr: SocketAddr, fault: &Fault, timeout: Duration) -> ClientOutcome {
         _ => return ClientOutcome::Closed,
     }
     read_outcome(&mut stream)
+}
+
+/// Opening brackets in a nested-body client's request: the 120 KB body
+/// that once overflowed a worker's stack.
+const NESTED_BODY_DEPTH: usize = 120 * 1024;
+
+/// POSTs [`NESTED_BODY_DEPTH`] nested `[` to an experiment, retrying (on
+/// a fresh connection) while the bounded queue answers `503`: the
+/// storm's queue clients may fill it, and the contract under test is the
+/// parser's answer, not admission.
+fn nested_body(addr: SocketAddr, timeout: Duration) -> ClientOutcome {
+    let body = "[".repeat(NESTED_BODY_DEPTH);
+    let request = format!(
+        "POST /v1/experiments/fig7 HTTP/1.1\r\nhost: storm\r\n\
+         content-type: application/json\r\ncontent-length: {}\r\n\
+         connection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let mut outcome = ClientOutcome::Closed;
+    for _ in 0..50 {
+        let Some(mut stream) = connect(addr, timeout) else {
+            return ClientOutcome::Closed;
+        };
+        let _ = stream.write_all(request.as_bytes());
+        outcome = read_outcome(&mut stream);
+        if outcome != ClientOutcome::Answered(503) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    outcome
+}
+
+/// A client connection with `timeout` on reads and writes.
+fn connect(addr: SocketAddr, timeout: Duration) -> Option<TcpStream> {
+    let stream = TcpStream::connect(addr).ok()?;
+    let _ = stream.set_read_timeout(Some(timeout));
+    let _ = stream.set_write_timeout(Some(timeout));
+    Some(stream)
 }
 
 /// Classifies whatever the server sent back.
@@ -292,16 +357,19 @@ mod tests {
     fn the_default_storm_is_always_answered() {
         let report = run_storm(&default_storm(), &StormConfig::default());
         assert!(report.all_green(), "violations: {:?}", report.violations);
-        assert_eq!(report.answered + report.closed + report.timed_out, 16);
+        assert_eq!(report.answered + report.closed + report.timed_out, 18);
         assert_eq!(
             report.clients_by_kind,
             vec![
                 ("slow_loris".to_string(), 2),
                 ("mid_body_disconnect".to_string(), 2),
                 ("queue_storm".to_string(), 12),
+                ("nested_body".to_string(), 2),
             ]
         );
-        assert!(report.checks >= 16);
+        // One status check per client, one 400 check per nested-body
+        // client, and the post-storm health check.
+        assert_eq!(report.checks, 18 + 2 + 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use thermal_time_shifting::experiment::{self, ExecCtx};
-use tts_obs::MetricsSink;
+use tts_obs::{Determinism, MetricsSink};
 use tts_rng::prop::prelude::*;
 use tts_svc::sched::Scheduler;
 
@@ -104,9 +104,13 @@ proptest! {
                 wide_flag.store(1, Ordering::SeqCst);
                 drop(lease);
             });
-            // Give the wide ask time to take its ticket before the
-            // narrow ones queue behind it.
-            std::thread::sleep(Duration::from_millis(5));
+            // Wait until the wide ask holds its ticket (the scheduler's
+            // waiting gauge reads 1) before the narrow ones queue behind
+            // it; a fixed sleep loses that race on a loaded host.
+            let waiting = sink.gauge_tagged("svc.sched.waiting", Determinism::BestEffort);
+            while waiting.value() < 1.0 {
+                std::thread::yield_now();
+            }
             for _ in 0..followers {
                 let sched = Arc::clone(&sched);
                 let wide_ran = Arc::clone(&wide_ran);

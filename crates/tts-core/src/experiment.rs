@@ -1,12 +1,12 @@
 //! The unified experiment API.
 //!
-//! Each paper artifact the repro harness regenerates is an [`Experiment`]:
-//! a named unit that runs against an [`ExecCtx`] (metrics sink + flush
-//! buffer) and returns a [`Figure`] — the rendered console text, the
-//! `EXPERIMENTS.md` section, the paper-vs-measured comparisons, the JSON
-//! artifacts to write, and the headline scalars downstream analyses (TCO)
-//! consume. The harness dispatches by name via [`find`] and no longer owns
-//! per-figure rendering code.
+//! Each registered experiment is an [`Experiment`]: a named unit that
+//! runs against an [`ExecCtx`] (metrics sink + flush buffer) and returns a
+//! [`Figure`] — its one human rendering (the `EXPERIMENTS.md` section,
+//! which `repro` both prints and files), the paper-vs-measured
+//! comparisons, the JSON artifacts to write, and the headline scalars
+//! downstream analyses (TCO) consume. The harness dispatches by name via
+//! [`find`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -194,11 +194,10 @@ pub use crate::params::{ParamKind, ParamSpec, Params};
 pub struct Figure {
     /// The experiment's dispatch name (e.g. `fig11`).
     pub name: String,
-    /// Human title, printed as the console section header.
+    /// Human title, carried in the JSON summary ([`Experiment::emit_json`]).
     pub title: String,
-    /// Rendered console output (charts, tables).
-    pub text: String,
-    /// The `EXPERIMENTS.md` section body.
+    /// The `EXPERIMENTS.md` section (charts, tables, prose): the only
+    /// human rendering, printed by `repro` exactly as it is filed.
     pub markdown: String,
     /// Paper-vs-measured records, each with its context label
     /// (e.g. `("Fig 11a", …)`).
@@ -216,7 +215,6 @@ impl Figure {
         Self {
             name: name.into(),
             title: title.into(),
-            text: String::new(),
             markdown: String::new(),
             comparisons: Vec::new(),
             artifacts: Vec::new(),
@@ -350,7 +348,6 @@ impl Experiment for Fig7Blockage {
                 ],
                 &table_rows,
             );
-            fig.text.push_str(&format!("--- {class} ---\n{table}"));
             fig.markdown
                 .push_str(&format!("### {class}\n\n```text\n{table}```\n\n"));
             if class == ServerClass::LowPower1U {
@@ -419,15 +416,6 @@ impl Fig11CoolingLoad {
                 72,
                 12,
             );
-            fig.text.push_str(&format!(
-                "--- ({panel}) {class} ---\n{chart}\npeak: {:.0} kW → {:.0} kW; reduction {:.1} % (paper {:.1} %); wax {}; refreeze tail {:.1} h\n\n",
-                r.study.run.peak_no_wax.value(),
-                r.study.run.peak_with_wax.value(),
-                r.peak_reduction.measured,
-                r.peak_reduction.paper,
-                r.study.material.name(),
-                r.study.run.elevated_hours / 2.0,
-            ));
             fig.markdown.push_str(&format!(
                 "### ({panel}) {class}\n\n```text\n{chart}```\n\nPeak {:.0} kW → {:.0} kW: **{:.1} % reduction** (paper: {:.1} %), wax = {}, melt onset at {:.0} % load, refreeze tail ≈ {:.1} h/day (paper: 6–9 h).\n\n",
                 r.study.run.peak_no_wax.value(),
@@ -483,15 +471,6 @@ impl Experiment for Fig12Constrained {
                 72,
                 12,
             );
-            fig.text.push_str(&format!(
-                "--- ({panel}) {class} ---\n{chart}\npeak gain {:.1} % (paper {:.1} %); throttle delayed {:.2} h; boosted {:.1} h/day (paper {:.1} h); wax {}\n\n",
-                r.peak_gain.measured,
-                r.peak_gain.paper,
-                r.study.run.delay_hours,
-                r.boost_hours.measured,
-                r.boost_hours.paper,
-                r.study.material.name(),
-            ));
             fig.markdown.push_str(&format!(
                 "### ({panel}) {class}\n\n```text\n{chart}```\n\nPeak throughput gain **{:.1} %** (paper: {:.1} %); throttle onset delayed {:.2} h; boosted {:.1} h/day (paper: {:.1} h); wax = {}.\n\n",
                 r.peak_gain.measured,
@@ -585,9 +564,6 @@ impl DcsimQos {
                 ],
             ],
         );
-        fig.text.push_str(&format!(
-            "{servers} servers, round-robin, MapReduce jobs following the Figure 10 trace\n{table}"
-        ));
         fig.markdown.push_str(&format!(
             "## Discrete simulation — job-level QoS\n\n{servers} servers behind a round-robin \
              balancer serve two days of MapReduce-class jobs offered along the Figure 10 \
@@ -639,9 +615,8 @@ impl Experiment for ChaosBatch {
 }
 
 impl ChaosBatch {
-    /// Runs the batch and renders the roll-up. The summary JSON is
-    /// byte-deterministic at any thread count, so it ships as an
-    /// artifact the CI gate can `cmp`.
+    /// Runs the batch and renders the roll-up (`repro chaos` files the
+    /// full summary JSON itself).
     fn render(&self, ctx: &ExecCtx, cfg: tts_chaos::BatchConfig) -> Figure {
         let summary = tts_chaos::run_batch(&cfg);
         ctx.sink()
@@ -665,16 +640,6 @@ impl ChaosBatch {
             rows.push(vec![format!("faults: {kind}"), format!("{count}")]);
         }
         let table = text_table(&["metric", "value"], &rows);
-        fig.text.push_str(&format!(
-            "base seed {:#x}, {} scenarios across cluster/thermal/cooling/workload phases\n{table}",
-            summary.base_seed, summary.scenarios
-        ));
-        if !summary.all_green() {
-            fig.text.push_str("replay failing seeds with:\n");
-            for line in summary.replay_lines() {
-                fig.text.push_str(&format!("  {line}\n"));
-            }
-        }
         fig.markdown.push_str(&format!(
             "## Chaos batch — seeded fault injection\n\n{} scenarios sampled from base seed \
              {:#x}; every scenario injects a typed fault plan into the cluster, thermal, \
@@ -682,14 +647,20 @@ impl ChaosBatch {
              ```text\n{table}```\n\n",
             summary.scenarios, summary.base_seed
         ));
+        if !summary.all_green() {
+            fig.markdown
+                .push_str("Replay the failing seeds with:\n\n```text\n");
+            for line in summary.replay_lines() {
+                fig.markdown.push_str(&format!("{line}\n"));
+            }
+            fig.markdown.push_str("```\n\n");
+        }
         fig.key_values = vec![
             ("scenarios".into(), summary.scenarios as f64),
             ("checks".into(), summary.checks as f64),
             ("violations".into(), summary.violations().len() as f64),
             ("failing_seeds".into(), summary.failing_seeds.len() as f64),
         ];
-        fig.artifacts
-            .push(("chaos.summary.json".into(), summary.to_json()));
         fig
     }
 }
@@ -808,23 +779,20 @@ impl FleetScale {
             ],
             &rows,
         );
-        fig.text.push_str(&format!(
-            "{} servers in {} sites, {} shards, {} epochs of 60 s; \
-             mean delay {:.2} s, {} fault events, ledger residue {:.3e} core-s\n{table}",
-            m.servers,
-            sites,
-            sim.shard_count(),
-            m.epochs,
-            m.mean_delay_s,
-            m.fault_events,
-            m.conservation_error_core_s,
-        ));
         fig.markdown.push_str(&format!(
             "## Fleet scale — epoch-sharded engine\n\n{} servers across {} sites stepped in \
              {} epochs by the struct-of-arrays fleet engine; the deferrable quarter of each \
              site's diurnal demand chases cheap cooling headroom across timezones. Byte-identical \
-             at any `TTS_THREADS` and any shard count.\n\n```text\n{table}```\n\n",
-            m.servers, sites, m.epochs
+             at any `TTS_THREADS` and any shard count.\n\n```text\n{table}```\n\n\
+             {} shards, 60-s epochs: mean delay {:.2} s, {} fault events, ledger residue \
+             {:.3e} core-s.\n\n",
+            m.servers,
+            sites,
+            m.epochs,
+            sim.shard_count(),
+            m.mean_delay_s,
+            m.fault_events,
+            m.conservation_error_core_s,
         ));
         fig.key_values = vec![
             ("servers".into(), m.servers as f64),
@@ -922,23 +890,6 @@ impl ScheduleOpt {
                 ],
             ],
         );
-        fig.text.push_str(&format!(
-            "{} servers, {} slots of {:.0} min, {} delay classes; {} plans ({} fallbacks), \
-             {} simplex iterations\n{chart}\n{table}savings ${:.2} ({:.2} %); \
-             {:.1} kWh deferred; {} deadline misses; conservation residue {:.3e} kWh\n",
-            cfg.servers,
-            out.slots,
-            cfg.slot_min,
-            cfg.tranches,
-            out.plans,
-            out.fallback_plans,
-            out.simplex_iterations,
-            out.savings_usd,
-            out.savings_frac * 100.0,
-            out.deferred_energy_kwh,
-            out.deadline_misses,
-            out.conservation_error_kwh,
-        ));
         fig.markdown.push_str(&format!(
             "## Schedule — receding-horizon co-optimizer\n\nEvery hour a bounded-variable \
              simplex re-plans the next {:.0} h + {:.0} h: which deferrable tranches \
@@ -947,13 +898,23 @@ impl ScheduleOpt {
              bill subject to job-conservation, state-of-charge, cooling-capacity, and \
              deadline constraints. The baseline is the paper's passive configuration on the \
              identical trace.\n\n```text\n{chart}```\n\n```text\n{table}```\n\nSavings \
-             **${:.2}** ({:.2} %), {:.1} kWh executed off-schedule, {} deadline misses.\n\n",
+             **${:.2}** ({:.2} %), {:.1} kWh executed off-schedule, {} deadline misses.\n\n\
+             {} servers, {} slots of {:.0} min, {} delay classes: {} plans ({} fallbacks), \
+             {} simplex iterations, conservation residue {:.3e} kWh.\n\n",
             cfg.horizon_h,
             cfg.extension_h,
             out.savings_usd,
             out.savings_frac * 100.0,
             out.deferred_energy_kwh,
             out.deadline_misses,
+            cfg.servers,
+            out.slots,
+            cfg.slot_min,
+            cfg.tranches,
+            out.plans,
+            out.fallback_plans,
+            out.simplex_iterations,
+            out.conservation_error_kwh,
         ));
         fig.key_values = vec![
             ("cost_passive_usd".into(), out.cost_passive_usd),
@@ -1088,33 +1049,21 @@ impl DesignSearch {
                 ],
             ],
         );
-        fig.text.push_str(&format!(
-            "paper space ({class}, {servers} servers, seed {seed}, budget {budget}):\n{table}\
-             optimum match: {} ({} generations, {} surrogate fits)\n\
-             joint space (class × melt × mass × tariff phase × ambient): \
-             ${:.2} at {} / {:.1} °C / {:.2}× mass / {:+.0} h / {:+.1} °C in {} evals\n",
-            if matches { "EXACT" } else { "MISMATCH" },
-            d.generations,
-            d.surrogate_fits,
-            jb.cost_usd,
-            jb.class,
-            jb.melt_c,
-            jb.mass_mult,
-            jb.tariff_phase_h,
-            jb.ambient_off_c,
-            j.evals,
-        ));
         fig.markdown.push_str(&format!(
             "## Design — surrogate-driven search\n\nThe `tts-design` optimizer (LHS seeding, \
              (μ/μ_w, λ)-CMA-ES, RBF-surrogate expected-improvement screening, lattice polish) \
              replays the paper's melting-point selection with a budget of **{budget}** \
              simulator evaluations against the grid's {grid_evals}, sharing one byte-keyed \
              memo so the cross-check pays only for points the search skipped.\n\n\
-             ```text\n{table}```\n\nOptimum match: **{}**. The joint search then explores \
+             ```text\n{table}```\n\nPaper space: {class}, {servers} servers, seed {seed}; \
+             the search ran {} generations with {} surrogate fits. Optimum match: **{}**. \
+             The joint search then explores \
              class × melting point × wax mass × tariff phase × ambient offset \
              (≈ 10⁶ lattice points) in {} evaluations: best time-of-use cooling cost \
              **${:.2}** at {} / {:.1} °C / {:.2}× mass / {:+.0} h tariff shift / \
              {:+.1} °C ambient.\n\n",
+            d.generations,
+            d.surrogate_fits,
             if matches { "exact" } else { "MISMATCH" },
             j.evals,
             jb.cost_usd,
@@ -1293,16 +1242,6 @@ impl Scenarios {
             ],
             &rows,
         );
-        fig.text.push_str(&format!(
-            "{} cells ({} sites × {} backends × {} traces), weather seed {}; \
-             hot-water reuse wins on {} cells\n{table}",
-            matrix.cells.len(),
-            cfg.sites.min(tts_cooling::Site::ALL.len()),
-            cfg.backends.min(crate::scenarios::BACKENDS.len()),
-            cfg.traces.min(crate::scenarios::TRACES.len()),
-            cfg.seed,
-            matrix.hotwater_reuse_win_cells,
-        ));
         fig.markdown.push_str(&format!(
             "## Scenario matrix — backend × site × trace\n\nEach cell re-runs the Figure 11 \
              cooling-load study on its demand trace (wax melting point re-optimized per \
@@ -1310,8 +1249,14 @@ impl Scenarios {
              backend — the paper's fixed-COP chiller, an airside economizer whose COP \
              follows the site's seeded weather year, or an iDataCool-style hot-water loop \
              whose 60 °C outlet earns an energy-reuse credit — under the paper's \
-             time-of-use tariff.\n\n```text\n{table}```\n\nHot-water energy reuse strictly \
-             lowers the bill on **{}** of the matrix's hot-water cells.\n\n",
+             time-of-use tariff. {} cells ({} sites × {} backends × {} traces), weather seed \
+             {}.\n\n```text\n{table}```\n\nHot-water energy reuse strictly lowers the bill on \
+             **{}** of the matrix's hot-water cells.\n\n",
+            matrix.cells.len(),
+            cfg.sites.min(tts_cooling::Site::ALL.len()),
+            cfg.backends.min(crate::scenarios::BACKENDS.len()),
+            cfg.traces.min(crate::scenarios::TRACES.len()),
+            cfg.seed,
             matrix.hotwater_reuse_win_cells,
         ));
         fig.key_values = vec![
@@ -1448,7 +1393,7 @@ mod tests {
                 },
             )
             .expect("supported params");
-        assert!(fig.text.contains("96 servers"));
+        assert!(fig.markdown.contains("96 servers"));
         assert!(fig.key_value("plans").expect("plans") > 0.0);
         assert_eq!(fig.key_value("deadline_misses"), Some(0.0));
         assert!(fig.key_value("savings_usd").expect("savings") > 0.0);
@@ -1499,9 +1444,9 @@ mod tests {
             .expect("supported params");
         let default = DcsimQos.run_with(&ctx, &Params::default()).unwrap();
         // A quarter of the cluster completes measurably less of the offered
-        // load than the full one (the text tables render the sizes too).
-        assert!(small.text.contains("8 servers"));
-        assert!(default.text.contains("32 servers"));
+        // load than the full one (the sections render the sizes too).
+        assert!(small.markdown.contains("8 servers"));
+        assert!(default.markdown.contains("32 servers"));
         assert!(small.key_value("completed").unwrap() < default.key_value("completed").unwrap());
     }
 
@@ -1526,7 +1471,7 @@ mod tests {
         assert_eq!(fig.key_value("server_steps"), Some(120_000.0));
         let util = fig.key_value("mean_utilization").expect("util");
         assert!((0.0..=1.0).contains(&util), "{util}");
-        assert!(fig.text.contains("us-east") && fig.text.contains("eu-north"));
+        assert!(fig.markdown.contains("us-east") && fig.markdown.contains("eu-north"));
         // The wax melting point means nothing to the fleet engine.
         let err = FleetScale
             .run_with(

@@ -1,9 +1,10 @@
 //! The per-table / per-figure experiment suite.
 //!
-//! One function per artifact of the paper's evaluation, each returning a
+//! The studies behind the paper's evaluation artifacts, each returning a
 //! serializable result carrying both our measurement and the paper's
 //! reported value, so the repro harness can print paper-vs-measured tables
-//! (`EXPERIMENTS.md`).
+//! (`EXPERIMENTS.md`). Artifacts that are a single library call (the Figure 4
+//! protocol, the Figure 10 trace, Table 2) are called directly.
 
 use tts_dcsim::datacenter::Datacenter;
 use tts_obs::MetricsSink;
@@ -15,8 +16,6 @@ use tts_tco::{
     added_servers, cooling_downsize_savings_per_year, retrofit_savings_per_year, tco_efficiency,
     Table2,
 };
-use tts_workload::GoogleTrace;
-
 use tts_units::Celsius;
 
 use crate::scenario::{ConstrainedStudy, CoolingLoadStudy, MeltingPointChoice, Scenario};
@@ -104,12 +103,8 @@ pub fn table1_screen_matches_paper() -> bool {
     })
 }
 
-/// Figure 4: the model-validation experiment (§3).
-pub fn fig4() -> ValidationResult {
-    validation::run(&ValidationConfig::default())
-}
-
-/// Figure 4 with a custom protocol (shorter runs for CI).
+/// Figure 4: the model-validation experiment (§3) under a custom protocol
+/// (shorter runs for CI).
 pub fn fig4_with(config: &ValidationConfig) -> ValidationResult {
     validation::run(config)
 }
@@ -129,11 +124,6 @@ pub fn fig7_with(sink: &MetricsSink) -> Vec<(ServerClass, Vec<BlockageRow>)> {
     tts_exec::par_map(&ServerClass::ALL, |&c| {
         (c, default_sweep_with(&c.spec(), sink))
     })
-}
-
-/// Figure 10: the two-day workload trace.
-pub fn fig10() -> GoogleTrace {
-    GoogleTrace::default_two_day()
 }
 
 /// Figure 11 result for one server class, with the paper's reported peak
@@ -257,11 +247,6 @@ pub fn fig12_with(class: ServerClass, sink: &MetricsSink) -> Fig12Result {
     }
 }
 
-/// Table 2: the TCO parameter set (verbatim constants).
-pub fn table2() -> Table2 {
-    Table2::paper()
-}
-
 /// The §5.1/§5.2 TCO summary for one server class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TcoSummary {
@@ -348,9 +333,9 @@ pub fn tco_summary_from(
 }
 
 /// Figure 1: the conceptual thermal time shift, rendered from a real run —
-/// returns `(hours, heat output kW, cooling load with PCM kW)` for one day
+/// returns `(heat output kW, cooling load with PCM kW)` over the first day
 /// of the 1U cluster.
-pub fn concept_figure() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+pub fn concept_figure() -> (Vec<f64>, Vec<f64>) {
     let study = Scenario::new(ServerClass::LowPower1U).cooling_load_study();
     let day: Vec<usize> = study
         .run
@@ -361,7 +346,6 @@ pub fn concept_figure() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         .map(|(i, _)| i)
         .collect();
     (
-        day.iter().map(|&i| study.run.times_h[i]).collect(),
         day.iter().map(|&i| study.run.load_no_wax_kw[i]).collect(),
         day.iter().map(|&i| study.run.load_with_wax_kw[i]).collect(),
     )
@@ -432,9 +416,7 @@ mod tests {
 
     #[test]
     fn concept_figure_shows_the_shift() {
-        let (t, no_wax, with_wax) = concept_figure();
-        assert_eq!(t.len(), no_wax.len());
-        assert_eq!(t.len(), with_wax.len());
+        let (no_wax, with_wax) = concept_figure();
         // The shifted peak is lower ...
         let peak_nw = no_wax.iter().cloned().fold(f64::MIN, f64::max);
         let peak_w = with_wax.iter().cloned().fold(f64::MIN, f64::max);
