@@ -21,6 +21,15 @@ cargo test -q --offline --workspace
 echo "==> bench targets compile"
 cargo bench --offline --no-run -q
 
+echo "==> examples (build and run all seven, each must exit 0)"
+# clippy --all-targets and cargo test compile examples/ but never run
+# them; a panicking example would otherwise ship green.
+cargo build --release --offline --examples -q
+for src in examples/*.rs; do
+  ex="$(basename "$src" .rs)"
+  "target/release/examples/$ex" > /dev/null || { echo "example $ex failed"; exit 1; }
+done
+
 echo "==> smoke benches (thermal_solver, fig7_blockage)"
 # Three samples apiece: enough to catch a hot-path regression or panic,
 # cheap enough to run on every push. The thermal_solver report is kept

@@ -10,6 +10,7 @@ use tts_bench::harness::{criterion_group, criterion_main, BatchSize, Criterion};
 use tts_dcsim::balancer::{LeastLoaded, RandomBalancer, RoundRobin};
 use tts_dcsim::cluster::{run_cooling_load, select_melting_point, ClusterConfig};
 use tts_dcsim::discrete::ClusterConfig as DiscreteConfig;
+use tts_obs::MetricsSink;
 
 /// The ablation cluster: 32 four-core servers in racks of eight.
 fn discrete_32x4<B: tts_dcsim::balancer::Balancer>(
@@ -116,7 +117,13 @@ fn bench_melting_selection(c: &mut Criterion) {
             spec: config.spec.clone(),
             servers: config.servers,
         };
-        b.iter(|| black_box(run_cooling_load(&cfg, trace.total())))
+        b.iter(|| {
+            black_box(run_cooling_load(
+                &cfg,
+                trace.total(),
+                &MetricsSink::disabled(),
+            ))
+        })
     });
     group.bench_function("optimized", |b| {
         b.iter(|| {
@@ -124,6 +131,7 @@ fn bench_melting_selection(c: &mut Criterion) {
                 &config,
                 trace.total(),
                 (30..=60).map(f64::from),
+                &MetricsSink::disabled(),
             ))
         })
     });
@@ -158,8 +166,14 @@ fn report_quality_metrics() {
             servers: config.servers,
         },
         trace.total(),
+        &MetricsSink::disabled(),
     );
-    let (_, best) = select_melting_point(&config, trace.total(), (30..=68).map(f64::from));
+    let (_, best) = select_melting_point(
+        &config,
+        trace.total(),
+        (30..=68).map(f64::from),
+        &MetricsSink::disabled(),
+    );
     eprintln!(
         "[ablation] melting point: fixed 39C => {:.2}% peak reduction, optimized ({:.0}C) => {:.2}%",
         fixed.peak_reduction.percent(),
@@ -186,8 +200,9 @@ fn report_quality_metrics() {
 }
 
 fn bench_steady_state(c: &mut Criterion) {
-    // Direct linear solve vs. transient settling for the same equilibrium —
-    // the ablation behind using the direct solver in sweep-heavy paths.
+    // Direct linear solve vs. transient settling for the same equilibrium.
+    // The direct solver serves `thermal::audit`; the characteristics and
+    // blockage sweeps settle transiently.
     let mut group = c.benchmark_group("ablation_steady_state");
     group.bench_function("direct_solve", |b| {
         b.iter_batched(

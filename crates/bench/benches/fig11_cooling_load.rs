@@ -10,6 +10,7 @@ use tts_bench::harness::{criterion_group, criterion_main, Criterion};
 use tts_dcsim::cluster::{
     default_melting_candidates, run_cooling_load, select_melting_point, ClusterConfig,
 };
+use tts_obs::MetricsSink;
 use tts_pcm::PcmMaterial;
 use tts_server::{ServerClass, ServerWaxCharacteristics};
 use tts_units::Celsius;
@@ -27,7 +28,13 @@ fn bench_fig11(c: &mut Criterion) {
         );
         let config = ClusterConfig::paper_cluster(spec, chars);
         group.bench_function(format!("single_run_{class}"), |b| {
-            b.iter(|| black_box(run_cooling_load(&config, trace.total())))
+            b.iter(|| {
+                black_box(run_cooling_load(
+                    &config,
+                    trace.total(),
+                    &MetricsSink::disabled(),
+                ))
+            })
         });
         group.bench_function(format!("melting_point_search_{class}"), |b| {
             b.iter(|| {
@@ -35,6 +42,7 @@ fn bench_fig11(c: &mut Criterion) {
                     &config,
                     trace.total(),
                     default_melting_candidates(),
+                    &MetricsSink::disabled(),
                 ))
             })
         });

@@ -3,6 +3,7 @@
 use std::hint::black_box;
 use tts_bench::harness::{criterion_group, criterion_main, Criterion};
 use tts_dcsim::throttle::{run_constrained, ConstrainedConfig};
+use tts_obs::MetricsSink;
 use tts_pcm::PcmMaterial;
 use tts_server::{ServerClass, ServerWaxCharacteristics};
 use tts_units::{Celsius, Fraction};
@@ -20,7 +21,13 @@ fn bench_fig12(c: &mut Criterion) {
         );
         let config = ConstrainedConfig::oversubscribed(spec, 1008, chars, Fraction::new(0.71));
         group.bench_function(format!("single_run_{class}"), |b| {
-            b.iter(|| black_box(run_constrained(&config, trace.total())))
+            b.iter(|| {
+                black_box(run_constrained(
+                    &config,
+                    trace.total(),
+                    &MetricsSink::disabled(),
+                ))
+            })
         });
     }
     group.finish();

@@ -5,6 +5,7 @@
 
 use std::hint::black_box;
 use tts_bench::harness::{criterion_group, criterion_main, Criterion};
+use tts_obs::MetricsSink;
 use tts_server::blockage::default_sweep;
 use tts_server::ServerClass;
 
@@ -14,7 +15,7 @@ fn bench_fig7(c: &mut Criterion) {
     for class in ServerClass::ALL {
         let spec = class.spec();
         group.bench_function(format!("{class}"), |b| {
-            b.iter(|| black_box(default_sweep(&spec)))
+            b.iter(|| black_box(default_sweep(&spec, &MetricsSink::disabled())))
         });
     }
     group.finish();

@@ -847,7 +847,7 @@ fn run_tco(r: &mut Report) {
         let gain = fig12
             .key_value(&format!("peak_gain_frac.{class}"))
             .expect("fig12 reports a peak gain per class");
-        let s = experiments::tco_summary_from(class, Fraction::new(reduction), Fraction::new(gain));
+        let s = experiments::tco_summary(class, Fraction::new(reduction), Fraction::new(gain));
         let _ = writeln!(
             md,
             "### {class}\n\nMeasured peak cooling-load reduction {:.1} %, peak throughput gain \

@@ -102,23 +102,18 @@ fn record_cooling_run(sink: &MetricsSink, run: &CoolingLoadRun) {
 
 /// Runs the cooling-load study for one cluster over a utilization trace:
 /// the fully equipped case of [`run_partial_deployment`], where every
-/// server carries wax.
+/// server carries wax. The run's tick count, melt-fraction series, and
+/// headline peaks are recorded into `sink` once the run completes (see
+/// `record_cooling_run`). With an enabled sink, only call from serial
+/// code — the gauges are last-value-wins.
 ///
 /// [`run_partial_deployment`]: crate::heterogeneous::run_partial_deployment
-pub fn run_cooling_load(config: &ClusterConfig, trace: &TimeSeries) -> CoolingLoadRun {
-    crate::heterogeneous::run_partial_deployment(config, trace, Fraction::ONE)
-}
-
-/// [`run_cooling_load`] with telemetry: the run's tick count,
-/// melt-fraction series, and headline peaks are recorded into `sink` once
-/// the run completes (see `record_cooling_run`). Only call from serial
-/// code — the gauges are last-value-wins.
-pub fn run_cooling_load_with(
+pub fn run_cooling_load(
     config: &ClusterConfig,
     trace: &TimeSeries,
     sink: &MetricsSink,
 ) -> CoolingLoadRun {
-    let run = run_cooling_load(config, trace);
+    let run = crate::heterogeneous::run_partial_deployment(config, trace, Fraction::ONE);
     record_cooling_run(sink, &run);
     run
 }
@@ -145,23 +140,14 @@ pub(crate) fn sweep_candidates<R: Send>(
 /// minimize cooling load"), requiring the wax to refreeze by the end of
 /// each daily cycle.
 ///
-/// Returns the winning material and its run.
-pub fn select_melting_point(
-    config: &ClusterConfig,
-    trace: &TimeSeries,
-    candidates_c: impl IntoIterator<Item = f64>,
-) -> (PcmMaterial, CoolingLoadRun) {
-    select_melting_point_with(config, trace, candidates_c, &MetricsSink::disabled())
-}
-
-/// [`select_melting_point`] with telemetry. The parallel candidate
+/// Returns the winning material and its run. The parallel candidate
 /// evaluations run unobserved (per-candidate series would race on the
 /// gauges); the search records `cluster.candidates_evaluated` /
 /// `cluster.candidates_refrozen` counters and then replays the *winner's*
 /// stored series into `sink` serially (see `record_cooling_run`) — so
 /// the snapshot describes the selected configuration, byte-identically at
 /// any thread count.
-pub fn select_melting_point_with(
+pub fn select_melting_point(
     config: &ClusterConfig,
     trace: &TimeSeries,
     candidates_c: impl IntoIterator<Item = f64>,
@@ -182,7 +168,7 @@ pub fn select_melting_point_with(
                 spec: config.spec.clone(),
                 servers: config.servers,
             };
-            run_cooling_load(&cfg, trace)
+            run_cooling_load(&cfg, trace, &MetricsSink::disabled())
         },
     );
 
@@ -251,7 +237,7 @@ mod tests {
     fn no_wax_load_tracks_wall_power() {
         let config = one_u_config();
         let trace = GoogleTrace::default_two_day();
-        let run = run_cooling_load(&config, trace.total());
+        let run = run_cooling_load(&config, trace.total(), &MetricsSink::disabled());
         // Peak without wax = 1008 × wall(0.95) ≈ 1008 × 180 W ≈ 181 kW.
         let expected = config
             .spec
@@ -271,7 +257,12 @@ mod tests {
     fn wax_reduces_peak_cooling_load() {
         let config = one_u_config();
         let trace = GoogleTrace::default_two_day();
-        let (_, run) = select_melting_point(&config, trace.total(), default_melting_candidates());
+        let (_, run) = select_melting_point(
+            &config,
+            trace.total(),
+            default_melting_candidates(),
+            &MetricsSink::disabled(),
+        );
         assert!(
             run.peak_reduction.value() > 0.03,
             "1U peak reduction {} (paper: 8.9 %)",
@@ -290,7 +281,7 @@ mod tests {
         let trace = GoogleTrace::default_two_day();
         let sink = MetricsSink::fresh();
         let (_, run) =
-            select_melting_point_with(&config, trace.total(), default_melting_candidates(), &sink);
+            select_melting_point(&config, trace.total(), default_melting_candidates(), &sink);
         let n_candidates = default_melting_candidates().len() as u64;
         assert_eq!(
             sink.counter("cluster.candidates_evaluated").value(),
@@ -316,7 +307,12 @@ mod tests {
     fn refreeze_tail_elevates_offpeak_load() {
         let config = one_u_config();
         let trace = GoogleTrace::default_two_day();
-        let (_, run) = select_melting_point(&config, trace.total(), default_melting_candidates());
+        let (_, run) = select_melting_point(
+            &config,
+            trace.total(),
+            default_melting_candidates(),
+            &MetricsSink::disabled(),
+        );
         // Paper: elevated cooling load "lasting between six and nine hours"
         // per daily cycle; two cycles here.
         assert!(
@@ -333,7 +329,12 @@ mod tests {
         // refrozen.
         let config = one_u_config();
         let trace = GoogleTrace::default_two_day();
-        let (_, run) = select_melting_point(&config, trace.total(), default_melting_candidates());
+        let (_, run) = select_melting_point(
+            &config,
+            trace.total(),
+            default_melting_candidates(),
+            &MetricsSink::disabled(),
+        );
         let dt = trace.total().dt().value();
         let net: f64 = run
             .load_no_wax_kw
@@ -362,8 +363,12 @@ mod tests {
         // exceeds 75 % load".
         let config = one_u_config();
         let trace = GoogleTrace::default_two_day();
-        let (material, _) =
-            select_melting_point(&config, trace.total(), default_melting_candidates());
+        let (material, _) = select_melting_point(
+            &config,
+            trace.total(),
+            default_melting_candidates(),
+            &MetricsSink::disabled(),
+        );
         let cfg = ClusterConfig {
             chars: config.chars.with_melting_point(material.melting_point()),
             ..config
@@ -400,13 +405,22 @@ mod tests {
         // quantity of wax". Double the 1U wax mass → larger reduction.
         let config = one_u_config();
         let trace = GoogleTrace::default_two_day();
-        let (_, run_1x) =
-            select_melting_point(&config, trace.total(), default_melting_candidates());
+        let (_, run_1x) = select_melting_point(
+            &config,
+            trace.total(),
+            default_melting_candidates(),
+            &MetricsSink::disabled(),
+        );
         let mut big = config.clone();
         big.chars.mass = big.chars.mass * 2.0;
         big.chars.latent_capacity = big.chars.latent_capacity * 2.0;
         big.chars.coupling = big.chars.coupling * 1.6; // more boxes → more area
-        let (_, run_2x) = select_melting_point(&big, trace.total(), default_melting_candidates());
+        let (_, run_2x) = select_melting_point(
+            &big,
+            trace.total(),
+            default_melting_candidates(),
+            &MetricsSink::disabled(),
+        );
         assert!(
             run_2x.peak_reduction.value() > run_1x.peak_reduction.value(),
             "2× wax {} ≤ 1× wax {}",

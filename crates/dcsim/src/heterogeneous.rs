@@ -130,7 +130,7 @@ mod tests {
         let cfg = config();
         let trace = GoogleTrace::default_two_day();
         let full = run_partial_deployment(&cfg, trace.total(), Fraction::ONE);
-        let reference = run_cooling_load(&cfg, trace.total());
+        let reference = run_cooling_load(&cfg, trace.total(), &tts_obs::MetricsSink::disabled());
         assert_eq!(full, reference);
     }
 

@@ -52,5 +52,5 @@ pub use datacenter::Datacenter;
 pub use discrete::{DiscreteClusterSim, DiscreteMetrics, FaultAction, FaultHook};
 pub use fleet::{DatacenterSpec, FleetConfig, FleetMetrics, FleetSim};
 pub use heterogeneous::{deployment_sweep, run_partial_deployment, DeploymentPoint};
-pub use relocation::{run_relocation, wax_vs_relocation, RelocationRun};
+pub use relocation::wax_vs_relocation;
 pub use throttle::{ConstrainedConfig, ConstrainedRun};

@@ -12,126 +12,38 @@
 //! figure. The wax serves the same excess *locally* for the price of the
 //! paraffin — the comparison this module quantifies.
 
-use crate::throttle::{run_constrained, ConstrainedConfig};
-use tts_obs::MetricsSink;
-use tts_units::{Dollars, Fraction, Seconds};
+use crate::throttle::ConstrainedRun;
+use tts_units::{Dollars, Seconds};
 use tts_workload::TimeSeries;
 
 /// Cost of serving one server-hour of work at the remote site instead of
 /// locally (egress + remote premium + SLA penalty), $.
 pub const DEFAULT_RELOCATION_COST_PER_SERVER_HOUR: f64 = 0.12;
 
-/// Result of the relocation analysis over a trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RelocationRun {
-    /// Sample times, hours.
-    pub times_h: Vec<f64>,
-    /// Work served locally (normalized like Figure 12).
-    pub local: Vec<f64>,
-    /// Work relocated (same normalization).
-    pub relocated: Vec<f64>,
-    /// Total relocated work, server-hours across the whole cluster.
-    pub relocated_server_hours: f64,
-    /// Fraction of all offered work that had to move.
-    pub relocated_fraction: Fraction,
-    /// Relocation bill at the given rate.
-    pub relocation_cost: Dollars,
-}
-
-tts_units::derive_json! { struct RelocationRun { times_h, local, relocated, relocated_server_hours, relocated_fraction, relocation_cost } }
-
-/// Runs the relocation policy: the local cluster serves what its thermal
-/// budget allows (with DVFS, no wax); everything else ships out.
-pub fn run_relocation(
-    config: &ConstrainedConfig,
-    trace: &TimeSeries,
-    cost_per_server_hour: Dollars,
-) -> RelocationRun {
-    run_relocation_with(
-        config,
-        trace,
-        cost_per_server_hour,
-        &MetricsSink::disabled(),
-    )
-}
-
-/// [`run_relocation`] with telemetry: counts ticks that shipped work out
-/// (`relocation.relocated_ticks` of `relocation.ticks`) and gauges the
-/// relocated server-hours, fraction, and bill, recorded serially after
-/// the run. Only call from serial code — gauges are last-value-wins.
-pub fn run_relocation_with(
-    config: &ConstrainedConfig,
-    trace: &TimeSeries,
-    cost_per_server_hour: Dollars,
-    sink: &MetricsSink,
-) -> RelocationRun {
-    let run = relocation_inner(config, trace, cost_per_server_hour);
-    if sink.is_enabled() {
-        sink.counter("relocation.ticks")
-            .add(run.times_h.len() as u64);
-        let moved = run.relocated.iter().filter(|&&x| x > 1e-9).count();
-        sink.counter("relocation.relocated_ticks").add(moved as u64);
-        sink.gauge("relocation.server_hours")
-            .set(run.relocated_server_hours);
-        sink.gauge("relocation.fraction")
-            .set(run.relocated_fraction.value());
-        sink.gauge("relocation.cost_dollars")
-            .set(run.relocation_cost.value());
-    }
-    run
-}
-
-fn relocation_inner(
-    config: &ConstrainedConfig,
-    trace: &TimeSeries,
-    cost_per_server_hour: Dollars,
-) -> RelocationRun {
-    // The no-wax arm of the constrained run *is* the local service curve.
-    let base = run_constrained(config, trace);
-    let dt_h = trace.dt().value() / 3600.0;
-    let n = config.servers as f64;
-
-    let mut relocated = Vec::with_capacity(base.times_h.len());
-    let mut relocated_work = 0.0; // normalized-throughput × hours
-    let mut offered_work = 0.0;
-    for i in 0..base.times_h.len() {
-        let excess = (base.ideal[i] - base.no_wax[i]).max(0.0);
-        relocated.push(excess);
-        relocated_work += excess * dt_h;
-        offered_work += base.ideal[i] * dt_h;
-    }
-    // Convert normalized work to server-hours: 1.0 of normalized
-    // throughput = `norm_base` × N server-equivalents of work.
-    let server_hours = relocated_work * base.norm_base * n;
-    RelocationRun {
-        times_h: base.times_h,
-        local: base.no_wax,
-        relocated,
-        relocated_server_hours: server_hours,
-        relocated_fraction: Fraction::new(relocated_work / offered_work.max(1e-12)),
-        relocation_cost: cost_per_server_hour * server_hours,
-    }
-}
-
-/// Head-to-head: what the wax saves in relocation costs over one trace.
+/// Head-to-head: what the wax saves in relocation costs over one
+/// constrained run of a `servers`-server cluster sampled every `dt`.
 ///
-/// Returns `(relocation_only_cost, relocation_cost_with_wax)`: the second
-/// run still relocates whatever the *wax-assisted* cluster cannot serve.
+/// The run's no-wax arm *is* the local service curve under relocation:
+/// everything above it ships out. Returns `(relocation_only_cost,
+/// relocation_cost_with_wax)`: the second still relocates whatever the
+/// *wax-assisted* arm cannot serve.
 pub fn wax_vs_relocation(
-    config: &ConstrainedConfig,
-    trace: &TimeSeries,
+    run: &ConstrainedRun,
+    servers: usize,
+    dt: Seconds,
     cost_per_server_hour: Dollars,
 ) -> (Dollars, Dollars) {
-    let base = run_constrained(config, trace);
-    let dt_h = trace.dt().value() / 3600.0;
-    let n = config.servers as f64;
+    let dt_h = dt.value() / 3600.0;
+    let n = servers as f64;
     let mut excess_nowax = 0.0;
     let mut excess_wax = 0.0;
-    for i in 0..base.times_h.len() {
-        excess_nowax += (base.ideal[i] - base.no_wax[i]).max(0.0) * dt_h;
-        excess_wax += (base.ideal[i] - base.with_wax[i]).max(0.0) * dt_h;
+    for i in 0..run.times_h.len() {
+        excess_nowax += (run.ideal[i] - run.no_wax[i]).max(0.0) * dt_h;
+        excess_wax += (run.ideal[i] - run.with_wax[i]).max(0.0) * dt_h;
     }
-    let to_dollars = |work: f64| -> Dollars { cost_per_server_hour * (work * base.norm_base * n) };
+    // Normalized work → server-hours: 1.0 of normalized throughput is
+    // `norm_base` × N server-equivalents of work.
+    let to_dollars = |work: f64| -> Dollars { cost_per_server_hour * (work * run.norm_base * n) };
     (to_dollars(excess_nowax), to_dollars(excess_wax))
 }
 
@@ -145,9 +57,11 @@ pub fn yearly_saving(saving_per_trace: Dollars, trace: &TimeSeries) -> Dollars {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::throttle::{run_constrained, ConstrainedConfig};
+    use tts_obs::MetricsSink;
     use tts_pcm::PcmMaterial;
     use tts_server::{ServerClass, ServerWaxCharacteristics};
-    use tts_units::Celsius;
+    use tts_units::{Celsius, Fraction};
     use tts_workload::GoogleTrace;
 
     fn config() -> ConstrainedConfig {
@@ -160,35 +74,14 @@ mod tests {
     }
 
     #[test]
-    fn relocation_serves_exactly_the_excess() {
-        let cfg = config();
-        let trace = GoogleTrace::default_two_day();
-        let run = run_relocation(
-            &cfg,
-            trace.total(),
-            Dollars::new(DEFAULT_RELOCATION_COST_PER_SERVER_HOUR),
-        );
-        // local + relocated = ideal at every tick.
-        let base = run_constrained(&cfg, trace.total());
-        for i in 0..run.times_h.len() {
-            let total = run.local[i] + run.relocated[i];
-            assert!(
-                (total - base.ideal[i]).abs() < 1e-9,
-                "tick {i}: {total} vs ideal {}",
-                base.ideal[i]
-            );
-        }
-        assert!(run.relocated_fraction.value() > 0.0);
-        assert!(run.relocation_cost.value() > 0.0);
-    }
-
-    #[test]
     fn wax_cuts_the_relocation_bill() {
         let cfg = config();
         let trace = GoogleTrace::default_two_day();
+        let run = run_constrained(&cfg, trace.total(), &MetricsSink::disabled());
         let (without, with) = wax_vs_relocation(
-            &cfg,
-            trace.total(),
+            &run,
+            cfg.servers,
+            trace.total().dt(),
             Dollars::new(DEFAULT_RELOCATION_COST_PER_SERVER_HOUR),
         );
         assert!(
@@ -197,20 +90,6 @@ mod tests {
         );
         // And meaningfully so — at least 10 % of the bill.
         assert!(with.value() < 0.9 * without.value());
-    }
-
-    #[test]
-    fn relocated_fraction_is_moderate() {
-        // With cooling sized for 71 % throttled utilization, a 50 %-mean
-        // trace mostly fits: well under half the work relocates.
-        let cfg = config();
-        let trace = GoogleTrace::default_two_day();
-        let run = run_relocation(&cfg, trace.total(), Dollars::new(0.12));
-        assert!(
-            run.relocated_fraction.value() < 0.45,
-            "relocated {}",
-            run.relocated_fraction
-        );
     }
 
     #[test]

@@ -60,19 +60,17 @@ impl ConstrainedConfig {
 }
 
 /// One arm's state at a tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TickDecision {
+#[derive(Debug, Clone, Copy)]
+struct TickDecision {
     /// Utilization actually served.
-    pub utilization: Fraction,
+    utilization: Fraction,
     /// Frequency fraction used.
-    pub freq: Fraction,
+    freq: Fraction,
     /// Absolute throughput `u × f`.
-    pub throughput: f64,
+    throughput: f64,
     /// Cluster cooling load presented to the plant, kW.
-    pub cooling_load_kw: f64,
+    cooling_load_kw: f64,
 }
-
-tts_units::derive_json! { struct TickDecision { utilization, freq, throughput, cooling_load_kw } }
 
 /// Result of a constrained run (one Figure 12 panel).
 #[derive(Debug, Clone, PartialEq)]
@@ -160,22 +158,15 @@ fn record_constrained_run(sink: &MetricsSink, run: &ConstrainedRun) {
     sink.gauge("throttle.boosted_hours").set(run.boosted_hours);
 }
 
-/// [`run_constrained`] with telemetry recorded into `sink` after the run
-/// (see `record_constrained_run`). Only call from serial code — the
-/// gauges are last-value-wins.
-pub fn run_constrained_with(
+/// Runs the Figure 12 experiment: ideal / no-wax / with-wax throughput
+/// under a thermal limit, recording the finished run into `sink` (see
+/// `record_constrained_run`). With an enabled sink, only call from serial
+/// code — the gauges are last-value-wins.
+pub fn run_constrained(
     config: &ConstrainedConfig,
     trace: &TimeSeries,
     sink: &MetricsSink,
 ) -> ConstrainedRun {
-    let run = run_constrained(config, trace);
-    record_constrained_run(sink, &run);
-    run
-}
-
-/// Runs the Figure 12 experiment: ideal / no-wax / with-wax throughput
-/// under a thermal limit.
-pub fn run_constrained(config: &ConstrainedConfig, trace: &TimeSeries) -> ConstrainedRun {
     let dt = trace.dt();
     let spec = &config.spec;
     let chars = &config.chars;
@@ -247,7 +238,7 @@ pub fn run_constrained(config: &ConstrainedConfig, trace: &TimeSeries) -> Constr
         _ => 0.0,
     };
 
-    ConstrainedRun {
+    let run = ConstrainedRun {
         ideal: normalize(&ideal_abs),
         no_wax: normalize(&nowax_abs),
         with_wax: normalize(&wax_abs),
@@ -257,7 +248,9 @@ pub fn run_constrained(config: &ConstrainedConfig, trace: &TimeSeries) -> Constr
         delay_hours,
         boosted_hours: boosted_ticks as f64 * dt.value() / 3600.0,
         times_h,
-    }
+    };
+    record_constrained_run(sink, &run);
+    run
 }
 
 /// The thermal-management policy at one tick: serve as much work as the
@@ -314,21 +307,12 @@ fn decide(
 /// In the constrained scenario the optimal wax melts near the *thermal
 /// limit's* air temperature — lower than the fully-subscribed case — so
 /// the paper's freedom to pick the commercial-paraffin grade matters here
-/// too.
+/// too. Candidate runs stay unobserved (they would race on the gauges);
+/// the search counts `throttle.candidates_evaluated` and then serially
+/// replays the winner's stored series into `sink` (see
+/// `record_constrained_run`), keeping the snapshot byte-identical at any
+/// thread count.
 pub fn select_melting_point_constrained(
-    config: &ConstrainedConfig,
-    trace: &TimeSeries,
-    candidates_c: impl IntoIterator<Item = f64>,
-) -> (tts_pcm::PcmMaterial, ConstrainedRun) {
-    select_melting_point_constrained_with(config, trace, candidates_c, &MetricsSink::disabled())
-}
-
-/// [`select_melting_point_constrained`] with telemetry: candidate runs
-/// stay unobserved (they would race on the gauges); the search counts
-/// `throttle.candidates_evaluated` and then serially replays the winner's
-/// stored series into `sink` (see `record_constrained_run`), keeping the snapshot
-/// byte-identical at any thread count.
-pub fn select_melting_point_constrained_with(
     config: &ConstrainedConfig,
     trace: &TimeSeries,
     candidates_c: impl IntoIterator<Item = f64>,
@@ -348,7 +332,7 @@ pub fn select_melting_point_constrained_with(
                 servers: config.servers,
                 limit: config.limit,
             };
-            run_constrained(&cfg, trace)
+            run_constrained(&cfg, trace, &MetricsSink::disabled())
         },
     );
     let best_gain = runs
@@ -395,8 +379,12 @@ mod tests {
     fn best_run_for(class: ServerClass) -> ConstrainedRun {
         let cfg = config_for(class);
         let trace = GoogleTrace::default_two_day();
-        let (_, run) =
-            select_melting_point_constrained(&cfg, trace.total(), default_melting_candidates());
+        let (_, run) = select_melting_point_constrained(
+            &cfg,
+            trace.total(),
+            default_melting_candidates(),
+            &MetricsSink::disabled(),
+        );
         run
     }
 
@@ -406,7 +394,7 @@ mod tests {
         // throughput."
         let cfg = config_for(ServerClass::LowPower1U);
         let trace = GoogleTrace::default_two_day();
-        let run = run_constrained(&cfg, trace.total());
+        let run = run_constrained(&cfg, trace.total(), &MetricsSink::disabled());
         let mut agreeing = 0;
         let mut off_peak = 0;
         for i in 0..run.times_h.len() {
@@ -425,7 +413,7 @@ mod tests {
     fn no_wax_peak_is_the_normalization_base() {
         let cfg = config_for(ServerClass::LowPower1U);
         let trace = GoogleTrace::default_two_day();
-        let run = run_constrained(&cfg, trace.total());
+        let run = run_constrained(&cfg, trace.total(), &MetricsSink::disabled());
         let peak_nowax = run.no_wax.iter().copied().fold(f64::MIN, f64::max);
         assert!((peak_nowax - 1.0).abs() < 1e-9);
     }
@@ -471,7 +459,7 @@ mod tests {
         // paper's oversubscription level.
         let cfg = config_for(ServerClass::HighThroughput2U);
         let trace = GoogleTrace::default_two_day();
-        let run = run_constrained(&cfg, trace.total());
+        let run = run_constrained(&cfg, trace.total(), &MetricsSink::disabled());
         let ideal_peak = run.ideal.iter().copied().fold(f64::MIN, f64::max);
         assert!(
             (1.4..2.6).contains(&ideal_peak),
@@ -513,10 +501,12 @@ mod tests {
                 Fraction::new(0.65),
             ),
             trace.total(),
+            &MetricsSink::disabled(),
         );
         let loose = run_constrained(
             &ConstrainedConfig::oversubscribed(spec, 1008, chars, Fraction::new(0.95)),
             trace.total(),
+            &MetricsSink::disabled(),
         );
         assert!(
             tight.peak_gain.value() >= loose.peak_gain.value(),

@@ -15,9 +15,6 @@
 //!   headspace, surface area exposed to the air stream, wall conductance.
 //! * [`state`] — the transient melt/freeze state machine used by both the
 //!   server-level thermal network and the datacenter simulator.
-//! * [`selection`] — the melting-threshold optimizer: given a diurnal power
-//!   trace and a wax energy budget, find the peak-shaving cap (§5.1: *"the
-//!   best wax typically begins to melt when a server exceeds 75 % load"*).
 //! * [`cost`] — wax + container CapEx (the paper's `WaxCapEx`, < 0.1 % of
 //!   `ServerCapEx`).
 //!
@@ -47,15 +44,11 @@ pub mod container;
 pub mod cost;
 pub mod degradation;
 pub mod enthalpy;
-pub mod hysteresis;
 pub mod material;
-pub mod selection;
 pub mod state;
 
 pub use container::{ContainerBank, WaxContainer};
 pub use degradation::DegradationModel;
 pub use enthalpy::EnthalpyCurve;
-pub use hysteresis::HystereticPcmState;
 pub use material::{PcmClass, PcmMaterial, Stability};
-pub use selection::{optimal_peak_cap, PeakCapResult};
 pub use state::PcmState;

@@ -32,20 +32,15 @@ tts_units::derive_json! { struct BlockageRow { blockage, outlet, wax_zone, socke
 ///
 /// Each point is an independent steady-state settle, so the sweep runs on
 /// the [`tts_exec`] pool; row order (and every bit of every row) matches
-/// the serial sweep regardless of `TTS_THREADS`.
+/// the serial sweep regardless of `TTS_THREADS`. Every per-point model
+/// reports its thermal hot-path metrics to `sink` (shared counters —
+/// totals commute, so the snapshot is thread-invariant), and the sweep
+/// adds one `fig7.blockage_points` count per row.
 ///
 /// # Panics
 /// Panics if any steady state fails to converge (a model bug, not a data
 /// condition).
-pub fn sweep(spec: &ServerSpec, blockages: &[f64]) -> Vec<BlockageRow> {
-    sweep_with(spec, blockages, &MetricsSink::disabled())
-}
-
-/// [`sweep`] with telemetry: every per-point model reports its thermal
-/// hot-path metrics to `sink` (shared counters — totals commute, so the
-/// snapshot is thread-invariant), and the sweep adds one
-/// `fig7.blockage_points` count per row.
-pub fn sweep_with(spec: &ServerSpec, blockages: &[f64], sink: &MetricsSink) -> Vec<BlockageRow> {
+pub fn sweep(spec: &ServerSpec, blockages: &[f64], sink: &MetricsSink) -> Vec<BlockageRow> {
     let rows = tts_exec::par_map(blockages, |&b| {
         let blockage = Fraction::new(b);
         let mut m = ServerThermalModel::with_grille(spec.clone(), blockage);
@@ -65,15 +60,10 @@ pub fn sweep_with(spec: &ServerSpec, blockages: &[f64], sink: &MetricsSink) -> V
     rows
 }
 
-/// The paper's 0–90 % sweep in 10 % steps.
-pub fn default_sweep(spec: &ServerSpec) -> Vec<BlockageRow> {
-    default_sweep_with(spec, &MetricsSink::disabled())
-}
-
-/// [`default_sweep`] with telemetry; see [`sweep_with`].
-pub fn default_sweep_with(spec: &ServerSpec, sink: &MetricsSink) -> Vec<BlockageRow> {
+/// The paper's 0–90 % sweep in 10 % steps; see [`sweep`].
+pub fn default_sweep(spec: &ServerSpec, sink: &MetricsSink) -> Vec<BlockageRow> {
     let points: Vec<f64> = (0..=9).map(|i| i as f64 * 0.1).collect();
-    sweep_with(spec, &points, sink)
+    sweep(spec, &points, sink)
 }
 
 #[cfg(test)]
@@ -88,7 +78,11 @@ mod tests {
     #[test]
     fn outlet_temperature_rises_monotonically_with_blockage() {
         for class in ServerClass::ALL {
-            let rows = sweep(&class.spec(), &[0.0, 0.3, 0.6, 0.9]);
+            let rows = sweep(
+                &class.spec(),
+                &[0.0, 0.3, 0.6, 0.9],
+                &MetricsSink::disabled(),
+            );
             for w in rows.windows(2) {
                 assert!(
                     w[1].outlet.value() >= w[0].outlet.value() - 0.01,
@@ -107,7 +101,7 @@ mod tests {
         // "From 0 % up to 90 % of air flow blocked, we observe a 14 °C
         // increase in air temperatures at the outlet, and at no time do the
         // CPU temperatures reach unsafe levels."
-        let rows = default_sweep(&ServerClass::LowPower1U.spec());
+        let rows = default_sweep(&ServerClass::LowPower1U.spec(), &MetricsSink::disabled());
         let total_rise = rise(&rows, 0, 9);
         assert!(
             (8.0..22.0).contains(&total_rise),
@@ -144,7 +138,10 @@ mod tests {
     fn two_u_matches_figure_7b_shape() {
         // "below 50 % ... almost negligible impact ... above 50 % the
         // temperature increases exponentially" (unsafe above 70 %).
-        let rows = default_sweep(&ServerClass::HighThroughput2U.spec());
+        let rows = default_sweep(
+            &ServerClass::HighThroughput2U.spec(),
+            &MetricsSink::disabled(),
+        );
         let early = rise(&rows, 0, 5); // 0 → 50 %
         let late = rise(&rows, 5, 9); // 50 → 90 %
         assert!(
@@ -169,7 +166,10 @@ mod tests {
         // "temperatures ... rise to unsafe levels as soon as almost any
         // airflow is obstructed" — a steep initial slope, starting from an
         // already-hot outlet (~68 °C).
-        let rows = default_sweep(&ServerClass::OpenComputeBlade.spec());
+        let rows = default_sweep(
+            &ServerClass::OpenComputeBlade.spec(),
+            &MetricsSink::disabled(),
+        );
         assert!(
             (60.0..80.0).contains(&rows[0].outlet.value()),
             "OCP baseline outlet {} (paper: ~68 °C)",
@@ -189,7 +189,7 @@ mod tests {
         let early_rises: Vec<f64> = ServerClass::ALL
             .iter()
             .map(|c| {
-                let rows = sweep(&c.spec(), &[0.0, 0.3]);
+                let rows = sweep(&c.spec(), &[0.0, 0.3], &MetricsSink::disabled());
                 rise(&rows, 0, 1)
             })
             .collect();

@@ -12,9 +12,35 @@
 
 use crate::model::ServerThermalModel;
 use crate::spec::ServerSpec;
-use tts_pcm::selection::LinearAirTemp;
 use tts_pcm::PcmMaterial;
-use tts_units::{Celsius, Fraction, Grams, Joules, Seconds, Watts, WattsPerKelvin};
+use tts_units::{Celsius, Fraction, Grams, Joules, Seconds, TempDelta, Watts, WattsPerKelvin};
+
+/// A linear power → local-air-temperature characteristic, `T = T0 + k·P`.
+///
+/// At steady state the air temperature at the wax location rises linearly
+/// with dissipated power for a fixed airflow; [`ServerWaxCharacteristics::extract`]
+/// fits it from the thermal model's utilization sweep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinearAirTemp {
+    /// Air temperature at the wax location at zero server power.
+    pub t_at_zero: Celsius,
+    /// Slope, kelvin per watt of server power.
+    pub k_per_watt: f64,
+}
+
+tts_units::derive_json! { struct LinearAirTemp { t_at_zero, k_per_watt } }
+
+impl LinearAirTemp {
+    /// Air temperature at the wax location for a given server power.
+    pub fn at(&self, power: Watts) -> Celsius {
+        self.t_at_zero + TempDelta::new(self.k_per_watt * power.value())
+    }
+
+    /// The server power at which the local air reaches `t` (inverse map).
+    pub fn power_for(&self, t: Celsius) -> Watts {
+        Watts::new((t - self.t_at_zero).value() / self.k_per_watt)
+    }
+}
 
 /// Least-squares fit of `y = a + b·x`.
 ///
@@ -183,6 +209,17 @@ impl ServerWaxCharacteristics {
 mod tests {
     use super::*;
     use crate::spec::ServerClass;
+
+    #[test]
+    fn linear_air_temp_round_trips() {
+        let m = LinearAirTemp {
+            t_at_zero: Celsius::new(25.0),
+            k_per_watt: 0.1,
+        };
+        let t = m.at(Watts::new(150.0));
+        assert!((t.value() - 40.0).abs() < 1e-9);
+        assert!((m.power_for(t).value() - 150.0).abs() < 1e-9);
+    }
 
     #[test]
     fn fit_linear_recovers_exact_line() {

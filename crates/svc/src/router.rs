@@ -648,7 +648,9 @@ mod tests {
         assert_eq!(cold.body, hot.body);
         // And the bytes are exactly the figure's pretty-printed summary.
         let exp = experiment::find("fig7").unwrap();
-        let fig = exp.run(&ExecCtx::disabled());
+        let fig = exp
+            .run_with(&ExecCtx::disabled(), &Params::default())
+            .unwrap();
         assert_eq!(
             String::from_utf8(cold.body).unwrap(),
             exp.emit_json(&fig).to_string_pretty()

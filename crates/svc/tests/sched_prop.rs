@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use thermal_time_shifting::experiment::{self, ExecCtx};
+use thermal_time_shifting::experiment::{self, ExecCtx, Params};
 use tts_obs::{Determinism, MetricsSink};
 use tts_rng::prop::prelude::*;
 use tts_svc::sched::Scheduler;
@@ -140,13 +140,19 @@ proptest! {
 fn result_bytes_are_identical_across_budget_splits() {
     let exp = experiment::find("fig7").expect("fig7 registered");
     let reference = exp
-        .emit_json(&exp.run(&ExecCtx::disabled()))
+        .emit_json(
+            &exp.run_with(&ExecCtx::disabled(), &Params::default())
+                .unwrap(),
+        )
         .to_string_pretty();
     for (budget, want) in [(1usize, 1usize), (2, 1), (2, 2), (4, 3), (8, 8)] {
         let sink = MetricsSink::fresh();
         let sched = Scheduler::new(budget, 4, &sink);
         let lease = sched.lease(want).expect("empty scheduler admits");
-        let fig = lease.run(|| exp.run(&ExecCtx::disabled()));
+        let fig = lease.run(|| {
+            exp.run_with(&ExecCtx::disabled(), &Params::default())
+                .unwrap()
+        });
         assert_eq!(
             exp.emit_json(&fig).to_string_pretty(),
             reference,

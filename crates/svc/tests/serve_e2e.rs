@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use thermal_time_shifting::experiment::{self, ExecCtx};
+use thermal_time_shifting::experiment::{self, ExecCtx, Params};
 use tts_obs::MetricsSink;
 use tts_svc::loadgen::WireClient;
 use tts_svc::router::App;
@@ -115,7 +115,10 @@ fn fig7_is_byte_identical_cold_cached_and_across_thread_pins() {
     // `results/fig7.summary.json`.
     let exp = experiment::find("fig7").expect("fig7 registered");
     let reference = exp
-        .emit_json(&exp.run(&ExecCtx::disabled()))
+        .emit_json(
+            &exp.run_with(&ExecCtx::disabled(), &Params::default())
+                .unwrap(),
+        )
         .to_string_pretty()
         .into_bytes();
 
@@ -632,7 +635,10 @@ fn responses_are_byte_identical_across_budget_splits_and_thread_pins() {
     // The reference bytes, computed once outside any server.
     let exp = experiment::find("fig7").expect("fig7 registered");
     let reference = exp
-        .emit_json(&exp.run(&ExecCtx::disabled()))
+        .emit_json(
+            &exp.run_with(&ExecCtx::disabled(), &Params::default())
+                .unwrap(),
+        )
         .to_string_pretty()
         .into_bytes();
 

@@ -4,8 +4,9 @@
 //! the steady state itself is just the solution of one linear system — at
 //! equilibrium every node's heat balance is zero, so capacitances drop out
 //! and solids become algebraic like the air nodes. This module solves that
-//! system directly. Used to accelerate the characteristics-extraction
-//! sweeps, and ablated against transient settling in the bench suite.
+//! system directly. Its one production caller is [`crate::audit`];
+//! characteristics extraction and the Figure 7 blockage sweep settle
+//! transiently. The bench suite ablates it against transient settling.
 //!
 //! PCM elements are excluded by construction: a network with latent
 //! storage has no unique steady state while the wax is mid-transition, so

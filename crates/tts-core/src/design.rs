@@ -6,8 +6,8 @@
 //! grid cross-check against the same configuration share one byte-keyed
 //! memo: every point the cheap search pays for is free to the
 //! cross-check. (fig11 and fig12 pick their wax with the plain dcsim grid
-//! sweeps, [`select_melting_point_with`] and
-//! [`select_melting_point_constrained_with`].)
+//! sweeps, [`select_melting_point`] and
+//! [`select_melting_point_constrained`].)
 //!
 //! Two spaces are bound here:
 //!
@@ -24,8 +24,8 @@
 //! [`default_melting_candidates`] (0.5 is a power of two), so a seam grid
 //! search visits exactly the points the dcsim sweep does.
 //!
-//! [`select_melting_point_with`]: tts_dcsim::cluster::select_melting_point_with
-//! [`select_melting_point_constrained_with`]: tts_dcsim::throttle::select_melting_point_constrained_with
+//! [`select_melting_point`]: tts_dcsim::cluster::select_melting_point
+//! [`select_melting_point_constrained`]: tts_dcsim::throttle::select_melting_point_constrained
 //! [`default_melting_candidates`]: tts_dcsim::cluster::default_melting_candidates
 
 use tts_cooling::Tariff;
@@ -72,7 +72,7 @@ impl Objective for CoolingLoadObjective<'_> {
             spec: self.config.spec.clone(),
             servers: self.config.servers,
         };
-        run_cooling_load(&cfg, self.trace)
+        run_cooling_load(&cfg, self.trace, &MetricsSink::disabled())
     }
 
     fn value(&self, out: &CoolingLoadRun) -> f64 {
@@ -257,7 +257,7 @@ impl Objective for JointObjective {
             servers: self.servers,
             chars,
         };
-        let run = run_cooling_load(&cfg, &self.trace);
+        let run = run_cooling_load(&cfg, &self.trace, &MetricsSink::disabled());
 
         let dt_h = if run.times_h.len() > 1 {
             run.times_h[1] - run.times_h[0]
@@ -348,7 +348,8 @@ mod tests {
         };
         let sink = MetricsSink::fresh();
         let r = search_melting_point(&config, &trace, &grid, &sink, &mut EvalCache::new());
-        let (legacy_material, legacy_run) = select_melting_point(&config, &trace, candidates);
+        let (legacy_material, legacy_run) =
+            select_melting_point(&config, &trace, candidates, &MetricsSink::disabled());
         assert_eq!(r.best_x[0], legacy_material.melting_point().value());
         assert_eq!(r.best_out, legacy_run);
         assert_eq!(r.best_value, legacy_run.peak_with_wax.value());

@@ -12,16 +12,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tts_dcsim::balancer::RoundRobin;
+use tts_dcsim::cluster::{melt_onset_load_fraction, ClusterConfig};
 use tts_dcsim::discrete;
 use tts_obs::MetricsSink;
+use tts_server::blockage::default_sweep;
 use tts_server::ServerClass;
 use tts_units::json::{Json, ToJson};
-use tts_units::Seconds;
+use tts_units::{Celsius, Seconds};
 use tts_workload::{GoogleTrace, JobStream, JobType};
 
 use crate::chart::ascii_chart;
 use crate::experiments::{self, Comparison};
 use crate::report::text_table;
+use crate::scenario::{MeltingPointChoice, Scenario};
 
 /// A cooperative cancellation token: cheap to clone, safe to poll from
 /// any thread. The holder of one half (e.g. a job store answering
@@ -236,8 +239,10 @@ pub trait Experiment {
     /// The dispatch name (`repro <name>`).
     fn name(&self) -> &'static str;
 
-    /// Runs the experiment, reporting telemetry into `ctx`.
-    fn run(&self, ctx: &ExecCtx) -> Figure;
+    /// Runs the experiment, reporting telemetry into `ctx`. `params` is
+    /// already checked against [`Self::schema`]; every unset parameter
+    /// takes its schema default. Call [`Self::run_with`], which checks.
+    fn execute(&self, ctx: &ExecCtx, params: &Params) -> Figure;
 
     /// The declarative schema of [`Params`] this experiment honours —
     /// names, value domains, defaults, and docs, all from one source of
@@ -252,7 +257,7 @@ pub trait Experiment {
     /// here — the caller owns the executor (see [`Params`]).
     fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
         params.ensure_only(self.schema())?;
-        Ok(self.run(ctx))
+        Ok(self.execute(ctx, params))
     }
 
     /// Serializes a figure's machine-readable face: name, title, headline
@@ -317,11 +322,16 @@ impl Experiment for Fig7Blockage {
         "fig7"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
+    fn execute(&self, ctx: &ExecCtx, _params: &Params) -> Figure {
         let mut fig = Figure::new("fig7", "Figure 7: temperatures vs. airflow blockage");
         fig.markdown
             .push_str("## Figure 7 — airflow blockage sweeps\n\n");
-        for (class, rows) in experiments::fig7_with(ctx.sink()) {
+        // The three classes are independent sweeps: they run on the
+        // `tts_exec` pool, in paper order at any `TTS_THREADS`.
+        let sweeps = tts_exec::par_map(&ServerClass::ALL, |&c| {
+            (c, default_sweep(&c.spec(), ctx.sink()))
+        });
+        for (class, rows) in sweeps {
             let table_rows: Vec<Vec<String>> = rows
                 .iter()
                 .map(|r| {
@@ -381,25 +391,16 @@ impl Experiment for Fig11CoolingLoad {
         "fig11"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, None, None)
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::FIG11
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params.servers, params.melt_temp_c))
-    }
-}
-
-impl Fig11CoolingLoad {
-    /// The study at an optional cluster size and/or fixed melting point
-    /// (defaults: the paper's 1008 servers, catalogue grid search).
-    fn render(&self, ctx: &ExecCtx, servers: Option<usize>, melt_temp_c: Option<f64>) -> Figure {
-        let melt = melt_temp_c.map(tts_units::Celsius::new);
+    /// The study at `servers` (default: the paper's 1008) and, with
+    /// `melt_temp_c`, a fixed melting point instead of the catalogue grid
+    /// search. The paper comparison stays attached — under overrides it
+    /// reads as "how far this what-if lands from the published figure".
+    fn execute(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+        let servers = params.servers.unwrap_or(1008);
         let mut fig = Figure::new(
             "fig11",
             "Figure 11: cluster cooling load, fully subscribed cooling",
@@ -407,39 +408,59 @@ impl Fig11CoolingLoad {
         fig.markdown
             .push_str("## Figure 11 — peak cooling-load reduction\n\n");
         for (panel, class) in ["a", "b", "c"].iter().zip(ServerClass::ALL) {
-            let r = experiments::fig11_custom(class, ctx.sink(), servers, melt);
+            let mut scenario = Scenario::new(class).metrics(ctx.sink()).servers(servers);
+            if let Some(t) = params.melt_temp_c {
+                scenario = scenario.melting_point(MeltingPointChoice::Fixed(Celsius::new(t)));
+            }
+            let study = scenario.cooling_load_study();
+            let peak_reduction = Comparison::new(
+                "peak cooling-load reduction",
+                experiments::paper_fig11_reduction(class),
+                study.run.peak_reduction.percent(),
+                "%",
+            );
             let chart = ascii_chart(
                 &[
-                    ("cooling load", &r.study.run.load_no_wax_kw),
-                    ("load with PCM", &r.study.run.load_with_wax_kw),
+                    ("cooling load", &study.run.load_no_wax_kw),
+                    ("load with PCM", &study.run.load_with_wax_kw),
                 ],
                 72,
                 12,
             );
             fig.markdown.push_str(&format!(
-                "### ({panel}) {class}\n\n```text\n{chart}```\n\nPeak {:.0} kW → {:.0} kW: **{:.1} % reduction** (paper: {:.1} %), wax = {}, melt onset at {:.0} % load, refreeze tail ≈ {:.1} h/day (paper: 6–9 h).\n\n",
-                r.study.run.peak_no_wax.value(),
-                r.study.run.peak_with_wax.value(),
-                r.peak_reduction.measured,
-                r.peak_reduction.paper,
-                r.study.material.name(),
-                tts_dcsim::cluster::melt_onset_load_fraction(&tts_dcsim::cluster::ClusterConfig {
+                "### ({panel}) {class}\n\n```text\n{chart}```\n\nPeak {} kW → {} kW: **{:.1} % reduction** (paper: {:.1} %), wax = {}, melt onset at {:.0} % load, refreeze tail ≈ {:.1} h/day (paper: 6–9 h).\n\n",
+                peak_kw(study.run.peak_no_wax.value()),
+                peak_kw(study.run.peak_with_wax.value()),
+                peak_reduction.measured,
+                peak_reduction.paper,
+                study.material.name(),
+                melt_onset_load_fraction(&ClusterConfig {
                     spec: class.spec(),
-                    servers: servers.unwrap_or(1008),
-                    chars: r.study.chars.clone(),
+                    servers,
+                    chars: study.chars.clone(),
                 }) * 100.0,
-                r.study.run.elevated_hours / 2.0
+                study.run.elevated_hours / 2.0
             ));
             fig.comparisons
-                .push((format!("Fig 11{panel}"), r.peak_reduction.clone()));
+                .push((format!("Fig 11{panel}"), peak_reduction));
             fig.artifacts
-                .push((format!("results/fig11{panel}.json"), r.study.run.to_json()));
+                .push((format!("results/fig11{panel}.json"), study.run.to_json()));
             fig.key_values.push((
                 format!("peak_reduction_frac.{class}"),
-                r.study.run.peak_reduction.value(),
+                study.run.peak_reduction.value(),
             ));
         }
         fig
+    }
+}
+
+/// A cluster peak for the Figure 11 prose: whole kilowatts, or two
+/// decimals below 10 kW so a small cluster's peaks stay readable.
+fn peak_kw(kw: f64) -> String {
+    if kw < 10.0 {
+        format!("{kw:.2}")
+    } else {
+        format!("{kw:.0}")
     }
 }
 
@@ -453,7 +474,7 @@ impl Experiment for Fig12Constrained {
         "fig12"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
+    fn execute(&self, ctx: &ExecCtx, _params: &Params) -> Figure {
         let mut fig = Figure::new(
             "fig12",
             "Figure 12: throughput in a thermally constrained datacenter",
@@ -461,34 +482,48 @@ impl Experiment for Fig12Constrained {
         fig.markdown
             .push_str("## Figure 12 — constrained throughput\n\n");
         for (panel, class) in ["a", "b", "c"].iter().zip(ServerClass::ALL) {
-            let r = experiments::fig12_with(class, ctx.sink());
+            let study = Scenario::new(class).metrics(ctx.sink()).constrained_study();
+            let (paper_gain, paper_hours) = experiments::paper_fig12(class);
+            let peak_gain = Comparison::new(
+                "peak throughput gain",
+                paper_gain,
+                study.run.peak_gain.percent(),
+                "%",
+            );
+            // The paper reports hours of elevated throughput per day; the
+            // trace covers two days.
+            let boost_hours = Comparison::new(
+                "hours of boosted throughput (per day)",
+                paper_hours,
+                study.run.boosted_hours / 2.0,
+                "h",
+            );
             let chart = ascii_chart(
                 &[
-                    ("ideal", &r.study.run.ideal),
-                    ("no wax", &r.study.run.no_wax),
-                    ("with wax", &r.study.run.with_wax),
+                    ("ideal", &study.run.ideal),
+                    ("no wax", &study.run.no_wax),
+                    ("with wax", &study.run.with_wax),
                 ],
                 72,
                 12,
             );
             fig.markdown.push_str(&format!(
                 "### ({panel}) {class}\n\n```text\n{chart}```\n\nPeak throughput gain **{:.1} %** (paper: {:.1} %); throttle onset delayed {:.2} h; boosted {:.1} h/day (paper: {:.1} h); wax = {}.\n\n",
-                r.peak_gain.measured,
-                r.peak_gain.paper,
-                r.study.run.delay_hours,
-                r.boost_hours.measured,
-                r.boost_hours.paper,
-                r.study.material.name()
+                peak_gain.measured,
+                peak_gain.paper,
+                study.run.delay_hours,
+                boost_hours.measured,
+                boost_hours.paper,
+                study.material.name()
             ));
+            fig.comparisons.push((format!("Fig 12{panel}"), peak_gain));
             fig.comparisons
-                .push((format!("Fig 12{panel}"), r.peak_gain.clone()));
-            fig.comparisons
-                .push((format!("Fig 12{panel}"), r.boost_hours.clone()));
+                .push((format!("Fig 12{panel}"), boost_hours));
             fig.artifacts
-                .push((format!("results/fig12{panel}.json"), r.study.run.to_json()));
+                .push((format!("results/fig12{panel}.json"), study.run.to_json()));
             fig.key_values.push((
                 format!("peak_gain_frac.{class}"),
-                r.study.run.peak_gain.value(),
+                study.run.peak_gain.value(),
             ));
         }
         fig
@@ -507,24 +542,15 @@ impl Experiment for DcsimQos {
         "dcsim"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, 17, 32)
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::DCSIM
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params.seed.unwrap_or(17), params.servers.unwrap_or(32)))
-    }
-}
-
-impl DcsimQos {
-    /// The simulation at an explicit job-stream seed and cluster size
-    /// (defaults: seed 17, 32 servers).
-    fn render(&self, ctx: &ExecCtx, seed: u64, servers: usize) -> Figure {
+    /// The simulation at a job-stream seed and cluster size (defaults:
+    /// seed 17, 32 servers).
+    fn execute(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+        let seed = params.seed.unwrap_or(17);
+        let servers = params.servers.unwrap_or(32);
         let trace = GoogleTrace::default_two_day();
         let jobs =
             JobStream::new(trace.total().clone(), JobType::MapReduce, servers, seed).collect_all();
@@ -590,16 +616,13 @@ impl Experiment for ChaosBatch {
         "chaos"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, tts_chaos::BatchConfig::default())
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::CHAOS
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
+    /// Runs the batch and renders the roll-up (`repro chaos` files the
+    /// full summary JSON itself).
+    fn execute(&self, ctx: &ExecCtx, params: &Params) -> Figure {
         let mut cfg = tts_chaos::BatchConfig::default();
         if let Some(seed) = params.seed {
             cfg.base_seed = seed;
@@ -610,14 +633,6 @@ impl Experiment for ChaosBatch {
         if let Some(servers) = params.servers {
             cfg.scenario.servers = servers;
         }
-        Ok(self.render(ctx, cfg))
-    }
-}
-
-impl ChaosBatch {
-    /// Runs the batch and renders the roll-up (`repro chaos` files the
-    /// full summary JSON itself).
-    fn render(&self, ctx: &ExecCtx, cfg: tts_chaos::BatchConfig) -> Figure {
         let summary = tts_chaos::run_batch(&cfg);
         ctx.sink()
             .counter("chaos.scenarios")
@@ -689,25 +704,14 @@ impl Experiment for FleetScale {
         "fleet"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, &Params::default())
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::FLEET
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params))
-    }
-}
-
-impl FleetScale {
     /// Runs the fleet (defaults: 1,000,000 servers over 4 catalogue
     /// sites, 256 shards, seed 42, the full two-day trace) and renders
     /// the per-site economics table.
-    fn render(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+    fn execute(&self, ctx: &ExecCtx, params: &Params) -> Figure {
         let servers = params.servers.unwrap_or(1_000_000);
         let sites = params.datacenters.unwrap_or(4).min(FLEET_SITES.len());
         let trace = GoogleTrace::default_two_day().total().clone();
@@ -825,25 +829,14 @@ impl Experiment for ScheduleOpt {
         "schedule"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, &Params::default())
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::SCHEDULE
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params))
-    }
-}
-
-impl ScheduleOpt {
     /// Runs the co-optimizer (defaults: the paper's 1008 servers, 24 h
     /// horizon + 3 h extension, 15-min slots, four delay classes) and
     /// renders the optimized-vs-passive comparison.
-    fn render(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+    fn execute(&self, ctx: &ExecCtx, params: &Params) -> Figure {
         let mut cfg = tts_opt::ScheduleConfig::default();
         if let Some(seed) = params.seed {
             cfg.seed = seed;
@@ -948,22 +941,11 @@ impl Experiment for DesignSearch {
         "design"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, &Params::default())
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::DESIGN
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params))
-    }
-}
-
-impl DesignSearch {
-    fn render(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+    fn execute(&self, ctx: &ExecCtx, params: &Params) -> Figure {
         use crate::design::{self, SearchConfig, Strategy};
         use tts_dcsim::cluster::default_melting_candidates;
 
@@ -1170,24 +1152,13 @@ impl Experiment for Scenarios {
         "scenarios"
     }
 
-    fn run(&self, ctx: &ExecCtx) -> Figure {
-        self.render(ctx, &Params::default())
-    }
-
     fn schema(&self) -> &'static [ParamSpec] {
         crate::params::SCENARIOS
     }
 
-    fn run_with(&self, ctx: &ExecCtx, params: &Params) -> Result<Figure, String> {
-        params.ensure_only(self.schema())?;
-        Ok(self.render(ctx, params))
-    }
-}
-
-impl Scenarios {
     /// Runs the matrix (defaults: all 3 sites × all 3 backends × all 4
     /// traces, weather seed 42) and renders the per-cell TCO deltas.
-    fn render(&self, ctx: &ExecCtx, params: &Params) -> Figure {
+    fn execute(&self, ctx: &ExecCtx, params: &Params) -> Figure {
         let mut cfg = crate::scenarios::MatrixConfig::default();
         if let Some(sites) = params.sites {
             cfg.sites = sites;
@@ -1314,7 +1285,7 @@ mod tests {
     #[test]
     fn dcsim_experiment_reports_qos_and_flushes() {
         let ctx = ExecCtx::with_metrics();
-        let fig = DcsimQos.run(&ctx);
+        let fig = DcsimQos.run_with(&ctx, &Params::default()).unwrap();
         assert!(fig.key_value("completed").expect("completed") > 1000.0);
         assert!(fig.key_value("cluster_utilization").expect("util") > 0.2);
         // Two simulated days at a six-hour flush cadence.
@@ -1420,13 +1391,37 @@ mod tests {
         // fig7 only honours `threads`; a seed must be refused, not ignored.
         let err = Fig7Blockage.run_with(&ctx, &seeded).unwrap_err();
         assert!(err.contains("seed"), "{err}");
-        // Defaulted run_with matches plain run byte-for-byte.
-        let via_params = Fig7Blockage.run_with(&ctx, &Params::default()).unwrap();
-        let direct = Fig7Blockage.run(&ctx);
-        assert_eq!(
-            Fig7Blockage.emit_json(&via_params).to_string_pretty(),
-            Fig7Blockage.emit_json(&direct).to_string_pretty()
-        );
+    }
+
+    #[test]
+    fn fig11_prints_small_cluster_peaks_to_two_decimals() {
+        // One 1U server peaks near 0.18 kW: whole kilowatts would print
+        // "Peak 0 kW → 0 kW".
+        let fig = Fig11CoolingLoad
+            .run_with(
+                &ExecCtx::disabled(),
+                &Params {
+                    servers: Some(1),
+                    ..Params::default()
+                },
+            )
+            .expect("supported params");
+        let peaks: Vec<&str> = fig
+            .markdown
+            .split("Peak ")
+            .skip(1)
+            .map(|rest| rest.split(" kW:").next().expect("peak pair"))
+            .collect();
+        assert_eq!(peaks.len(), 3, "{}", fig.markdown);
+        for pair in peaks {
+            let (no_wax, with_wax) = pair.split_once(" kW → ").expect("two peaks");
+            for kw in [no_wax, with_wax] {
+                let decimals = kw.split_once('.').map_or(0, |(_, d)| d.len());
+                assert_eq!(decimals, 2, "{pair}");
+                assert!(kw.parse::<f64>().expect("a number") > 0.0, "{pair}");
+            }
+            assert_ne!(no_wax, with_wax, "the wax must shave a visible amount");
+        }
     }
 
     #[test]

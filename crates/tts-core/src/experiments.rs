@@ -1,24 +1,23 @@
-//! The per-table / per-figure experiment suite.
+//! Paper-vs-measured helpers for the hand-rendered artifacts.
 //!
-//! The studies behind the paper's evaluation artifacts, each returning a
-//! serializable result carrying both our measurement and the paper's
-//! reported value, so the repro harness can print paper-vs-measured tables
-//! (`EXPERIMENTS.md`). Artifacts that are a single library call (the Figure 4
-//! protocol, the Figure 10 trace, Table 2) are called directly.
+//! The figures with a registry entry (Figures 7, 11, 12 — see
+//! [`crate::experiment`]) build their [`Comparison`]s from the paper
+//! values here ([`paper_fig11_reduction`], [`paper_fig12`]); the
+//! hand-rendered artifacts read Table 1, the Figure 1 concept curves, and
+//! the §5 TCO analyses from this module. Artifacts that are a single
+//! library call (the Figure 4 protocol, the Figure 10 trace, Table 2) are
+//! called directly.
 
 use tts_dcsim::datacenter::Datacenter;
-use tts_obs::MetricsSink;
 use tts_pcm::{PcmMaterial, Stability};
-use tts_server::blockage::{default_sweep_with, BlockageRow};
-use tts_server::validation::{self, ValidationConfig, ValidationResult};
 use tts_server::ServerClass;
 use tts_tco::{
     added_servers, cooling_downsize_savings_per_year, retrofit_savings_per_year, tco_efficiency,
     Table2,
 };
-use tts_units::Celsius;
+use tts_units::Fraction;
 
-use crate::scenario::{ConstrainedStudy, CoolingLoadStudy, MeltingPointChoice, Scenario};
+use crate::scenario::Scenario;
 
 /// A paper-vs-measured record for one reported number.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,43 +102,6 @@ pub fn table1_screen_matches_paper() -> bool {
     })
 }
 
-/// Figure 4: the model-validation experiment (§3) under a custom protocol
-/// (shorter runs for CI).
-pub fn fig4_with(config: &ValidationConfig) -> ValidationResult {
-    validation::run(config)
-}
-
-/// Figure 7: blockage sweeps for the three servers, in paper order.
-///
-/// The three classes are independent simulations, so they run on the
-/// [`tts_exec`] pool; output order (and content) is identical at any
-/// `TTS_THREADS`.
-pub fn fig7() -> Vec<(ServerClass, Vec<BlockageRow>)> {
-    fig7_with(&MetricsSink::disabled())
-}
-
-/// [`fig7`] with telemetry: every per-point thermal model and the sweep
-/// itself report into `sink` (see `tts_server::blockage::sweep_with`).
-pub fn fig7_with(sink: &MetricsSink) -> Vec<(ServerClass, Vec<BlockageRow>)> {
-    tts_exec::par_map(&ServerClass::ALL, |&c| {
-        (c, default_sweep_with(&c.spec(), sink))
-    })
-}
-
-/// Figure 11 result for one server class, with the paper's reported peak
-/// reduction attached.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig11Result {
-    /// Server class.
-    pub class: ServerClass,
-    /// The cooling-load study.
-    pub study: CoolingLoadStudy,
-    /// Paper-vs-measured peak reduction (percent).
-    pub peak_reduction: Comparison,
-}
-
-tts_units::derive_json! { struct Fig11Result { class, study, peak_reduction } }
-
 /// The paper's Figure 11 peak cooling-load reductions, percent.
 pub fn paper_fig11_reduction(class: ServerClass) -> f64 {
     match class {
@@ -149,101 +111,12 @@ pub fn paper_fig11_reduction(class: ServerClass) -> f64 {
     }
 }
 
-/// Figure 11: the fully-subscribed cooling-load study.
-pub fn fig11(class: ServerClass) -> Fig11Result {
-    fig11_with(class, &MetricsSink::disabled())
-}
-
-/// [`fig11`] with telemetry routed through the scenario (grid-search
-/// counters + the winning run's series; see `tts_dcsim::cluster`).
-pub fn fig11_with(class: ServerClass, sink: &MetricsSink) -> Fig11Result {
-    fig11_custom(class, sink, None, None)
-}
-
-/// [`fig11_with`] with scenario overrides: a cluster size other than the
-/// paper's 1008 and/or a fixed wax melting point instead of the catalogue
-/// grid search. The paper comparison stays attached — under overrides it
-/// reads as "how far this what-if lands from the published figure".
-pub fn fig11_custom(
-    class: ServerClass,
-    sink: &MetricsSink,
-    servers: Option<usize>,
-    melt_temp: Option<Celsius>,
-) -> Fig11Result {
-    let mut scenario = Scenario::new(class).metrics(sink);
-    if let Some(n) = servers {
-        scenario = scenario.servers(n);
-    }
-    if let Some(t) = melt_temp {
-        scenario = scenario.melting_point(MeltingPointChoice::Fixed(t));
-    }
-    let study = scenario.cooling_load_study();
-    let peak_reduction = Comparison::new(
-        "peak cooling-load reduction",
-        paper_fig11_reduction(class),
-        study.run.peak_reduction.percent(),
-        "%",
-    );
-    Fig11Result {
-        class,
-        study,
-        peak_reduction,
-    }
-}
-
-/// Figure 12 result for one server class, with the paper's reported gain
-/// and delay attached.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig12Result {
-    /// Server class.
-    pub class: ServerClass,
-    /// The constrained-throughput study.
-    pub study: ConstrainedStudy,
-    /// Paper-vs-measured peak throughput gain (percent).
-    pub peak_gain: Comparison,
-    /// Paper-vs-measured boost duration (hours). The paper reports the
-    /// hours of elevated throughput; we report `boosted_hours`.
-    pub boost_hours: Comparison,
-}
-
-tts_units::derive_json! { struct Fig12Result { class, study, peak_gain, boost_hours } }
-
 /// The paper's Figure 12 numbers: (gain %, hours).
 pub fn paper_fig12(class: ServerClass) -> (f64, f64) {
     match class {
         ServerClass::LowPower1U => (33.0, 5.1),
         ServerClass::HighThroughput2U => (69.0, 3.1),
         ServerClass::OpenComputeBlade => (34.0, 3.1),
-    }
-}
-
-/// Figure 12: the thermally constrained throughput study.
-pub fn fig12(class: ServerClass) -> Fig12Result {
-    fig12_with(class, &MetricsSink::disabled())
-}
-
-/// [`fig12`] with telemetry routed through the scenario (grid-search
-/// counters + the winning run's series; see `tts_dcsim::throttle`).
-pub fn fig12_with(class: ServerClass, sink: &MetricsSink) -> Fig12Result {
-    let study = Scenario::new(class).metrics(sink).constrained_study();
-    let (paper_gain, paper_hours) = paper_fig12(class);
-    let peak_gain = Comparison::new(
-        "peak throughput gain",
-        paper_gain,
-        study.run.peak_gain.percent(),
-        "%",
-    );
-    let boost_hours = Comparison::new(
-        "hours of boosted throughput (per day)",
-        paper_hours,
-        study.run.boosted_hours / 2.0, // two-day trace → per-day figure
-        "h",
-    );
-    Fig12Result {
-        class,
-        study,
-        peak_gain,
-        boost_hours,
     }
 }
 
@@ -277,25 +150,11 @@ pub fn paper_tco(class: ServerClass) -> (f64, f64, f64, f64) {
     }
 }
 
-/// Runs the four §5 cost analyses from measured Figure 11/12 results.
-pub fn tco_summary(class: ServerClass, fig11: &Fig11Result, fig12: &Fig12Result) -> TcoSummary {
-    tco_summary_from(
-        class,
-        fig11.study.run.peak_reduction,
-        fig12.study.run.peak_gain,
-    )
-}
-
-/// [`tco_summary`] from the two scalars that actually drive it — the
-/// measured Figure 11 peak cooling-load reduction and the Figure 12 peak
-/// throughput gain — so callers holding only headline numbers (e.g. an
-/// [`Experiment`](crate::experiment::Experiment) figure's key/values) can
-/// run the cost analyses without the full study structs.
-pub fn tco_summary_from(
-    class: ServerClass,
-    reduction: tts_units::Fraction,
-    gain: tts_units::Fraction,
-) -> TcoSummary {
+/// Runs the four §5 cost analyses from the two scalars that drive them:
+/// the measured Figure 11 peak cooling-load reduction and the Figure 12
+/// peak throughput gain (e.g. an
+/// [`Experiment`](crate::experiment::Experiment) figure's key/values).
+pub fn tco_summary(class: ServerClass, reduction: Fraction, gain: Fraction) -> TcoSummary {
     let table = Table2::paper();
     let dc = Datacenter::paper_10mw(class);
     let (p_downsize, p_added, p_retrofit, p_eff) = paper_tco(class);
@@ -372,42 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn fig11_reproduces_the_paper_band() {
-        // The headline claim: wax shaves 8.3–12 % off the peak. We accept
-        // half to 1.5× the paper's number per class.
-        for class in ServerClass::ALL {
-            let r = fig11(class);
-            let measured = r.peak_reduction.measured;
-            let paper = r.peak_reduction.paper;
-            assert!(
-                measured > 0.5 * paper && measured < 1.5 * paper,
-                "{class}: measured {measured}% vs paper {paper}%"
-            );
-        }
-    }
-
-    #[test]
-    fn fig12_reproduces_ordering_and_scale() {
-        let results: Vec<Fig12Result> = ServerClass::ALL.iter().map(|&c| fig12(c)).collect();
-        for r in &results {
-            assert!(
-                r.peak_gain.measured > 10.0,
-                "{}: gain {}%",
-                r.class,
-                r.peak_gain.measured
-            );
-        }
-        // 2U leads, as in the paper.
-        assert!(results[1].peak_gain.measured > results[0].peak_gain.measured);
-        assert!(results[1].peak_gain.measured > results[2].peak_gain.measured);
-    }
-
-    #[test]
     fn tco_summary_is_complete() {
         let class = ServerClass::LowPower1U;
-        let f11 = fig11(class);
-        let f12 = fig12(class);
-        let s = tco_summary(class, &f11, &f12);
+        let s = tco_summary(class, Fraction::new(0.073), Fraction::new(0.41));
         assert!(s.downsize_savings_per_year.measured > 0.0);
         assert!(s.added_servers.measured > 0.0);
         assert!(s.retrofit_savings_per_year.measured > 1e6);

@@ -10,7 +10,6 @@ use tts_cooling::{CoolingSystem, Site, Tariff, WeatherConfig, WeatherSeries};
 use tts_dcsim::cluster::ClusterConfig;
 use tts_dcsim::heterogeneous::{deployment_sweep, DeploymentPoint};
 use tts_dcsim::relocation::{wax_vs_relocation, yearly_saving};
-use tts_dcsim::throttle::ConstrainedConfig;
 use tts_pcm::degradation::DegradationModel;
 use tts_server::ServerClass;
 use tts_units::{Dollars, Fraction, Seconds, Watts};
@@ -84,21 +83,20 @@ pub struct RelocationStudy {
 
 tts_units::derive_json! { struct RelocationStudy { without_pcm_per_year, with_pcm_per_year } }
 
-/// Runs the relocation comparison for one class at the default WAN rate.
+/// Runs the relocation comparison for one class at the default WAN rate,
+/// pricing the constrained study's own run (its grid-selected wax, so the
+/// comparison is fair).
 pub fn relocation_study(class: ServerClass) -> RelocationStudy {
     let scenario = Scenario::new(class);
-    let chars = scenario.characteristics();
-    // Use the constrained-study wax selection for a fair comparison.
     let constrained = scenario.constrained_study();
-    let config = ConstrainedConfig {
-        spec: scenario.spec(),
-        servers: scenario.server_count(),
-        chars: chars.with_melting_point(constrained.material.melting_point()),
-        limit: tts_units::KiloWatts::new(constrained.limit_kw),
-    };
     let trace = GoogleTrace::default_two_day();
     let rate = Dollars::new(tts_dcsim::relocation::DEFAULT_RELOCATION_COST_PER_SERVER_HOUR);
-    let (without, with) = wax_vs_relocation(&config, trace.total(), rate);
+    let (without, with) = wax_vs_relocation(
+        &constrained.run,
+        scenario.server_count(),
+        trace.total().dt(),
+        rate,
+    );
     RelocationStudy {
         without_pcm_per_year: yearly_saving(without, trace.total()),
         with_pcm_per_year: yearly_saving(with, trace.total()),
@@ -145,56 +143,6 @@ pub fn flash_crowd_study(class: ServerClass) -> FlashCrowdStudy {
     FlashCrowdStudy {
         calm_reduction: calm.run.peak_reduction,
         surge_reduction: surged.run.peak_reduction,
-    }
-}
-
-/// Effect of melt/freeze hysteresis (supercooling) on the peak reduction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupercoolingStudy {
-    /// Peak reduction with the ideal (no-hysteresis) wax.
-    pub ideal_reduction: Fraction,
-    /// Peak reduction with the supercooled wax.
-    pub supercooled_reduction: Fraction,
-    /// The supercooling applied, K.
-    pub supercooling_k: f64,
-}
-
-tts_units::derive_json! { struct SupercoolingStudy { ideal_reduction, supercooled_reduction, supercooling_k } }
-
-/// Re-runs the Figure 11 study with a hysteretic wax (melt at the selected
-/// point, freeze `supercooling_k` lower) and compares peak reductions.
-///
-/// Supercooling delays the overnight refreeze, so less capacity is ready
-/// for day two — the reduction erodes but should survive for realistic
-/// (2–4 K) offsets.
-pub fn supercooling_study(class: ServerClass, supercooling_k: f64) -> SupercoolingStudy {
-    use tts_pcm::HystereticPcmState;
-
-    let study = Scenario::new(class).cooling_load_study();
-    let chars = &study.chars;
-    let trace = GoogleTrace::default_two_day();
-    let dt = trace.total().dt();
-    let n = 1008.0;
-
-    let mut wax = HystereticPcmState::new(
-        &chars.material,
-        chars.mass,
-        chars.idle_air_temp,
-        supercooling_k,
-    );
-    let mut peak_nw = f64::MIN;
-    let mut peak_w = f64::MIN;
-    for &u in trace.total().values() {
-        let wall = class.spec().wall_power(Fraction::new(u), Fraction::ONE);
-        let t_air = chars.air_temp_model.at(wall);
-        let q = wax.step(t_air, chars.effective_coupling(), dt);
-        peak_nw = peak_nw.max(wall.value() * n);
-        peak_w = peak_w.max((wall - q).value() * n);
-    }
-    SupercoolingStudy {
-        ideal_reduction: study.run.peak_reduction,
-        supercooled_reduction: Fraction::new(1.0 - peak_w / peak_nw),
-        supercooling_k,
     }
 }
 
@@ -300,24 +248,6 @@ mod tests {
         // benefit.
         assert!(
             s.surge_reduction.value() > 0.4 * s.calm_reduction.value(),
-            "{s:?}"
-        );
-    }
-
-    #[test]
-    fn supercooling_erodes_but_preserves_the_benefit() {
-        let s = supercooling_study(ServerClass::LowPower1U, 3.0);
-        assert!(
-            s.supercooled_reduction.value() > 0.0,
-            "supercooled wax must still shave: {s:?}"
-        );
-        assert!(
-            s.supercooled_reduction.value() <= s.ideal_reduction.value() + 0.01,
-            "hysteresis cannot improve the reduction: {s:?}"
-        );
-        // Realistic 3 K of supercooling keeps at least half the benefit.
-        assert!(
-            s.supercooled_reduction.value() > 0.5 * s.ideal_reduction.value(),
             "{s:?}"
         );
     }

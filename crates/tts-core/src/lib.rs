@@ -45,8 +45,10 @@
 //! assert!(study.run.peak_reduction.value() > 0.0);
 //! ```
 //!
-//! Every table and figure of the paper is regenerated by the functions in
-//! [`experiments`]; `cargo run -p tts-bench --bin repro` prints them all.
+//! Every table and figure of the paper is regenerated through the
+//! [`experiment`] registry (one entry per simulated figure) and the
+//! paper-vs-measured helpers in [`experiments`];
+//! `cargo run -p tts-bench --bin repro` prints them all.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,15 +2,15 @@
 //!
 //! [`Scenario::cooling_load_study`] and [`Scenario::constrained_study`] pick
 //! their wax with the dcsim grid sweeps over the paraffin catalogue
-//! ([`select_melting_point_with`], [`select_melting_point_constrained_with`])
+//! ([`select_melting_point`], [`select_melting_point_constrained`])
 //! unless a fixed melting point is given.
 
 use tts_dcsim::cluster::{
-    default_melting_candidates, run_cooling_load_with, select_melting_point_with, ClusterConfig,
+    default_melting_candidates, run_cooling_load, select_melting_point, ClusterConfig,
     CoolingLoadRun,
 };
 use tts_dcsim::throttle::{
-    run_constrained_with, select_melting_point_constrained_with, ConstrainedConfig, ConstrainedRun,
+    run_constrained, select_melting_point_constrained, ConstrainedConfig, ConstrainedRun,
 };
 use tts_obs::MetricsSink;
 use tts_pcm::PcmMaterial;
@@ -152,7 +152,7 @@ impl Scenario {
         };
         let (material, run) = match self.melting_point {
             MeltingPointChoice::Optimize => {
-                select_melting_point_with(&config, &trace, default_melting_candidates(), &self.sink)
+                select_melting_point(&config, &trace, default_melting_candidates(), &self.sink)
             }
             MeltingPointChoice::Fixed(t) => {
                 let cfg = ClusterConfig {
@@ -162,7 +162,7 @@ impl Scenario {
                 };
                 (
                     PcmMaterial::commercial_paraffin(t),
-                    run_cooling_load_with(&cfg, &trace, &self.sink),
+                    run_cooling_load(&cfg, &trace, &self.sink),
                 )
             }
         };
@@ -187,7 +187,7 @@ impl Scenario {
         );
         let limit_kw = config.limit.value();
         let (material, run) = match self.melting_point {
-            MeltingPointChoice::Optimize => select_melting_point_constrained_with(
+            MeltingPointChoice::Optimize => select_melting_point_constrained(
                 &config,
                 &trace,
                 default_melting_candidates(),
@@ -202,7 +202,7 @@ impl Scenario {
                 };
                 (
                     PcmMaterial::commercial_paraffin(t),
-                    run_constrained_with(&cfg, &trace, &self.sink),
+                    run_constrained(&cfg, &trace, &self.sink),
                 )
             }
         };

@@ -4,6 +4,7 @@
 //! cargo run --release --example blockage_sweep
 //! ```
 
+use tts_obs::MetricsSink;
 use tts_server::blockage::default_sweep;
 use tts_server::ServerClass;
 
@@ -18,7 +19,7 @@ fn main() {
             "{:>9} {:>11} {:>12} {:>12} {:>20}",
             "blockage", "outlet °C", "wax zone °C", "flow CFM", "sockets °C"
         );
-        for row in default_sweep(&spec) {
+        for row in default_sweep(&spec, &MetricsSink::disabled()) {
             let sockets: Vec<String> = row
                 .sockets
                 .iter()

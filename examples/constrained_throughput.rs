@@ -6,18 +6,19 @@
 //! ```
 
 use thermal_time_shifting::chart::ascii_chart;
-use thermal_time_shifting::experiments::{fig12, paper_fig12};
+use thermal_time_shifting::experiments::paper_fig12;
+use thermal_time_shifting::Scenario;
 use tts_server::ServerClass;
 use tts_tco::tco_efficiency;
 
 fn main() {
     for class in ServerClass::ALL {
-        let r = fig12(class);
-        let run = &r.study.run;
+        let study = Scenario::new(class).constrained_study();
+        let run = &study.run;
         let (paper_gain, paper_hours) = paper_fig12(class);
         println!(
             "=== {class} (thermal limit {:.0} kW/cluster) ===",
-            r.study.limit_kw
+            study.limit_kw
         );
         let chart = ascii_chart(
             &[
@@ -31,7 +32,7 @@ fn main() {
         println!("{chart}");
         println!(
             "  wax {} holds the cluster past its thermal limit:",
-            r.study.material.name()
+            study.material.name()
         );
         println!(
             "  peak throughput +{:.1} % (paper: +{:.0} %); throttle delayed {:.2} h;",

@@ -6,7 +6,9 @@
 //! ```
 
 use thermal_time_shifting::chart::ascii_chart;
-use thermal_time_shifting::experiments::{fig11, paper_fig11_reduction};
+use thermal_time_shifting::experiments::paper_fig11_reduction;
+use thermal_time_shifting::Scenario;
+use tts_dcsim::cluster::{melt_onset_load_fraction, ClusterConfig};
 use tts_dcsim::datacenter::Datacenter;
 use tts_server::ServerClass;
 use tts_tco::{
@@ -16,8 +18,8 @@ use tts_tco::{
 fn main() {
     let table = Table2::paper();
     for class in ServerClass::ALL {
-        let r = fig11(class);
-        let run = &r.study.run;
+        let study = Scenario::new(class).cooling_load_study();
+        let run = &study.run;
         println!("=== {class} ===");
         let chart = ascii_chart(
             &[
@@ -30,9 +32,12 @@ fn main() {
         println!("{chart}");
         println!(
             "  wax: {} ({:.1} L/server), melt onset ~{:.0} % of peak power",
-            r.study.material.name(),
-            r.study.chars.mass.value() / (r.study.chars.material.density().value() * 1000.0),
-            run.melting_point.value()
+            study.material.name(),
+            study.chars.mass.value() / (study.chars.material.density().value() * 1000.0),
+            melt_onset_load_fraction(&ClusterConfig::paper_cluster(
+                class.spec(),
+                study.chars.clone()
+            )) * 100.0
         );
         println!(
             "  peak: {:.0} kW -> {:.0} kW = {:.1} % reduction (paper: {:.1} %)",

@@ -1,7 +1,8 @@
 //! Every experiment must be exactly reproducible: seeded randomness only.
 
-use thermal_time_shifting::experiments::{fig11, fig12, fig7};
 use thermal_time_shifting::Scenario;
+use tts_obs::MetricsSink;
+use tts_server::blockage::default_sweep;
 use tts_server::validation::{run, ValidationConfig};
 use tts_server::ServerClass;
 use tts_units::json::ToJson;
@@ -50,21 +51,30 @@ fn validation_experiment_is_bit_identical() {
     assert_eq!(a, b);
 }
 
+/// The Figure 11 study for `class`, serialized.
+fn fig11(class: ServerClass) -> String {
+    Scenario::new(class).cooling_load_study().to_json_pretty()
+}
+
 #[test]
 fn cooling_load_pipeline_json_is_byte_identical() {
     // The whole seeded pipeline — trace generation, melting-point grid
     // search, cluster simulation — run twice, serialized, and compared as
     // raw bytes. Any hidden nondeterminism (map iteration order, float
     // formatting, unseeded randomness) breaks this.
-    let a = fig11(ServerClass::LowPower1U).to_json_pretty();
-    let b = fig11(ServerClass::LowPower1U).to_json_pretty();
+    let a = fig11(ServerClass::LowPower1U);
+    let b = fig11(ServerClass::LowPower1U);
     assert_eq!(a.as_bytes(), b.as_bytes());
 }
 
 #[test]
 fn constrained_pipeline_json_is_byte_identical() {
-    let a = fig12(ServerClass::HighThroughput2U).to_json_pretty();
-    let b = fig12(ServerClass::HighThroughput2U).to_json_pretty();
+    let a = Scenario::new(ServerClass::HighThroughput2U)
+        .constrained_study()
+        .to_json_pretty();
+    let b = Scenario::new(ServerClass::HighThroughput2U)
+        .constrained_study()
+        .to_json_pretty();
     assert_eq!(a.as_bytes(), b.as_bytes());
 }
 
@@ -94,20 +104,18 @@ fn fig7_json_is_byte_identical_across_thread_counts() {
     // must make thread count unobservable. The full Figure 7 pipeline
     // (three servers × ten blockage steady-states) serialized at 1 worker
     // and at 8 workers must agree byte for byte.
-    let serial = with_threads(1, || {
-        fig7()
+    let fig7 = || {
+        ServerClass::ALL
             .iter()
-            .map(|(c, rows)| format!("{c}:{}", rows.to_json_pretty()))
+            .map(|c| {
+                let rows = default_sweep(&c.spec(), &MetricsSink::disabled());
+                format!("{c}:{}", rows.to_json_pretty())
+            })
             .collect::<Vec<_>>()
             .join("\n")
-    });
-    let parallel = with_threads(8, || {
-        fig7()
-            .iter()
-            .map(|(c, rows)| format!("{c}:{}", rows.to_json_pretty()))
-            .collect::<Vec<_>>()
-            .join("\n")
-    });
+    };
+    let serial = with_threads(1, fig7);
+    let parallel = with_threads(8, fig7);
     assert_eq!(serial.as_bytes(), parallel.as_bytes());
 }
 
@@ -116,8 +124,8 @@ fn fig11_json_is_byte_identical_across_thread_counts() {
     // The melting-point grid search fans out per candidate; its in-order
     // reduction must pick the same winner (and produce the same bytes)
     // at any worker count.
-    let serial = with_threads(1, || fig11(ServerClass::LowPower1U).to_json_pretty());
-    let parallel = with_threads(8, || fig11(ServerClass::LowPower1U).to_json_pretty());
+    let serial = with_threads(1, || fig11(ServerClass::LowPower1U));
+    let parallel = with_threads(8, || fig11(ServerClass::LowPower1U));
     assert_eq!(serial.as_bytes(), parallel.as_bytes());
 }
 
@@ -127,7 +135,8 @@ fn sidecar_bytes(name: &str, threads: usize) -> String {
     with_threads(threads, || {
         let exp = thermal_time_shifting::experiment::find(name).expect("registered experiment");
         let ctx = thermal_time_shifting::ExecCtx::with_metrics();
-        let _fig = exp.run(&ctx);
+        exp.run_with(&ctx, &Default::default())
+            .expect("default params");
         ctx.sidecar(None, None)
             .expect("metrics enabled")
             .to_string_pretty()

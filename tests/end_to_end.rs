@@ -2,21 +2,21 @@
 //! through the full public API (thermal model → characteristics →
 //! datacenter simulation → cost model).
 
-use thermal_time_shifting::experiments::{self, Fig11Result, Fig12Result};
-use thermal_time_shifting::Scenario;
+use thermal_time_shifting::experiments::{self, paper_fig11_reduction};
+use thermal_time_shifting::{ConstrainedStudy, CoolingLoadStudy, Scenario};
 use tts_server::ServerClass;
 
-fn fig11_all() -> Vec<Fig11Result> {
+fn fig11_all() -> Vec<CoolingLoadStudy> {
     ServerClass::ALL
         .iter()
-        .map(|&c| experiments::fig11(c))
+        .map(|&c| Scenario::new(c).cooling_load_study())
         .collect()
 }
 
-fn fig12_all() -> Vec<Fig12Result> {
+fn fig12_all() -> Vec<ConstrainedStudy> {
     ServerClass::ALL
         .iter()
-        .map(|&c| experiments::fig12(c))
+        .map(|&c| Scenario::new(c).constrained_study())
         .collect()
 }
 
@@ -27,13 +27,12 @@ fn headline_claim_peak_cooling_reduction() {
     // class shaves ≥ 7 %.
     let results = fig11_all();
     let mut best: f64 = 0.0;
-    for r in &results {
-        let measured = r.peak_reduction.measured;
-        let paper = r.peak_reduction.paper;
+    for (class, r) in ServerClass::ALL.iter().zip(&results) {
+        let measured = r.run.peak_reduction.percent();
+        let paper = paper_fig11_reduction(*class);
         assert!(
             measured > 0.5 * paper && measured < 1.5 * paper,
-            "{}: {measured}% vs paper {paper}%",
-            r.class
+            "{class}: {measured}% vs paper {paper}%"
         );
         best = best.max(measured);
     }
@@ -44,7 +43,7 @@ fn headline_claim_peak_cooling_reduction() {
 fn headline_claim_2u_shaves_the_most() {
     // Figure 11's ordering: the 2U (most wax per server) wins.
     let results = fig11_all();
-    let r = |i: usize| results[i].peak_reduction.measured;
+    let r = |i: usize| results[i].run.peak_reduction.percent();
     assert!(r(1) >= r(0), "2U {} vs 1U {}", r(1), r(0));
     assert!(r(1) >= r(2), "2U {} vs OCP {}", r(1), r(2));
 }
@@ -55,23 +54,17 @@ fn headline_claim_constrained_throughput() {
     // onset of thermal limits by over 3 hours": gains in the tens of
     // percent, 2U leading, boosts lasting hours.
     let results = fig12_all();
-    for r in &results {
+    let gain = |i: usize| results[i].run.peak_gain.percent();
+    for (i, (class, r)) in ServerClass::ALL.iter().zip(&results).enumerate() {
+        assert!(gain(i) >= 15.0, "{class}: gain {}%", gain(i));
         assert!(
-            r.peak_gain.measured >= 15.0,
-            "{}: gain {}%",
-            r.class,
-            r.peak_gain.measured
-        );
-        assert!(
-            r.study.run.boosted_hours >= 1.0,
-            "{}: boosted only {} h",
-            r.class,
-            r.study.run.boosted_hours
+            r.run.boosted_hours >= 1.0,
+            "{class}: boosted only {} h",
+            r.run.boosted_hours
         );
     }
     assert!(
-        results[1].peak_gain.measured > results[0].peak_gain.measured
-            && results[1].peak_gain.measured > results[2].peak_gain.measured,
+        gain(1) > gain(0) && gain(1) > gain(2),
         "2U must gain the most"
     );
 }
@@ -116,7 +109,7 @@ fn tco_analyses_scale_with_the_reductions() {
     let f11 = fig11_all();
     let f12 = fig12_all();
     for ((class, f11), f12) in ServerClass::ALL.iter().zip(&f11).zip(&f12) {
-        let s = experiments::tco_summary(*class, f11, f12);
+        let s = experiments::tco_summary(*class, f11.run.peak_reduction, f12.run.peak_gain);
         // Six-figure downsizing savings, seven-figure retrofit savings.
         assert!(
             (5e4..6e5).contains(&s.downsize_savings_per_year.measured),
@@ -146,7 +139,7 @@ fn tco_analyses_scale_with_the_reductions() {
 #[test]
 fn validation_agrees_sub_kelvin_at_steady_state() {
     // Figure 4's bottom line (paper: 0.22 °C mean difference).
-    let r = experiments::fig4_with(&tts_server::validation::ValidationConfig {
+    let r = tts_server::validation::run(&tts_server::validation::ValidationConfig {
         idle_before_h: 0.5,
         load_h: 6.0,
         idle_after_h: 6.0,

@@ -4,7 +4,7 @@
 
 use thermal_time_shifting::extensions::{
     cooling_opex_study, flash_crowd_study, lifetime_study, partial_deployment_study,
-    relocation_study, supercooling_study,
+    relocation_study,
 };
 use thermal_time_shifting::Scenario;
 use tts_cooling::emergency::{ride_through, RoomModel};
@@ -75,9 +75,7 @@ fn extension_studies_cover_all_server_classes() {
 }
 
 #[test]
-fn supercooling_and_flash_crowd_are_consistent_for_the_2u() {
-    let s = supercooling_study(ServerClass::HighThroughput2U, 2.0);
-    assert!(s.supercooled_reduction.value() > 0.0);
+fn flash_crowd_is_consistent_for_the_2u() {
     let f = flash_crowd_study(ServerClass::HighThroughput2U);
     assert!(f.surge_reduction.value() > 0.0);
 }

@@ -1,14 +1,20 @@
 //! Golden-value regression tests for the headline figure pipelines.
 //!
 //! These pin the current (seed-locked) outputs of the Figure 7 blockage
-//! sweep, the Figure 11 cooling-load study, and the Figure 12 constrained
-//! throughput study. The tolerances are tight — the pipelines are fully
+//! sweep, the Figure 11 cooling-load study, the Figure 12 constrained
+//! throughput study, and the 1U extension studies filed in EXPERIMENTS.md.
+//! The tolerances are tight — the pipelines are fully
 //! deterministic, so anything beyond float noise means the physics or the
 //! seeding changed and the fixture must be re-derived deliberately (run
 //! `cargo run --release --example golden_scan` equivalent logic and update
 //! the constants below, explaining why in the commit).
 
-use thermal_time_shifting::experiments::{fig11, fig12, fig7};
+use thermal_time_shifting::extensions::{
+    flash_crowd_study, lifetime_study, partial_deployment_study, relocation_study,
+};
+use thermal_time_shifting::Scenario;
+use tts_obs::MetricsSink;
+use tts_server::blockage::{default_sweep, BlockageRow};
 use tts_server::ServerClass;
 
 /// Relative tolerance for deterministic pipelines: float noise only.
@@ -51,6 +57,14 @@ const FIG7_GOLD: [BlockageFixture; 3] = [
 // The fig7 fixtures above are printed to 6/9 decimals; use a matching
 // tolerance there instead of REL_TOL.
 const FIG7_TOL: f64 = 5e-6;
+
+/// The Figure 7 sweeps of the three classes, in paper order.
+fn fig7() -> Vec<(ServerClass, Vec<BlockageRow>)> {
+    ServerClass::ALL
+        .iter()
+        .map(|&c| (c, default_sweep(&c.spec(), &MetricsSink::disabled())))
+        .collect()
+}
 
 #[test]
 fn fig7_blockage_sweep_matches_golden_values() {
@@ -108,9 +122,9 @@ const FIG11_GOLD: [(ServerClass, f64); 3] = [
 #[test]
 fn fig11_peak_cooling_reduction_matches_golden_values() {
     for (class, pinned) in FIG11_GOLD {
-        let r = fig11(class);
+        let study = Scenario::new(class).cooling_load_study();
         assert_close(
-            r.study.run.peak_reduction.percent(),
+            study.run.peak_reduction.percent(),
             pinned,
             &format!("fig11 {class:?} peak reduction %"),
         );
@@ -130,9 +144,9 @@ const FIG12_TOL: f64 = 5e-9;
 #[test]
 fn fig12_throughput_study_matches_golden_values() {
     for (class, gain, hours) in FIG12_GOLD {
-        let r = fig12(class);
-        let got_gain = r.study.run.peak_gain.percent();
-        let got_hours = r.study.run.boosted_hours;
+        let run = Scenario::new(class).constrained_study().run;
+        let got_gain = run.peak_gain.percent();
+        let got_hours = run.boosted_hours;
         assert!(
             (got_gain - gain).abs() <= FIG12_TOL * (1.0 + gain.abs()),
             "fig12 {class:?} peak gain: got {got_gain}, pinned {gain}"
@@ -142,4 +156,74 @@ fn fig12_throughput_study_matches_golden_values() {
             "fig12 {class:?} boosted hours: got {got_hours}, pinned {hours}"
         );
     }
+}
+
+#[test]
+fn relocation_bill_pair_matches_golden_values() {
+    // EXPERIMENTS.md: "$140219/yr → $118231/yr per oversubscribed cluster".
+    let s = relocation_study(ServerClass::LowPower1U);
+    assert_close(
+        s.without_pcm_per_year.value(),
+        140218.8937664896,
+        "relocation bill without wax, $/yr",
+    );
+    assert_close(
+        s.with_pcm_per_year.value(),
+        118230.50745009784,
+        "relocation bill with wax, $/yr",
+    );
+}
+
+/// The 1U rack-by-rack deployment curve: (equipped, peak reduction).
+const DEPLOYMENT_GOLD: [(f64, f64); 5] = [
+    (0.0, 0.0),
+    (0.25, 0.018705412251515896),
+    (0.5, 0.037410824503032014),
+    (0.75, 0.055715550109669554),
+    (1.0, 0.07344114075480335),
+];
+
+#[test]
+fn partial_deployment_curve_matches_golden_values() {
+    let points = partial_deployment_study(ServerClass::LowPower1U, 5);
+    assert_eq!(points.len(), DEPLOYMENT_GOLD.len());
+    for (p, (equipped, reduction)) in points.iter().zip(DEPLOYMENT_GOLD) {
+        assert_close(p.equipped.value(), equipped, "deployment equipped fraction");
+        assert_close(
+            p.peak_reduction.value(),
+            reduction,
+            &format!("deployment peak reduction at {equipped}"),
+        );
+    }
+}
+
+#[test]
+fn flash_crowd_reductions_match_golden_values() {
+    let s = flash_crowd_study(ServerClass::LowPower1U);
+    assert_close(
+        s.calm_reduction.value(),
+        0.07344114075480335,
+        "calm reduction",
+    );
+    assert_close(
+        s.surge_reduction.value(),
+        0.08251502665732957,
+        "surge reduction",
+    );
+}
+
+#[test]
+fn lifetime_capacities_match_golden_values() {
+    let s = lifetime_study(ServerClass::LowPower1U);
+    assert_close(
+        s.capacity_after_server_life.value(),
+        0.9160698791783191,
+        "capacity after the 4-year server life",
+    );
+    assert_close(
+        s.capacity_after_plant_life.value(),
+        0.8031718518526472,
+        "capacity after the 10-year plant life",
+    );
+    assert_eq!(s.cycles_to_80pct, 3719, "daily cycles to 80 % capacity");
 }

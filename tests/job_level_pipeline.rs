@@ -6,6 +6,7 @@
 use tts_dcsim::balancer::RoundRobin;
 use tts_dcsim::cluster::{run_cooling_load, ClusterConfig};
 use tts_dcsim::discrete::ClusterConfig as DiscreteConfig;
+use tts_obs::MetricsSink;
 use tts_pcm::PcmMaterial;
 use tts_server::{ServerClass, ServerWaxCharacteristics};
 use tts_units::{Celsius, Seconds};
@@ -43,8 +44,8 @@ fn job_level_and_fluid_cooling_loads_agree() {
         &PcmMaterial::commercial_paraffin(Celsius::new(48.0)),
     );
     let config = ClusterConfig::paper_cluster(spec, chars);
-    let fluid = run_cooling_load(&config, trace.total());
-    let job_level = run_cooling_load(&config, &measured);
+    let fluid = run_cooling_load(&config, trace.total(), &MetricsSink::disabled());
+    let job_level = run_cooling_load(&config, &measured, &MetricsSink::disabled());
 
     let fluid_red = fluid.peak_reduction.value();
     let job_red = job_level.peak_reduction.value();

@@ -1,6 +1,7 @@
 //! Cross-crate pipeline coherence: each substrate's outputs feed the next
 //! stage with consistent physics.
 
+use tts_obs::MetricsSink;
 use tts_pcm::{PcmMaterial, PcmState};
 use tts_server::{ServerClass, ServerThermalModel, ServerWaxCharacteristics};
 use tts_units::{Celsius, Fraction, Seconds, Watts};
@@ -85,7 +86,8 @@ fn cluster_energy_shift_balances() {
     );
     let config = tts_dcsim::cluster::ClusterConfig::paper_cluster(spec, chars);
     let trace = GoogleTrace::default_two_day();
-    let run = tts_dcsim::cluster::run_cooling_load(&config, trace.total());
+    let run =
+        tts_dcsim::cluster::run_cooling_load(&config, trace.total(), &MetricsSink::disabled());
 
     let dt = trace.total().dt().value();
     let absorbed: f64 = run
@@ -165,7 +167,7 @@ fn idle_cluster_is_thermally_quiet() {
     );
     let config = tts_dcsim::cluster::ClusterConfig::paper_cluster(spec.clone(), chars);
     let flat = tts_workload::TimeSeries::new(Seconds::new(300.0), vec![0.0; 288]);
-    let run = tts_dcsim::cluster::run_cooling_load(&config, &flat);
+    let run = tts_dcsim::cluster::run_cooling_load(&config, &flat, &MetricsSink::disabled());
     let idle_kw = spec.wall_power(Fraction::ZERO, Fraction::ONE).value() * 1008.0 / 1e3;
     assert!((run.peak_no_wax.value() - idle_kw).abs() < 0.5);
     assert!(run.melt_fraction.iter().all(|&m| m < 0.05));
