@@ -1,8 +1,11 @@
-//! Figure 12 regeneration: constrained-throughput runs per server class.
+//! Figure 12 regeneration: constrained-throughput runs per server class,
+//! and the 77-candidate melting-point sweep that `repro fig12` runs per
+//! class (one shared no-wax arm, 77 with-wax arms).
 
 use std::hint::black_box;
 use tts_bench::harness::{criterion_group, criterion_main, Criterion};
-use tts_dcsim::throttle::{run_constrained, ConstrainedConfig};
+use tts_dcsim::cluster::default_melting_candidates;
+use tts_dcsim::throttle::{run_constrained, select_melting_point_constrained, ConstrainedConfig};
 use tts_obs::MetricsSink;
 use tts_pcm::PcmMaterial;
 use tts_server::{ServerClass, ServerWaxCharacteristics};
@@ -29,6 +32,18 @@ fn bench_fig12(c: &mut Criterion) {
                 ))
             })
         });
+        if class == ServerClass::LowPower1U {
+            group.bench_function("select_sweep_1u", |b| {
+                b.iter(|| {
+                    black_box(select_melting_point_constrained(
+                        &config,
+                        trace.total(),
+                        default_melting_candidates(),
+                        &MetricsSink::disabled(),
+                    ))
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -80,28 +80,48 @@ impl PcmState {
         if dt.value() <= 0.0 || coupling.value() <= 0.0 {
             return Watts::ZERO;
         }
+        let relax = self.relaxation(coupling, dt);
+        let (h_new, q) = relax.settle(&self.curve, self.mass, air_temp);
+        self.enthalpy = JoulesPerGram::new(h_new);
+        q
+    }
+
+    /// The heat [`Self::step`] would return from this state, as a function
+    /// of the air temperature, without advancing the state — for callers
+    /// that try many candidate air temperatures against one wax state.
+    ///
+    /// The state-only part of the step (wax temperature, effective heat
+    /// capacity, the relaxation `exp`) is computed once, here. Bit-identity
+    /// contract: every call returns exactly the bits of
+    /// `self.clone().step(air, coupling, dt)`, including the zero returned
+    /// for `dt ≤ 0` or `coupling ≤ 0`; both run the one integrator in
+    /// `Relaxation::settle`.
+    pub fn probe(&self, coupling: WattsPerKelvin, dt: Seconds) -> impl Fn(Celsius) -> Watts + '_ {
+        let relax =
+            (dt.value() > 0.0 && coupling.value() > 0.0).then(|| self.relaxation(coupling, dt));
+        move |air_temp| match &relax {
+            Some(relax) => relax.settle(&self.curve, self.mass, air_temp).1,
+            None => Watts::ZERO,
+        }
+    }
+
+    /// The state-only coefficients of one step of length `dt` through
+    /// `coupling` (both positive).
+    fn relaxation(&self, coupling: WattsPerKelvin, dt: Seconds) -> Relaxation {
         let t_wax = self.curve.temperature_at(self.enthalpy);
         let cp_eff = self.curve.effective_heat_capacity(t_wax); // J/(g·K)
         let c_total = cp_eff * self.mass.value(); // J/K
         let tau = c_total / coupling.value(); // s
-                                              // Exponential relaxation toward the air temperature over this step.
+
+        // Exponential relaxation toward the air temperature over this step.
         let alpha = 1.0 - (-dt.value() / tau).exp();
-        let dt_k = (air_temp - t_wax).value() * alpha;
-        let mut delta_h = cp_eff * dt_k; // J/g absorbed this step
-                                         // The relaxation's fixed point is thermal equilibrium with the air;
-                                         // when a step crosses a phase boundary the start-of-step effective
-                                         // heat capacity no longer applies, so clamp at the equilibrium
-                                         // enthalpy to keep the update monotone and overshoot-free.
-        let h_eq = self.curve.enthalpy_at(air_temp).value();
-        let h_new = self.enthalpy.value() + delta_h;
-        let h_clamped = if delta_h >= 0.0 {
-            h_new.min(h_eq.max(self.enthalpy.value()))
-        } else {
-            h_new.max(h_eq.min(self.enthalpy.value()))
-        };
-        delta_h = h_clamped - self.enthalpy.value();
-        self.enthalpy = JoulesPerGram::new(h_clamped);
-        Watts::new(delta_h * self.mass.value() / dt.value())
+        Relaxation {
+            t_wax,
+            cp_eff,
+            alpha,
+            h0: self.enthalpy.value(),
+            dt: dt.value(),
+        }
     }
 
     /// Like [`Self::step`], but limits the *release* rate (heat flowing
@@ -212,6 +232,41 @@ impl PcmState {
     /// Resets the wax to thermal equilibrium at `temperature`.
     pub fn reset_to(&mut self, temperature: Celsius) {
         self.enthalpy = self.curve.enthalpy_at(temperature);
+    }
+}
+
+/// One step's state-only coefficients: the start-of-step wax temperature,
+/// effective heat capacity and enthalpy, and the exponential relaxation
+/// factor `α = 1 − exp(−dt/τ)`.
+struct Relaxation {
+    t_wax: Celsius,
+    cp_eff: f64,
+    alpha: f64,
+    h0: f64,
+    dt: f64,
+}
+
+impl Relaxation {
+    /// The step's integrator: relaxes the wax toward `air_temp` and returns
+    /// the end-of-step specific enthalpy and the heat absorbed (positive
+    /// while melting, negative while releasing).
+    fn settle(&self, curve: &EnthalpyCurve, mass: Grams, air_temp: Celsius) -> (f64, Watts) {
+        let dt_k = (air_temp - self.t_wax).value() * self.alpha;
+        // Specific enthalpy absorbed this step, J/g. The relaxation's fixed
+        // point is thermal equilibrium with the air; when a step crosses a
+        // phase boundary the start-of-step effective heat capacity no
+        // longer applies, so clamp at the equilibrium enthalpy to keep the
+        // update monotone and overshoot-free.
+        let delta_h = self.cp_eff * dt_k;
+        let h_eq = curve.enthalpy_at(air_temp).value();
+        let h_new = self.h0 + delta_h;
+        let h_clamped = if delta_h >= 0.0 {
+            h_new.min(h_eq.max(self.h0))
+        } else {
+            h_new.max(h_eq.min(self.h0))
+        };
+        let delta_h = h_clamped - self.h0;
+        (h_clamped, Watts::new(delta_h * mass.value() / self.dt))
     }
 }
 
@@ -459,7 +514,66 @@ mod tests {
         );
     }
 
+    /// `probe(g, dt)(air)` against `clone().step(air, g, dt)`, bit for bit.
+    fn assert_probe_matches_step(s: &PcmState, air: f64, g: f64, dt: f64) {
+        let (air, g, dt) = (Celsius::new(air), WattsPerKelvin::new(g), Seconds::new(dt));
+        let probed = s.probe(g, dt)(air);
+        let stepped = s.clone().step(air, g, dt);
+        assert_eq!(
+            probed.value().to_bits(),
+            stepped.value().to_bits(),
+            "probe {probed} vs step {stepped} at air {air}, g {g}, dt {dt}"
+        );
+    }
+
+    #[test]
+    fn probe_is_bit_identical_to_a_cloned_step_in_every_phase() {
+        let curve = state(25.0).curve().clone();
+        let (sol, liq) = (curve.solidus().value(), curve.liquidus().value());
+        let phases = [
+            (sol - 5.0, 0.0..=0.0),
+            (0.5 * (sol + liq), 0.01..=0.99),
+            (liq + 5.0, 1.0..=1.0),
+        ];
+        for (t0, melt) in phases {
+            let s = state(t0);
+            assert!(
+                melt.contains(&s.melt_fraction().value()),
+                "phase at {t0} °C"
+            );
+            // Air well below, just below, at, just above and well above the wax.
+            for air in [t0 - 20.0, t0 - 0.1, t0, t0 + 0.1, t0 + 20.0] {
+                for (g, dt) in [
+                    (4.0, 60.0),
+                    (4.0, 300.0),
+                    (0.0, 60.0),
+                    (4.0, 0.0),
+                    (-1.0, 60.0),
+                ] {
+                    assert_probe_matches_step(&s, air, g, dt);
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn probe_matches_step_for_arbitrary_states(
+            t0 in 0.0f64..80.0,
+            air in 0.0f64..90.0,
+            g in 0.0f64..20.0,
+            dt in 0.0f64..900.0,
+            degenerate in 0usize..4,
+        ) {
+            // One case in four exercises each early return.
+            let (g, dt) = match degenerate {
+                0 => (g, 0.0),
+                1 => (0.0, dt),
+                _ => (g, dt),
+            };
+            assert_probe_matches_step(&state(t0), air, g, dt);
+        }
+
         #[test]
         fn energy_balance_holds_for_arbitrary_air_traces(
             temps in collection::vec(15.0f64..70.0, 1..60),

@@ -37,13 +37,23 @@ impl CpuSpec {
     /// frequency-independent (dominated by leakage and uncore); the dynamic
     /// component scales with utilization and `freq^2.4`.
     pub fn power(&self, utilization: Fraction, freq: Fraction) -> Watts {
+        self.power_at(freq)(utilization)
+    }
+
+    /// [`Self::power`] at a fixed `freq`, as a function of utilization.
+    /// The dynamic range and the DVFS `powf` are computed once; each call
+    /// returns the same bits as `power(u, freq)`, which delegates here.
+    pub(crate) fn power_at(&self, freq: Fraction) -> impl Fn(Fraction) -> Watts {
         let dynamic_per_socket = (self.peak_per_socket - self.idle_per_socket)
             .value()
             .max(0.0);
         let scale = freq.value().powf(DVFS_POWER_EXPONENT);
-        let per_socket =
-            self.idle_per_socket.value() + dynamic_per_socket * utilization.value() * scale;
-        Watts::new(per_socket * self.sockets as f64)
+        let idle_per_socket = self.idle_per_socket.value();
+        let sockets = self.sockets as f64;
+        move |utilization| {
+            let per_socket = idle_per_socket + dynamic_per_socket * utilization.value() * scale;
+            Watts::new(per_socket * sockets)
+        }
     }
 
     /// The throttled frequency as a fraction of nominal.

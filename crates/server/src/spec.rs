@@ -354,44 +354,71 @@ impl ServerSpec {
     /// Calibrated so that at nominal frequency the *wall* power hits
     /// `idle_wall` at `u = 0` and `peak_wall` at `u = 1` exactly.
     pub fn internal_power(&self, utilization: Fraction, freq: Fraction) -> Watts {
-        let comps = self.component_power(utilization, freq);
-        comps + Watts::new(self.other_power(utilization))
+        self.internal_power_at(freq)(utilization)
     }
 
-    /// Summed explicit component power (CPU + memory + drives + fans).
-    fn component_power(&self, utilization: Fraction, freq: Fraction) -> Watts {
-        self.cpu.power(utilization, freq)
-            + self.memory.power(utilization)
-            + self.drives.power(utilization)
-            + self.fans.power(utilization)
+    /// [`Self::internal_power`] at a fixed `freq`: explicit components
+    /// plus the "other" residual, with the residual's anchors computed once.
+    fn internal_power_at(&self, freq: Fraction) -> impl Fn(Fraction) -> Watts + '_ {
+        let components = self.component_power_at(freq);
+        let (other_idle, other_peak) = self.other_power_anchors();
+        move |utilization| {
+            // The lumped "other" residual (motherboard, LEDs, I/O), linear
+            // in utilization.
+            let other = utilization
+                .value()
+                .mul_add(other_peak - other_idle, other_idle);
+            components(utilization) + Watts::new(other)
+        }
     }
 
-    /// The lumped "other" residual (motherboard, LEDs, I/O), linear in
-    /// utilization, anchored to the wall-power targets at nominal
-    /// frequency.
-    fn other_power(&self, utilization: Fraction) -> f64 {
+    /// Summed explicit component power (CPU + memory + drives + fans) at a
+    /// fixed `freq`, as a function of utilization.
+    fn component_power_at(&self, freq: Fraction) -> impl Fn(Fraction) -> Watts + '_ {
+        let cpu = self.cpu.power_at(freq);
+        move |utilization| {
+            cpu(utilization)
+                + self.memory.power(utilization)
+                + self.drives.power(utilization)
+                + self.fans.power(utilization)
+        }
+    }
+
+    /// The "other" residual at idle and at peak, anchored to the
+    /// wall-power targets at nominal frequency.
+    fn other_power_anchors(&self) -> (f64, f64) {
         let internal_idle_target =
             self.idle_wall.value() * self.psu.efficiency(Fraction::ZERO).value();
         let internal_peak_target =
             self.peak_wall.value() * self.psu.efficiency(Fraction::ONE).value();
-        let other_idle =
-            internal_idle_target - self.component_power(Fraction::ZERO, Fraction::ONE).value();
-        let other_peak =
-            internal_peak_target - self.component_power(Fraction::ONE, Fraction::ONE).value();
+        let nominal = self.component_power_at(Fraction::ONE);
+        let other_idle = internal_idle_target - nominal(Fraction::ZERO).value();
+        let other_peak = internal_peak_target - nominal(Fraction::ONE).value();
         debug_assert!(
             other_idle >= 0.0 && other_peak >= 0.0,
             "spec {:?} components exceed wall targets: idle residual {other_idle}, peak residual {other_peak}",
             self.name
         );
-        utilization
-            .value()
-            .mul_add(other_peak - other_idle, other_idle)
+        (other_idle, other_peak)
     }
 
     /// Wall power at a utilization and frequency.
     pub fn wall_power(&self, utilization: Fraction, freq: Fraction) -> Watts {
-        self.psu
-            .wall_power(self.internal_power(utilization, freq), utilization)
+        self.wall_power_at(freq)(utilization)
+    }
+
+    /// [`Self::wall_power`] at a fixed `freq`, as a function of
+    /// utilization: the DVFS `powf`, the CPU dynamic range and the "other"
+    /// residual's anchors are computed once, here.
+    ///
+    /// Bit-identity contract: every call returns exactly the bits of
+    /// `wall_power(u, freq)` — that method delegates here, so the power
+    /// model has one copy and the per-`u` arithmetic runs in one order.
+    /// Hot loops that evaluate many utilizations at one frequency (the
+    /// Figure 12 bisection) build this once and call it.
+    pub fn wall_power_at(&self, freq: Fraction) -> impl Fn(Fraction) -> Watts + '_ {
+        let internal = self.internal_power_at(freq);
+        move |utilization| self.psu.wall_power(internal(utilization), utilization)
     }
 
     /// Relative throughput of this server at a utilization and frequency
@@ -438,7 +465,7 @@ mod tests {
 
     #[test]
     fn other_residuals_are_nonnegative_for_all_presets() {
-        // other_power has a debug_assert; exercise idle/mid/peak for each.
+        // other_power_anchors has a debug_assert; exercise idle/mid/peak for each.
         for class in ServerClass::ALL {
             let s = class.spec();
             for u in [0.0, 0.25, 0.5, 0.75, 1.0] {

@@ -487,7 +487,7 @@ impl Experiment for Fig12Constrained {
             let peak_gain = Comparison::new(
                 "peak throughput gain",
                 paper_gain,
-                study.run.peak_gain.percent(),
+                study.run.peak_gain * 100.0,
                 "%",
             );
             // The paper reports hours of elevated throughput per day; the
@@ -521,10 +521,8 @@ impl Experiment for Fig12Constrained {
                 .push((format!("Fig 12{panel}"), boost_hours));
             fig.artifacts
                 .push((format!("results/fig12{panel}.json"), study.run.to_json()));
-            fig.key_values.push((
-                format!("peak_gain_frac.{class}"),
-                study.run.peak_gain.value(),
-            ));
+            fig.key_values
+                .push((format!("peak_gain_frac.{class}"), study.run.peak_gain));
         }
         fig
     }

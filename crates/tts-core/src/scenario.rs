@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn constrained_study_produces_a_gain() {
         let study = Scenario::new(ServerClass::LowPower1U).constrained_study();
-        assert!(study.run.peak_gain.value() > 0.05);
+        assert!(study.run.peak_gain > 0.05);
         assert!(study.limit_kw > 0.0);
     }
 

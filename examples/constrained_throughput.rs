@@ -10,6 +10,7 @@ use thermal_time_shifting::experiments::paper_fig12;
 use thermal_time_shifting::Scenario;
 use tts_server::ServerClass;
 use tts_tco::tco_efficiency;
+use tts_units::Fraction;
 
 fn main() {
     for class in ServerClass::ALL {
@@ -36,7 +37,7 @@ fn main() {
         );
         println!(
             "  peak throughput +{:.1} % (paper: +{:.0} %); throttle delayed {:.2} h;",
-            run.peak_gain.percent(),
+            run.peak_gain * 100.0,
             paper_gain,
             run.delay_hours
         );
@@ -45,7 +46,7 @@ fn main() {
             run.boosted_hours / 2.0,
             paper_hours
         );
-        let eff = tco_efficiency(class, run.peak_gain);
+        let eff = tco_efficiency(class, Fraction::new(run.peak_gain));
         println!(
             "  TCO efficiency vs. buying that throughput as machines: +{:.1} %\n",
             eff * 100.0

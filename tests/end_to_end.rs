@@ -54,7 +54,7 @@ fn headline_claim_constrained_throughput() {
     // onset of thermal limits by over 3 hours": gains in the tens of
     // percent, 2U leading, boosts lasting hours.
     let results = fig12_all();
-    let gain = |i: usize| results[i].run.peak_gain.percent();
+    let gain = |i: usize| results[i].run.peak_gain * 100.0;
     for (i, (class, r)) in ServerClass::ALL.iter().zip(&results).enumerate() {
         assert!(gain(i) >= 15.0, "{class}: gain {}%", gain(i));
         assert!(
@@ -109,7 +109,11 @@ fn tco_analyses_scale_with_the_reductions() {
     let f11 = fig11_all();
     let f12 = fig12_all();
     for ((class, f11), f12) in ServerClass::ALL.iter().zip(&f11).zip(&f12) {
-        let s = experiments::tco_summary(*class, f11.run.peak_reduction, f12.run.peak_gain);
+        let s = experiments::tco_summary(
+            *class,
+            f11.run.peak_reduction,
+            tts_units::Fraction::new(f12.run.peak_gain),
+        );
         // Six-figure downsizing savings, seven-figure retrofit savings.
         assert!(
             (5e4..6e5).contains(&s.downsize_savings_per_year.measured),
