@@ -40,7 +40,7 @@ TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/thermal_solver.json" \
   cargo bench --offline -q -p tts-bench --bench thermal_solver
 TTS_BENCH_SAMPLES=3 cargo bench --offline -q -p tts-bench --bench fig7_blockage
 
-echo "==> metrics sidecar smoke (fig7 and fig12, byte-identical across thread counts)"
+echo "==> metrics sidecar smoke (fig7, fig11 and fig12, byte-identical across thread counts)"
 # The observability layer must not perturb determinism: the same run at
 # 1 and 4 workers has to produce byte-identical sidecars, and the
 # sidecar must parse through the in-repo JSON layer (repro also
@@ -65,8 +65,12 @@ bench_gate() {
 TTS_THREADS=1 "$REPRO" fig7 --metrics "$TMPDIR_CI/fig7.t1.json" > /dev/null
 TTS_THREADS=4 "$REPRO" fig7 --metrics "$TMPDIR_CI/fig7.t4.json" > /dev/null
 cmp "$TMPDIR_CI/fig7.t1.json" "$TMPDIR_CI/fig7.t4.json"
-# fig12's sidecar replays the melting-point sweep's winner, so it also
-# holds the shared no-wax arm to the same bytes at any worker count.
+# fig11's and fig12's sidecars replay their melting-point sweep's winner
+# from serial code; fig12's also holds the shared no-wax arm to the same
+# bytes at any worker count.
+TTS_THREADS=1 "$REPRO" fig11 --metrics "$TMPDIR_CI/fig11.t1.json" > /dev/null
+TTS_THREADS=4 "$REPRO" fig11 --metrics "$TMPDIR_CI/fig11.t4.json" > /dev/null
+cmp "$TMPDIR_CI/fig11.t1.json" "$TMPDIR_CI/fig11.t4.json"
 TTS_THREADS=1 "$REPRO" fig12 --metrics "$TMPDIR_CI/fig12.t1.json" > /dev/null
 TTS_THREADS=4 "$REPRO" fig12 --metrics "$TMPDIR_CI/fig12.t4.json" > /dev/null
 cmp "$TMPDIR_CI/fig12.t1.json" "$TMPDIR_CI/fig12.t4.json"

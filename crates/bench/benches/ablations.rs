@@ -112,11 +112,7 @@ fn bench_melting_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_melting_point");
     group.sample_size(10);
     group.bench_function("fixed_39C_retail_wax", |b| {
-        let cfg = ClusterConfig {
-            chars: config.chars.with_melting_point(Celsius::new(39.0)),
-            spec: config.spec.clone(),
-            servers: config.servers,
-        };
+        let cfg = config.with_melting_point(Celsius::new(39.0));
         b.iter(|| {
             black_box(run_cooling_load(
                 &cfg,
@@ -160,11 +156,7 @@ fn report_quality_metrics() {
     );
     let config = ClusterConfig::paper_cluster(spec, chars);
     let fixed = run_cooling_load(
-        &ClusterConfig {
-            chars: config.chars.with_melting_point(Celsius::new(39.0)),
-            spec: config.spec.clone(),
-            servers: config.servers,
-        },
+        &config.with_melting_point(Celsius::new(39.0)),
         trace.total(),
         &MetricsSink::disabled(),
     );

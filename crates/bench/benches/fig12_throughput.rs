@@ -5,7 +5,8 @@
 use std::hint::black_box;
 use tts_bench::harness::{criterion_group, criterion_main, Criterion};
 use tts_dcsim::cluster::default_melting_candidates;
-use tts_dcsim::throttle::{run_constrained, select_melting_point_constrained, ConstrainedConfig};
+use tts_dcsim::throttle::{run_constrained, select_melting_point_constrained};
+use tts_dcsim::ClusterConfig;
 use tts_obs::MetricsSink;
 use tts_pcm::PcmMaterial;
 use tts_server::{ServerClass, ServerWaxCharacteristics};
@@ -22,11 +23,13 @@ fn bench_fig12(c: &mut Criterion) {
             &spec,
             &PcmMaterial::commercial_paraffin(Celsius::new(45.0)),
         );
-        let config = ConstrainedConfig::oversubscribed(spec, 1008, chars, Fraction::new(0.71));
+        let config = ClusterConfig::paper_cluster(spec, chars);
+        let limit = config.thermal_limit(Fraction::new(0.71));
         group.bench_function(format!("single_run_{class}"), |b| {
             b.iter(|| {
                 black_box(run_constrained(
                     &config,
+                    limit,
                     trace.total(),
                     &MetricsSink::disabled(),
                 ))
@@ -37,6 +40,7 @@ fn bench_fig12(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(select_melting_point_constrained(
                         &config,
+                        limit,
                         trace.total(),
                         default_melting_candidates(),
                         &MetricsSink::disabled(),

@@ -8,21 +8,49 @@
 //!
 //! Per tick: utilization → wall power → wax-zone air temperature (from the
 //! thermal model's extracted characteristics) → wax melt/freeze step →
-//! cluster cooling load `N · (P_wall − q_wax)`. The tick loop itself lives
-//! in [`crate::heterogeneous`], which also covers fleets where only part
-//! of the servers carry wax.
+//! cluster cooling load `N · (P_wall − q_wax)`.
+//!
+//! The one tick loop, [`run_partial_deployment`], also covers fleets where
+//! only part of the servers carry wax. The paper deploys wax in *every*
+//! server; a real retrofit happens rack by rack, so the operationally
+//! interesting question is how the peak reduction scales with the
+//! equipped fraction `f`. The instantaneous shaving scales linearly
+//! (`N·(P − f·q_wax)` under round-robin symmetry), but the *peak*
+//! reduction does not: the first waxed racks clip the single highest
+//! point of the load curve, while later ones must flatten an ever-widening
+//! plateau — diminishing returns that [`deployment_sweep`] exposes as a
+//! deployment curve for retrofit planning.
+//!
+//! The same [`ClusterConfig`] drives the thermally constrained runs of
+//! [`crate::throttle`], with the cooling cap passed alongside it
+//! ([`ClusterConfig::thermal_limit`]).
 
+use tts_cooling::cooling_load;
 use tts_obs::MetricsSink;
-use tts_pcm::PcmMaterial;
+use tts_pcm::{PcmMaterial, PcmState};
 use tts_server::{ServerSpec, ServerWaxCharacteristics};
 use tts_units::{Celsius, Fraction, KiloWatts};
 use tts_workload::TimeSeries;
 
 /// Bucket edges for the melt-fraction histogram (fraction of latent
-/// capacity molten, 0–1). Shared with the constrained (Figure 12) runs.
-pub(crate) const MELT_EDGES: [f64; 11] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95];
+/// capacity molten, 0–1).
+const MELT_EDGES: [f64; 11] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95];
 
-/// Cluster configuration for the cooling-load study.
+/// Records a finished run's melt-fraction series into `sink` as the
+/// `{layer}.melt_fraction` histogram and the `{layer}.melt_fraction_last`
+/// gauge. Shared by the cooling-load (`cluster`) and constrained
+/// (`throttle`) recorders.
+pub(crate) fn record_melt_fraction(sink: &MetricsSink, layer: &str, melt: &[f64]) {
+    let hist = sink.histogram(&format!("{layer}.melt_fraction"), &MELT_EDGES);
+    for &m in melt {
+        hist.record(m);
+    }
+    sink.gauge(&format!("{layer}.melt_fraction_last"))
+        .set(melt.last().copied().unwrap_or(0.0));
+}
+
+/// One cluster of identical servers: the configuration of both the
+/// cooling-load study (Figure 11) and the constrained study (Figure 12).
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// The server model.
@@ -41,6 +69,27 @@ impl ClusterConfig {
             servers: 1008,
             chars,
         }
+    }
+
+    /// The same cluster with its wax swapped for the commercial paraffin
+    /// melting at `melting_point` (geometry unchanged).
+    #[must_use]
+    pub fn with_melting_point(&self, melting_point: Celsius) -> Self {
+        Self {
+            spec: self.spec.clone(),
+            servers: self.servers,
+            chars: self.chars.with_melting_point(melting_point),
+        }
+    }
+
+    /// An oversubscribed thermal limit: the cooling that can just sustain
+    /// the whole cluster at `sustainable_util` utilization when downclocked
+    /// to the throttle frequency — the knob that makes "downclocking is
+    /// imposed" true at peak, as in the paper's Figure 12 setup.
+    pub fn thermal_limit(&self, sustainable_util: Fraction) -> KiloWatts {
+        let thr = self.spec.cpu.throttle_ratio();
+        let per_server = self.spec.wall_power(sustainable_util, thr);
+        KiloWatts::new(per_server.value() * self.servers as f64 / 1000.0)
     }
 }
 
@@ -84,12 +133,7 @@ fn record_cooling_run(sink: &MetricsSink, run: &CoolingLoadRun) {
     }
     sink.counter("cluster.ticks")
         .add(run.melt_fraction.len() as u64);
-    let hist = sink.histogram("cluster.melt_fraction", &MELT_EDGES);
-    for &m in &run.melt_fraction {
-        hist.record(m);
-    }
-    sink.gauge("cluster.melt_fraction_last")
-        .set(run.melt_fraction.last().copied().unwrap_or(0.0));
+    record_melt_fraction(sink, "cluster", &run.melt_fraction);
     sink.gauge("cluster.peak_no_wax_kw")
         .set(run.peak_no_wax.value());
     sink.gauge("cluster.peak_with_wax_kw")
@@ -106,16 +150,105 @@ fn record_cooling_run(sink: &MetricsSink, run: &CoolingLoadRun) {
 /// headline peaks are recorded into `sink` once the run completes (see
 /// `record_cooling_run`). With an enabled sink, only call from serial
 /// code — the gauges are last-value-wins.
-///
-/// [`run_partial_deployment`]: crate::heterogeneous::run_partial_deployment
 pub fn run_cooling_load(
     config: &ClusterConfig,
     trace: &TimeSeries,
     sink: &MetricsSink,
 ) -> CoolingLoadRun {
-    let run = crate::heterogeneous::run_partial_deployment(config, trace, Fraction::ONE);
+    let run = run_partial_deployment(config, trace, Fraction::ONE);
     record_cooling_run(sink, &run);
     run
+}
+
+/// A cooling-load run for a fleet where only `equipped` of the servers
+/// carry wax. This is the cluster model's one tick loop:
+/// [`run_cooling_load`] is the `equipped = 1` case, where
+/// the bare-server term is `wall × 0.0 = +0.0` and leaves every tick's
+/// load bit-identical to `N · (P_wall − q_wax)`.
+pub fn run_partial_deployment(
+    config: &ClusterConfig,
+    trace: &TimeSeries,
+    equipped: Fraction,
+) -> CoolingLoadRun {
+    let dt = trace.dt();
+    let n = config.servers as f64;
+    let n_waxed = n * equipped.value();
+    let chars = &config.chars;
+    let mut pcm = PcmState::new(&chars.material, chars.mass, chars.idle_air_temp);
+
+    let mut times_h = Vec::with_capacity(trace.len());
+    let mut no_wax = Vec::with_capacity(trace.len());
+    let mut with_wax = Vec::with_capacity(trace.len());
+    let mut melt = Vec::with_capacity(trace.len());
+
+    for (i, &u) in trace.values().iter().enumerate() {
+        let wall = config.spec.wall_power(Fraction::new(u), Fraction::ONE);
+        let t_air = chars.air_temp_model.at(wall);
+        let q = pcm.step(t_air, chars.effective_coupling(), dt);
+        let load_nw = wall * n;
+        // Waxed servers shave q each; bare servers contribute full wall.
+        let load_w = cooling_load(wall, q) * n_waxed + wall * (n - n_waxed);
+        times_h.push(i as f64 * dt.value() / 3600.0);
+        no_wax.push(load_nw.kilowatts().value());
+        with_wax.push(load_w.kilowatts().value());
+        melt.push(pcm.melt_fraction().value());
+    }
+
+    let peak_no_wax = KiloWatts::new(no_wax.iter().copied().fold(f64::MIN, f64::max));
+    let peak_with_wax = KiloWatts::new(with_wax.iter().copied().fold(f64::MIN, f64::max));
+    // Count the refreeze tail only where the release is material
+    // (> 0.5 % of the peak), not every tick with a trace of sensible
+    // exchange.
+    let threshold = 0.005 * peak_no_wax.value();
+    let elevated_ticks = no_wax
+        .iter()
+        .zip(&with_wax)
+        .filter(|(nw, w)| **w > **nw + threshold)
+        .count();
+    CoolingLoadRun {
+        peak_reduction: Fraction::new(1.0 - peak_with_wax.value() / peak_no_wax.value()),
+        elevated_hours: elevated_ticks as f64 * dt.value() / 3600.0,
+        refrozen_at_end: *melt.last().expect("trace is non-empty") < 0.10,
+        times_h,
+        load_no_wax_kw: no_wax,
+        load_with_wax_kw: with_wax,
+        melt_fraction: melt,
+        peak_no_wax,
+        peak_with_wax,
+        melting_point: config.chars.material.melting_point(),
+    }
+}
+
+/// One point of the deployment-fraction sweep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeploymentPoint {
+    /// Fraction of servers equipped with wax.
+    pub equipped: Fraction,
+    /// Peak cooling-load reduction achieved.
+    pub peak_reduction: Fraction,
+}
+
+tts_units::derive_json! { struct DeploymentPoint { equipped, peak_reduction } }
+
+/// Sweeps the equipped fraction from 0 to 1.
+pub fn deployment_sweep(
+    config: &ClusterConfig,
+    trace: &TimeSeries,
+    steps: usize,
+) -> Vec<DeploymentPoint> {
+    assert!(steps >= 2, "need at least the 0 % and 100 % endpoints");
+    // Every deployment fraction is an independent cluster run → fan out
+    // on the tts_exec pool with input-order (thread-count-invariant)
+    // results.
+    let fractions: Vec<usize> = (0..steps).collect();
+    tts_exec::par_map(&fractions, |&i| {
+        let f = Fraction::new(i as f64 / (steps - 1) as f64);
+        let run = run_partial_deployment(config, trace, f);
+        DeploymentPoint {
+            equipped: f,
+            peak_reduction: run.peak_reduction,
+        }
+    })
 }
 
 /// Shared candidate-loop for the melting-point searches: evaluate every
@@ -163,12 +296,11 @@ pub fn select_melting_point(
         sink,
         "cluster.candidates_evaluated",
         |c| {
-            let cfg = ClusterConfig {
-                chars: config.chars.with_melting_point(Celsius::new(c)),
-                spec: config.spec.clone(),
-                servers: config.servers,
-            };
-            run_cooling_load(&cfg, trace, &MetricsSink::disabled())
+            run_cooling_load(
+                &config.with_melting_point(Celsius::new(c)),
+                trace,
+                &MetricsSink::disabled(),
+            )
         },
     );
 
@@ -369,11 +501,7 @@ mod tests {
             default_melting_candidates(),
             &MetricsSink::disabled(),
         );
-        let cfg = ClusterConfig {
-            chars: config.chars.with_melting_point(material.melting_point()),
-            ..config
-        };
-        let onset = melt_onset_load_fraction(&cfg);
+        let onset = melt_onset_load_fraction(&config.with_melting_point(material.melting_point()));
         assert!(
             (0.5..1.0).contains(&onset),
             "melt onset at {:.0} % of peak power (paper: ~75 % load)",
@@ -427,5 +555,91 @@ mod tests {
             run_2x.peak_reduction,
             run_1x.peak_reduction
         );
+    }
+
+    #[test]
+    fn with_melting_point_changes_only_the_material() {
+        let config = one_u_config();
+        let moved = config.with_melting_point(Celsius::new(52.5));
+        assert_eq!(
+            moved.chars.material,
+            PcmMaterial::commercial_paraffin(Celsius::new(52.5))
+        );
+        assert_eq!(moved.spec, config.spec);
+        assert_eq!(moved.servers, config.servers);
+        let mut restored = moved.chars.clone();
+        restored.material = config.chars.material.clone();
+        assert_eq!(restored, config.chars);
+    }
+
+    /// The partial-deployment tests' cluster: 1U with a 48 °C wax.
+    fn deployment_config() -> ClusterConfig {
+        let spec = ServerClass::LowPower1U.spec();
+        let chars = ServerWaxCharacteristics::extract(
+            &spec,
+            &PcmMaterial::commercial_paraffin(Celsius::new(48.0)),
+        );
+        ClusterConfig::paper_cluster(spec, chars)
+    }
+
+    #[test]
+    fn full_deployment_matches_the_main_model() {
+        let cfg = deployment_config();
+        let trace = GoogleTrace::default_two_day();
+        let full = run_partial_deployment(&cfg, trace.total(), Fraction::ONE);
+        let reference = run_cooling_load(&cfg, trace.total(), &MetricsSink::disabled());
+        assert_eq!(full, reference);
+    }
+
+    #[test]
+    fn zero_deployment_changes_nothing() {
+        let cfg = deployment_config();
+        let trace = GoogleTrace::default_two_day();
+        let none = run_partial_deployment(&cfg, trace.total(), Fraction::ZERO);
+        assert!(none.peak_reduction.value().abs() < 1e-9);
+        for (nw, w) in none.load_no_wax_kw.iter().zip(&none.load_with_wax_kw) {
+            assert!((nw - w).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn reduction_grows_monotonically_with_deployment() {
+        let cfg = deployment_config();
+        let trace = GoogleTrace::default_two_day();
+        let sweep = deployment_sweep(&cfg, trace.total(), 5);
+        for w in sweep.windows(2) {
+            assert!(
+                w[1].peak_reduction.value() >= w[0].peak_reduction.value() - 1e-9,
+                "reduction fell: {:?}",
+                w
+            );
+        }
+        assert!(sweep.last().expect("non-empty").peak_reduction.value() > 0.0);
+    }
+
+    #[test]
+    fn half_deployment_keeps_more_than_half_the_benefit() {
+        // Peak shaving has diminishing returns: the first waxed racks trim
+        // the single highest point, while later ones must flatten an ever
+        // wider plateau. Half the fleet should therefore deliver *more*
+        // than half of the full-fleet reduction, but strictly less than
+        // all of it.
+        let cfg = deployment_config();
+        let trace = GoogleTrace::default_two_day();
+        let half = run_partial_deployment(&cfg, trace.total(), Fraction::new(0.5));
+        let full = run_partial_deployment(&cfg, trace.total(), Fraction::ONE);
+        let ratio = half.peak_reduction.value() / full.peak_reduction.value();
+        assert!(
+            (0.5..0.95).contains(&ratio),
+            "half deployment yields {ratio} of full benefit"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least the 0 % and 100 % endpoints")]
+    fn degenerate_sweep_panics() {
+        let cfg = deployment_config();
+        let trace = GoogleTrace::default_two_day();
+        deployment_sweep(&cfg, trace.total(), 1);
     }
 }

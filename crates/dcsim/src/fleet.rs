@@ -193,12 +193,6 @@ impl FleetConfig {
         self
     }
 
-    /// Epoch length (default 60 s).
-    pub fn epoch(mut self, dt: Seconds) -> Self {
-        self.epoch = dt.value();
-        self
-    }
-
     /// Requested shard count (default 8; clamped to the rack count).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -236,13 +230,12 @@ impl FleetConfig {
     ///
     /// # Panics
     /// Panics when no datacenter has servers, or cores / rack size /
-    /// epoch / shards / deferrable fraction / trace are out of range.
+    /// shards / deferrable fraction / trace are out of range.
     pub fn build(self) -> FleetSim {
         let total: usize = self.datacenters.iter().map(|d| d.servers).sum();
         assert!(total > 0, "fleet needs at least one server");
         assert!(self.cores_per_server > 0, "need at least one core");
         assert!(self.rack_size > 0, "need at least one server per rack");
-        assert!(self.epoch > 0.0, "epoch must be positive");
         assert!(self.shards > 0, "need at least one shard");
         assert!(
             (0.0..=1.0).contains(&self.deferrable_frac),

@@ -20,14 +20,19 @@
 //! * [`discrete`] — the discrete job-level cluster simulator (server, rack
 //!   and cluster metrics);
 //! * [`cluster`] — the aggregate (fluid) cluster model that couples the
-//!   utilization trace to server power and the wax state: the engine
-//!   behind the Figure 11 cooling-load study, including the
-//!   melting-temperature search;
-//! * [`throttle`] — the thermally constrained scenario of Figure 12:
-//!   DVFS downclocking to 1.6 GHz, utilization capping, and the wax's
-//!   extra thermal headroom;
-//! * [`datacenter`] — extrapolation from one 1008-server cluster to the
-//!   10 MW datacenter configurations of §4.3.
+//!   utilization trace to server power and the wax state: one
+//!   [`ClusterConfig`] and one tick loop behind the Figure 11 cooling-load
+//!   study, its melting-temperature search, and partial (rack-by-rack)
+//!   wax deployment;
+//! * [`throttle`] — the thermally constrained scenario of Figure 12: the
+//!   same cluster under a cooling limit, with DVFS downclocking to
+//!   1.6 GHz, utilization capping, and the wax's extra thermal headroom;
+//! * [`relocation`] — job relocation to another site, the other lever
+//!   against the Figure 12 limit, priced against the wax.
+//!
+//! The extrapolation from one 1008-server cluster to the 10 MW
+//! datacenters of §4.3 lives with the cost model, in
+//! `tts_tco::TcoInput::paper_10mw`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,11 +40,9 @@
 pub mod balancer;
 pub mod calendar;
 pub mod cluster;
-pub mod datacenter;
 pub mod discrete;
 pub mod event;
 pub mod fleet;
-pub mod heterogeneous;
 #[doc(hidden)]
 pub mod legacy;
 pub mod relocation;
@@ -47,10 +50,11 @@ pub mod throttle;
 
 pub use balancer::{Balancer, LeastLoaded, RandomBalancer, RoundRobin};
 pub use calendar::CalendarQueue;
-pub use cluster::{select_melting_point, ClusterConfig, CoolingLoadRun};
-pub use datacenter::Datacenter;
+pub use cluster::{
+    deployment_sweep, run_partial_deployment, select_melting_point, ClusterConfig, CoolingLoadRun,
+    DeploymentPoint,
+};
 pub use discrete::{DiscreteClusterSim, DiscreteMetrics, FaultAction, FaultHook};
 pub use fleet::{DatacenterSpec, FleetConfig, FleetMetrics, FleetSim};
-pub use heterogeneous::{deployment_sweep, run_partial_deployment, DeploymentPoint};
 pub use relocation::wax_vs_relocation;
-pub use throttle::{ConstrainedConfig, ConstrainedRun};
+pub use throttle::ConstrainedRun;

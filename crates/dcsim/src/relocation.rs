@@ -57,27 +57,29 @@ pub fn yearly_saving(saving_per_trace: Dollars, trace: &TimeSeries) -> Dollars {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::throttle::{run_constrained, ConstrainedConfig};
+    use crate::cluster::ClusterConfig;
+    use crate::throttle::run_constrained;
     use tts_obs::MetricsSink;
     use tts_pcm::PcmMaterial;
     use tts_server::{ServerClass, ServerWaxCharacteristics};
     use tts_units::{Celsius, Fraction};
     use tts_workload::GoogleTrace;
 
-    fn config() -> ConstrainedConfig {
+    fn config() -> ClusterConfig {
         let spec = ServerClass::LowPower1U.spec();
         let chars = ServerWaxCharacteristics::extract(
             &spec,
             &PcmMaterial::commercial_paraffin(Celsius::new(40.0)),
         );
-        ConstrainedConfig::oversubscribed(spec, 1008, chars, Fraction::new(0.71))
+        ClusterConfig::paper_cluster(spec, chars)
     }
 
     #[test]
     fn wax_cuts_the_relocation_bill() {
         let cfg = config();
         let trace = GoogleTrace::default_two_day();
-        let run = run_constrained(&cfg, trace.total(), &MetricsSink::disabled());
+        let limit = cfg.thermal_limit(Fraction::new(0.71));
+        let run = run_constrained(&cfg, limit, trace.total(), &MetricsSink::disabled());
         let (without, with) = wax_vs_relocation(
             &run,
             cfg.servers,

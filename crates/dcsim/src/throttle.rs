@@ -28,49 +28,12 @@
 //! All three reuse the exact arithmetic of the per-call path, so results
 //! are bit-identical to evaluating everything from scratch.
 
-use crate::cluster::MELT_EDGES;
+use crate::cluster::{record_melt_fraction, ClusterConfig};
 use tts_obs::MetricsSink;
-use tts_pcm::PcmState;
-use tts_server::{ServerSpec, ServerWaxCharacteristics};
-use tts_units::{Fraction, KiloWatts, Watts};
+use tts_pcm::{PcmMaterial, PcmState};
+use tts_server::ServerSpec;
+use tts_units::{Celsius, Fraction, KiloWatts, Watts};
 use tts_workload::TimeSeries;
-
-/// Configuration of a constrained-throughput run.
-#[derive(Debug, Clone)]
-pub struct ConstrainedConfig {
-    /// The server model.
-    pub spec: ServerSpec,
-    /// Servers in the cluster.
-    pub servers: usize,
-    /// Wax characteristics (the with-wax arm uses them; the no-wax arm
-    /// ignores them).
-    pub chars: ServerWaxCharacteristics,
-    /// Thermal limit: the cluster heat the cooling system can remove, kW.
-    pub limit: KiloWatts,
-}
-
-impl ConstrainedConfig {
-    /// An oversubscribed cluster whose cooling can just sustain the whole
-    /// cluster at `sustainable_util` utilization when downclocked to the
-    /// throttle frequency — the knob that makes "downclocking is imposed"
-    /// true at peak, as in the paper's setup.
-    pub fn oversubscribed(
-        spec: ServerSpec,
-        servers: usize,
-        chars: ServerWaxCharacteristics,
-        sustainable_util: Fraction,
-    ) -> Self {
-        let thr = spec.cpu.throttle_ratio();
-        let per_server = spec.wall_power(sustainable_util, thr);
-        let limit = KiloWatts::new(per_server.value() * servers as f64 / 1000.0);
-        Self {
-            spec,
-            servers,
-            chars,
-            limit,
-        }
-    }
-}
 
 /// One arm's state at a tick.
 #[derive(Debug)]
@@ -152,19 +115,14 @@ fn record_constrained_run(sink: &MetricsSink, run: &ConstrainedRun) {
         .count();
     sink.counter("throttle.throttled_ticks")
         .add(throttled as u64);
-    let hist = sink.histogram("throttle.melt_fraction", &MELT_EDGES);
-    for &m in &run.melt_fraction {
-        hist.record(m);
-    }
-    sink.gauge("throttle.melt_fraction_last")
-        .set(run.melt_fraction.last().copied().unwrap_or(0.0));
+    record_melt_fraction(sink, "throttle", &run.melt_fraction);
     sink.gauge("throttle.peak_gain").set(run.peak_gain);
     sink.gauge("throttle.delay_hours").set(run.delay_hours);
     sink.gauge("throttle.boosted_hours").set(run.boosted_hours);
 }
 
 /// The half of a constrained run that does not depend on the wax: the
-/// ideal and no-wax series. It reads only `spec`, `servers`, `limit` and
+/// ideal and no-wax series. It reads only `spec`, `servers`, the limit and
 /// the trace — never `chars` — so a melting-point sweep computes it once
 /// and shares it across every candidate.
 struct NoWaxArm {
@@ -188,11 +146,11 @@ fn power_curves(spec: &ServerSpec) -> [(Fraction, impl Fn(Fraction) -> Watts + '
     ]
 }
 
-/// Runs the no-wax arm of `config` over `trace`.
-fn no_wax_arm(config: &ConstrainedConfig, trace: &TimeSeries) -> NoWaxArm {
+/// Runs the no-wax arm of `config` under `limit` over `trace`.
+fn no_wax_arm(config: &ClusterConfig, limit: KiloWatts, trace: &TimeSeries) -> NoWaxArm {
     let spec = &config.spec;
     let powers = power_curves(spec);
-    let budget_w = config.limit.watts().value();
+    let budget_w = limit.watts().value();
     let mut arm = NoWaxArm {
         times_h: Vec::with_capacity(trace.len()),
         ideal_abs: Vec::with_capacity(trace.len()),
@@ -215,15 +173,20 @@ fn no_wax_arm(config: &ConstrainedConfig, trace: &TimeSeries) -> NoWaxArm {
     arm
 }
 
-/// Runs the with-wax arm of `config` over `trace` against its precomputed
-/// no-wax arm, and assembles the run.
-fn with_wax_run(config: &ConstrainedConfig, trace: &TimeSeries, arm: &NoWaxArm) -> ConstrainedRun {
+/// Runs the with-wax arm of `config` under `limit` over `trace` against
+/// its precomputed no-wax arm, and assembles the run.
+fn with_wax_run(
+    config: &ClusterConfig,
+    limit: KiloWatts,
+    trace: &TimeSeries,
+    arm: &NoWaxArm,
+) -> ConstrainedRun {
     let dt = trace.dt();
     let spec = &config.spec;
     let chars = &config.chars;
     let n = config.servers;
     let powers = power_curves(spec);
-    let budget_w = config.limit.watts().value();
+    let budget_w = limit.watts().value();
     let coupling = chars.effective_coupling();
     let mut pcm = PcmState::new(&chars.material, chars.mass, chars.idle_air_temp);
 
@@ -278,16 +241,19 @@ fn with_wax_run(config: &ConstrainedConfig, trace: &TimeSeries, arm: &NoWaxArm) 
     }
 }
 
-/// Runs the Figure 12 experiment: ideal / no-wax / with-wax throughput
-/// under a thermal limit, recording the finished run into `sink` (see
-/// `record_constrained_run`). With an enabled sink, only call from serial
-/// code — the gauges are last-value-wins.
+/// Runs the Figure 12 experiment: ideal / no-wax / with-wax throughput of
+/// `config` under the thermal limit `limit` (the cluster heat the cooling
+/// system can remove; see [`ClusterConfig::thermal_limit`]), recording the
+/// finished run into `sink` (see `record_constrained_run`). With an
+/// enabled sink, only call from serial code — the gauges are
+/// last-value-wins.
 pub fn run_constrained(
-    config: &ConstrainedConfig,
+    config: &ClusterConfig,
+    limit: KiloWatts,
     trace: &TimeSeries,
     sink: &MetricsSink,
 ) -> ConstrainedRun {
-    let run = with_wax_run(config, trace, &no_wax_arm(config, trace));
+    let run = with_wax_run(config, limit, trace, &no_wax_arm(config, limit, trace));
     record_constrained_run(sink, &run);
     run
 }
@@ -345,8 +311,8 @@ fn decide(
     best.expect("two candidates evaluated")
 }
 
-/// Grid-searches the melting point that maximizes the constrained
-/// cluster's peak throughput gain (ties broken by longer throttle delay).
+/// Grid-searches the melting point that maximizes the peak throughput gain
+/// of `config` under `limit` (ties broken by longer throttle delay).
 ///
 /// In the constrained scenario the optimal wax melts near the *thermal
 /// limit's* air temperature — lower than the fully-subscribed case — so
@@ -357,13 +323,14 @@ fn decide(
 /// `record_constrained_run`), keeping the snapshot byte-identical at any
 /// thread count.
 pub fn select_melting_point_constrained(
-    config: &ConstrainedConfig,
+    config: &ClusterConfig,
+    limit: KiloWatts,
     trace: &TimeSeries,
     candidates_c: impl IntoIterator<Item = f64>,
     sink: &MetricsSink,
-) -> (tts_pcm::PcmMaterial, ConstrainedRun) {
+) -> (PcmMaterial, ConstrainedRun) {
     // The no-wax arm ignores the wax, so every candidate shares one.
-    let arm = no_wax_arm(config, trace);
+    let arm = no_wax_arm(config, limit, trace);
     // Independent simulations per candidate → the shared sweep on the
     // tts_exec pool; the ordered results feed the same in-order reduction
     // as the serial loop.
@@ -372,13 +339,12 @@ pub fn select_melting_point_constrained(
         sink,
         "throttle.candidates_evaluated",
         |c| {
-            let cfg = ConstrainedConfig {
-                chars: config.chars.with_melting_point(tts_units::Celsius::new(c)),
-                spec: config.spec.clone(),
-                servers: config.servers,
-                limit: config.limit,
-            };
-            with_wax_run(&cfg, trace, &arm)
+            with_wax_run(
+                &config.with_melting_point(Celsius::new(c)),
+                limit,
+                trace,
+                &arm,
+            )
         },
     );
     let best_gain = runs
@@ -400,36 +366,39 @@ pub fn select_melting_point_constrained(
         })
         .expect("at least one candidate melting point");
     record_constrained_run(sink, &run);
-    (
-        tts_pcm::PcmMaterial::commercial_paraffin(tts_units::Celsius::new(c)),
-        run,
-    )
+    (PcmMaterial::commercial_paraffin(Celsius::new(c)), run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::default_melting_candidates;
-    use tts_pcm::PcmMaterial;
-    use tts_server::ServerClass;
+    use tts_server::{ServerClass, ServerWaxCharacteristics};
     use tts_units::json::ToJson;
-    use tts_units::Celsius;
     use tts_workload::GoogleTrace;
 
-    fn config_for(class: ServerClass) -> ConstrainedConfig {
+    fn cluster_for(class: ServerClass) -> ClusterConfig {
         let spec = class.spec();
         let chars = ServerWaxCharacteristics::extract(
             &spec,
             &PcmMaterial::commercial_paraffin(Celsius::new(45.0)),
         );
-        ConstrainedConfig::oversubscribed(spec, 1008, chars, Fraction::new(0.71))
+        ClusterConfig::paper_cluster(spec, chars)
+    }
+
+    /// The paper's oversubscribed cluster of `class` and its thermal limit.
+    fn config_for(class: ServerClass) -> (ClusterConfig, KiloWatts) {
+        let cfg = cluster_for(class);
+        let limit = cfg.thermal_limit(Fraction::new(0.71));
+        (cfg, limit)
     }
 
     fn best_run_for(class: ServerClass) -> ConstrainedRun {
-        let cfg = config_for(class);
+        let (cfg, limit) = config_for(class);
         let trace = GoogleTrace::default_two_day();
         let (_, run) = select_melting_point_constrained(
             &cfg,
+            limit,
             trace.total(),
             default_melting_candidates(),
             &MetricsSink::disabled(),
@@ -441,9 +410,9 @@ mod tests {
     fn below_the_limit_all_three_arms_agree() {
         // Paper: "Below the thermal limit, all three have the same
         // throughput."
-        let cfg = config_for(ServerClass::LowPower1U);
+        let (cfg, limit) = config_for(ServerClass::LowPower1U);
         let trace = GoogleTrace::default_two_day();
-        let run = run_constrained(&cfg, trace.total(), &MetricsSink::disabled());
+        let run = run_constrained(&cfg, limit, trace.total(), &MetricsSink::disabled());
         let mut agreeing = 0;
         let mut off_peak = 0;
         for i in 0..run.times_h.len() {
@@ -460,9 +429,9 @@ mod tests {
 
     #[test]
     fn no_wax_peak_is_the_normalization_base() {
-        let cfg = config_for(ServerClass::LowPower1U);
+        let (cfg, limit) = config_for(ServerClass::LowPower1U);
         let trace = GoogleTrace::default_two_day();
-        let run = run_constrained(&cfg, trace.total(), &MetricsSink::disabled());
+        let run = run_constrained(&cfg, limit, trace.total(), &MetricsSink::disabled());
         let peak_nowax = run.no_wax.iter().copied().fold(f64::MIN, f64::max);
         assert!((peak_nowax - 1.0).abs() < 1e-9);
     }
@@ -502,9 +471,9 @@ mod tests {
     fn ideal_peaks_near_twice_the_downclocked_peak() {
         // The Figure 12 y-axis reaches ~2.0 at the ideal peak with the
         // paper's oversubscription level.
-        let cfg = config_for(ServerClass::HighThroughput2U);
+        let (cfg, limit) = config_for(ServerClass::HighThroughput2U);
         let trace = GoogleTrace::default_two_day();
-        let run = run_constrained(&cfg, trace.total(), &MetricsSink::disabled());
+        let run = run_constrained(&cfg, limit, trace.total(), &MetricsSink::disabled());
         let ideal_peak = run.ideal.iter().copied().fold(f64::MIN, f64::max);
         assert!(
             (1.4..2.6).contains(&ideal_peak),
@@ -534,19 +503,18 @@ mod tests {
     fn the_sweep_winner_matches_a_standalone_run() {
         // The sweep shares one no-wax arm across its candidates; the winner
         // must be exactly what a standalone run of its config produces.
-        let cfg = config_for(ServerClass::LowPower1U);
+        let (cfg, limit) = config_for(ServerClass::LowPower1U);
         let trace = GoogleTrace::default_two_day();
         let (material, winner) = select_melting_point_constrained(
             &cfg,
+            limit,
             trace.total(),
             default_melting_candidates(),
             &MetricsSink::disabled(),
         );
         let standalone = run_constrained(
-            &ConstrainedConfig {
-                chars: cfg.chars.with_melting_point(material.melting_point()),
-                ..cfg.clone()
-            },
+            &cfg.with_melting_point(material.melting_point()),
+            limit,
             trace.total(),
             &MetricsSink::disabled(),
         );
@@ -558,19 +526,13 @@ mod tests {
         // At 20 % sustainable utilization the wax more than doubles the
         // no-wax peak; a gain clamped to [0, 1] would read 1.0 for both
         // melting points below and tie them.
-        let spec = ServerClass::LowPower1U.spec();
-        let chars = ServerWaxCharacteristics::extract(
-            &spec,
-            &PcmMaterial::commercial_paraffin(Celsius::new(45.0)),
-        );
-        let cfg = ConstrainedConfig::oversubscribed(spec, 1008, chars, Fraction::new(0.2));
+        let cfg = cluster_for(ServerClass::LowPower1U);
+        let limit = cfg.thermal_limit(Fraction::new(0.2));
         let trace = GoogleTrace::default_two_day();
         let gain_at = |melt_c: f64| {
             let run = run_constrained(
-                &ConstrainedConfig {
-                    chars: cfg.chars.with_melting_point(Celsius::new(melt_c)),
-                    ..cfg.clone()
-                },
+                &cfg.with_melting_point(Celsius::new(melt_c)),
+                limit,
                 trace.total(),
                 &MetricsSink::disabled(),
             );
@@ -585,24 +547,17 @@ mod tests {
 
     #[test]
     fn bigger_thermal_limit_means_less_gain() {
-        let spec = ServerClass::LowPower1U.spec();
-        let chars = ServerWaxCharacteristics::extract(
-            &spec,
-            &PcmMaterial::commercial_paraffin(Celsius::new(45.0)),
-        );
+        let cfg = cluster_for(ServerClass::LowPower1U);
         let trace = GoogleTrace::default_two_day();
         let tight = run_constrained(
-            &ConstrainedConfig::oversubscribed(
-                spec.clone(),
-                1008,
-                chars.clone(),
-                Fraction::new(0.65),
-            ),
+            &cfg,
+            cfg.thermal_limit(Fraction::new(0.65)),
             trace.total(),
             &MetricsSink::disabled(),
         );
         let loose = run_constrained(
-            &ConstrainedConfig::oversubscribed(spec, 1008, chars, Fraction::new(0.95)),
+            &cfg,
+            cfg.thermal_limit(Fraction::new(0.95)),
             trace.total(),
             &MetricsSink::disabled(),
         );

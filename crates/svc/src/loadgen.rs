@@ -115,10 +115,10 @@ impl WireClient {
         Ok(())
     }
 
-    /// Reads one full response off the connection (head, then a
-    /// `Content-Length` or chunked body), leaving any extra bytes
-    /// buffered for the next call.
-    pub fn read_response(&mut self) -> io::Result<WireResponse> {
+    /// Reads a response head: the status code and the header fields
+    /// (names lowercased). Fails with `InvalidData` once 64 KiB arrive
+    /// without the blank line that ends the head.
+    fn read_head(&mut self) -> io::Result<(u16, Vec<(String, String)>)> {
         let head_end = loop {
             if let Some(pos) = find_subslice(&self.buf, b"\r\n\r\n") {
                 break pos;
@@ -143,6 +143,14 @@ impl WireClient {
             let (name, value) = line.split_once(':').ok_or_else(|| invalid("bad header"))?;
             headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }
+        Ok((status, headers))
+    }
+
+    /// Reads one full response off the connection (head, then a
+    /// `Content-Length` or chunked body), leaving any extra bytes
+    /// buffered for the next call.
+    pub fn read_response(&mut self) -> io::Result<WireResponse> {
+        let (status, headers) = self.read_head()?;
         let header = |name: &str| {
             headers
                 .iter()
@@ -190,36 +198,14 @@ impl WireClient {
         target: &str,
         mut on_chunk: impl FnMut(&[u8]),
     ) -> io::Result<WireResponse> {
-        // Issue the GET by hand so chunks can be surfaced as they decode
-        // rather than after the stream completes.
-        let head = format!("GET {target} HTTP/1.1\r\nhost: loadgen\r\n\r\n");
-        self.stream.write_all(head.as_bytes())?;
+        self.stream
+            .write_all(&request_wire("GET", target, &[], false))?;
         self.stream.flush()?;
-        let resp = self.read_streaming(&mut on_chunk)?;
-        Ok(resp)
+        self.read_streaming(&mut on_chunk)
     }
 
     fn read_streaming(&mut self, on_chunk: &mut impl FnMut(&[u8])) -> io::Result<WireResponse> {
-        let head_end = loop {
-            if let Some(pos) = find_subslice(&self.buf, b"\r\n\r\n") {
-                break pos;
-            }
-            self.fill()?;
-        };
-        let head: Vec<u8> = self.buf.drain(..head_end + 4).collect();
-        let text = std::str::from_utf8(&head[..head_end])
-            .map_err(|_| invalid("response head is not UTF-8"))?;
-        let mut lines = text.split("\r\n");
-        let status = lines
-            .next()
-            .and_then(|l| l.strip_prefix("HTTP/1.1 "))
-            .and_then(|rest| rest.split(' ').next())
-            .and_then(|s| s.parse::<u16>().ok())
-            .ok_or_else(|| invalid("bad status line"))?;
-        let headers: Vec<(String, String)> = lines
-            .filter_map(|l| l.split_once(':'))
-            .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-            .collect();
+        let (status, headers) = self.read_head()?;
         if !headers
             .iter()
             .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"))
@@ -690,5 +676,33 @@ mod tests {
         assert!(report.all_green(), "{report:?}");
         let bench = report.bench_json("test").to_string();
         assert!(bench.contains("ttsd/cached_keep_alive"), "{bench}");
+    }
+
+    #[test]
+    fn stream_chunks_caps_an_unterminated_response_head() {
+        // A peer that never ends its head must not make the client buffer
+        // without limit: a status line, 70 KiB of header bytes, no blank
+        // line, and the connection held open.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut request = [0u8; 1024];
+            let _ = conn.read(&mut request);
+            let mut head = b"HTTP/1.1 200 OK\r\n".to_vec();
+            while head.len() < 70 * 1024 {
+                head.extend_from_slice(b"x-pad: 0123456789abcdef\r\n");
+            }
+            let _ = conn.write_all(&head);
+            // Wait for the client to hang up.
+            let _ = conn.read(&mut request);
+        });
+        let mut client = WireClient::connect(addr, Duration::from_secs(2)).unwrap();
+        let err = client
+            .stream_chunks("/v1/jobs/1/events", |_| {})
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        drop(client);
+        peer.join().unwrap();
     }
 }

@@ -123,6 +123,41 @@ impl MonthlyTco {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tts_units::Fraction;
+
+    #[test]
+    fn paper_cluster_counts() {
+        // §4.3: 55 clusters of 1U, 19 of 2U, 29 of Open Compute blades,
+        // 1008 servers each, under 10 MW of critical power.
+        for (class, clusters) in [
+            (ServerClass::LowPower1U, 55),
+            (ServerClass::HighThroughput2U, 19),
+            (ServerClass::OpenComputeBlade, 29),
+        ] {
+            let dc = TcoInput::paper_10mw(class, true);
+            assert_eq!(dc.servers, clusters * 1008, "{class}");
+            assert_eq!(dc.critical_kw, 10_000.0, "{class}");
+        }
+    }
+
+    #[test]
+    fn cluster_counts_respect_critical_power() {
+        // Each configuration's peak IT power must come in at or under the
+        // 10 MW critical budget (the paper sizes cluster counts this way).
+        for class in ServerClass::ALL {
+            let dc = TcoInput::paper_10mw(class, false);
+            let per_server = class.spec().wall_power(Fraction::ONE, Fraction::ONE);
+            let peak_mw = per_server.value() * dc.servers as f64 / 1e6;
+            assert!(
+                peak_mw <= 10.3,
+                "{class}: peak IT power {peak_mw} MW exceeds critical power"
+            );
+            assert!(
+                peak_mw > 5.0,
+                "{class}: datacenter implausibly empty: {peak_mw} MW"
+            );
+        }
+    }
 
     #[test]
     fn ten_megawatt_tco_is_tens_of_millions_per_year() {

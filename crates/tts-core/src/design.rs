@@ -67,12 +67,11 @@ impl Objective for CoolingLoadObjective<'_> {
     type Out = CoolingLoadRun;
 
     fn evaluate(&self, x: &[f64]) -> CoolingLoadRun {
-        let cfg = ClusterConfig {
-            chars: self.config.chars.with_melting_point(Celsius::new(x[0])),
-            spec: self.config.spec.clone(),
-            servers: self.config.servers,
-        };
-        run_cooling_load(&cfg, self.trace, &MetricsSink::disabled())
+        run_cooling_load(
+            &self.config.with_melting_point(Celsius::new(x[0])),
+            self.trace,
+            &MetricsSink::disabled(),
+        )
     }
 
     fn value(&self, out: &CoolingLoadRun) -> f64 {

@@ -8,12 +8,11 @@
 //! library call (the Figure 4 protocol, the Figure 10 trace, Table 2) are
 //! called directly.
 
-use tts_dcsim::datacenter::Datacenter;
 use tts_pcm::{PcmMaterial, Stability};
 use tts_server::ServerClass;
 use tts_tco::{
     added_servers, cooling_downsize_savings_per_year, retrofit_savings_per_year, tco_efficiency,
-    Table2,
+    Table2, TcoInput,
 };
 use tts_units::Fraction;
 
@@ -156,14 +155,12 @@ pub fn paper_tco(class: ServerClass) -> (f64, f64, f64, f64) {
 /// [`Experiment`](crate::experiment::Experiment) figure's key/values).
 pub fn tco_summary(class: ServerClass, reduction: Fraction, gain: Fraction) -> TcoSummary {
     let table = Table2::paper();
-    let dc = Datacenter::paper_10mw(class);
+    let dc = TcoInput::paper_10mw(class, true);
     let (p_downsize, p_added, p_retrofit, p_eff) = paper_tco(class);
 
-    let downsize =
-        cooling_downsize_savings_per_year(&table, dc.critical_power.kilowatts().value(), reduction);
-    let added = added_servers(dc.servers(), reduction);
-    let retrofit =
-        retrofit_savings_per_year(&table, dc.critical_power.kilowatts().value(), reduction);
+    let downsize = cooling_downsize_savings_per_year(&table, dc.critical_kw, reduction);
+    let added = added_servers(dc.servers, reduction);
+    let retrofit = retrofit_savings_per_year(&table, dc.critical_kw, reduction);
     let efficiency = tco_efficiency(class, gain);
 
     TcoSummary {

@@ -8,8 +8,8 @@
 use tts_cooling::freecooling::{cooling_electricity_cost, Economizer};
 use tts_cooling::{CoolingSystem, Site, Tariff, WeatherConfig, WeatherSeries};
 use tts_dcsim::cluster::ClusterConfig;
-use tts_dcsim::heterogeneous::{deployment_sweep, DeploymentPoint};
 use tts_dcsim::relocation::{wax_vs_relocation, yearly_saving};
+use tts_dcsim::{deployment_sweep, DeploymentPoint};
 use tts_pcm::degradation::DegradationModel;
 use tts_server::ServerClass;
 use tts_units::{Dollars, Fraction, Seconds, Watts};

@@ -9,9 +9,7 @@ use tts_dcsim::cluster::{
     default_melting_candidates, run_cooling_load, select_melting_point, ClusterConfig,
     CoolingLoadRun,
 };
-use tts_dcsim::throttle::{
-    run_constrained, select_melting_point_constrained, ConstrainedConfig, ConstrainedRun,
-};
+use tts_dcsim::throttle::{run_constrained, select_melting_point_constrained, ConstrainedRun};
 use tts_obs::MetricsSink;
 use tts_pcm::PcmMaterial;
 use tts_server::{ServerClass, ServerSpec, ServerWaxCharacteristics};
@@ -140,33 +138,46 @@ impl Scenario {
         ServerWaxCharacteristics::extract(&self.spec(), &probe_material)
     }
 
+    /// This scenario's cluster, carrying the probe wax of
+    /// [`characteristics`](Self::characteristics).
+    fn cluster(&self) -> ClusterConfig {
+        ClusterConfig {
+            spec: self.spec(),
+            servers: self.servers,
+            chars: self.characteristics(),
+        }
+    }
+
+    /// Picks the wax for `config` as the scenario asks: `optimize` sweeps
+    /// the paraffin catalogue, or `run` simulates the fixed melting point.
+    /// Returns the material, the characteristics carrying it, and the run.
+    fn choose_wax<R>(
+        &self,
+        config: &ClusterConfig,
+        optimize: impl FnOnce() -> (PcmMaterial, R),
+        run: impl FnOnce(&ClusterConfig) -> R,
+    ) -> (PcmMaterial, ServerWaxCharacteristics, R) {
+        let (material, run) = match self.melting_point {
+            MeltingPointChoice::Optimize => optimize(),
+            MeltingPointChoice::Fixed(t) => (
+                PcmMaterial::commercial_paraffin(t),
+                run(&config.with_melting_point(t)),
+            ),
+        };
+        let chars = config.chars.with_melting_point(material.melting_point());
+        (material, chars, run)
+    }
+
     /// Runs the §5.1 fully-subscribed cooling-load study (Figure 11).
     #[must_use = "the study has no effect besides the returned result"]
     pub fn cooling_load_study(&self) -> CoolingLoadStudy {
-        let chars = self.characteristics();
         let trace = self.resolve_trace();
-        let config = ClusterConfig {
-            spec: self.spec(),
-            servers: self.servers,
-            chars: chars.clone(),
-        };
-        let (material, run) = match self.melting_point {
-            MeltingPointChoice::Optimize => {
-                select_melting_point(&config, &trace, default_melting_candidates(), &self.sink)
-            }
-            MeltingPointChoice::Fixed(t) => {
-                let cfg = ClusterConfig {
-                    chars: chars.with_melting_point(t),
-                    spec: config.spec.clone(),
-                    servers: config.servers,
-                };
-                (
-                    PcmMaterial::commercial_paraffin(t),
-                    run_cooling_load(&cfg, &trace, &self.sink),
-                )
-            }
-        };
-        let chars = chars.with_melting_point(material.melting_point());
+        let config = self.cluster();
+        let (material, chars, run) = self.choose_wax(
+            &config,
+            || select_melting_point(&config, &trace, default_melting_candidates(), &self.sink),
+            |cfg| run_cooling_load(cfg, &trace, &self.sink),
+        );
         CoolingLoadStudy {
             run,
             material,
@@ -177,41 +188,27 @@ impl Scenario {
     /// Runs the §5.2 thermally constrained study (Figure 12).
     #[must_use = "the study has no effect besides the returned result"]
     pub fn constrained_study(&self) -> ConstrainedStudy {
-        let chars = self.characteristics();
         let trace = self.resolve_trace();
-        let config = ConstrainedConfig::oversubscribed(
-            self.spec(),
-            self.servers,
-            chars.clone(),
-            Fraction::new(SUSTAINABLE_UTIL),
-        );
-        let limit_kw = config.limit.value();
-        let (material, run) = match self.melting_point {
-            MeltingPointChoice::Optimize => select_melting_point_constrained(
-                &config,
-                &trace,
-                default_melting_candidates(),
-                &self.sink,
-            ),
-            MeltingPointChoice::Fixed(t) => {
-                let cfg = ConstrainedConfig {
-                    chars: chars.with_melting_point(t),
-                    spec: config.spec.clone(),
-                    servers: config.servers,
-                    limit: config.limit,
-                };
-                (
-                    PcmMaterial::commercial_paraffin(t),
-                    run_constrained(&cfg, &trace, &self.sink),
+        let config = self.cluster();
+        let limit = config.thermal_limit(Fraction::new(SUSTAINABLE_UTIL));
+        let (material, chars, run) = self.choose_wax(
+            &config,
+            || {
+                select_melting_point_constrained(
+                    &config,
+                    limit,
+                    &trace,
+                    default_melting_candidates(),
+                    &self.sink,
                 )
-            }
-        };
-        let chars = chars.with_melting_point(material.melting_point());
+            },
+            |cfg| run_constrained(cfg, limit, &trace, &self.sink),
+        );
         ConstrainedStudy {
             run,
             material,
             chars,
-            limit_kw,
+            limit_kw: limit.value(),
         }
     }
 

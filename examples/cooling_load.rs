@@ -9,10 +9,9 @@ use thermal_time_shifting::chart::ascii_chart;
 use thermal_time_shifting::experiments::paper_fig11_reduction;
 use thermal_time_shifting::Scenario;
 use tts_dcsim::cluster::{melt_onset_load_fraction, ClusterConfig};
-use tts_dcsim::datacenter::Datacenter;
 use tts_server::ServerClass;
 use tts_tco::{
-    added_servers, cooling_downsize_savings_per_year, retrofit_savings_per_year, Table2,
+    added_servers, cooling_downsize_savings_per_year, retrofit_savings_per_year, Table2, TcoInput,
 };
 
 fn main() {
@@ -48,19 +47,19 @@ fn main() {
         );
 
         // The two §5.1 monetizations, at datacenter scale.
-        let dc = Datacenter::paper_10mw(class);
-        let kw = dc.critical_power.kilowatts().value();
-        let downsize = cooling_downsize_savings_per_year(&table, kw, run.peak_reduction);
-        let added = added_servers(dc.servers(), run.peak_reduction);
-        let retrofit = retrofit_savings_per_year(&table, kw, run.peak_reduction);
+        let dc = TcoInput::paper_10mw(class, true);
+        let downsize =
+            cooling_downsize_savings_per_year(&table, dc.critical_kw, run.peak_reduction);
+        let added = added_servers(dc.servers, run.peak_reduction);
+        let retrofit = retrofit_savings_per_year(&table, dc.critical_kw, run.peak_reduction);
         println!(
             "  10 MW datacenter ({} servers): smaller plant saves ${:.0}k/yr,",
-            dc.servers(),
+            dc.servers,
             downsize.value() / 1e3
         );
         println!(
             "  or +{added} servers (+{:.1} %) under the same plant; retrofit avoids ${:.2}M/yr\n",
-            added as f64 / dc.servers() as f64 * 100.0,
+            added as f64 / dc.servers as f64 * 100.0,
             retrofit.value() / 1e6
         );
     }
