@@ -21,6 +21,12 @@ cargo test -q --offline --workspace
 echo "==> bench targets compile"
 cargo bench --offline --no-run -q
 
+echo "==> perfbench builds and self-tests"
+# perfbench is a workspace of its own, so nothing above compiles it; an
+# API change in the crates it uses would otherwise surface only when the
+# benchmark runs.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> examples (build and run all seven, each must exit 0)"
 # clippy --all-targets and cargo test compile examples/ but never run
 # them; a panicking example would otherwise ship green.

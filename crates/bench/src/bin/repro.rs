@@ -52,7 +52,7 @@ use thermal_time_shifting::chart::ascii_chart;
 use thermal_time_shifting::experiment::{self, ExecCtx, Figure, ParamSpec, Params};
 use thermal_time_shifting::experiments::{self, Comparison};
 use thermal_time_shifting::params;
-use tts_bench::{comparison_row, format_quantity, text_table};
+use thermal_time_shifting::report::{comparison_row, text_table};
 use tts_server::validation::{self, ValidationConfig};
 use tts_server::ServerClass;
 use tts_tco::Table2;
@@ -641,8 +641,7 @@ fn chaos(args: &[String]) -> i32 {
         println!("chaos:   {kind:<22} {count}");
     }
     let storm_report = storm.then(|| {
-        let report =
-            tts_svc::run_storm(&tts_svc::default_storm(), &tts_svc::StormConfig::default());
+        let report = tts_svc::run_storm(&tts_svc::default_storm());
         println!(
             "chaos: storm: {} clients answered, {} timed out, {} violation(s)",
             report.answered,
@@ -861,14 +860,7 @@ fn run_tco(r: &mut Report) {
             s.retrofit_savings_per_year,
             s.tco_efficiency_pct,
         ] {
-            let _ = writeln!(
-                md,
-                "| {} | {} | {} | {:+.0}% |",
-                c.metric,
-                format_quantity(c.paper, &c.unit),
-                format_quantity(c.measured, &c.unit),
-                c.relative_error() * 100.0
-            );
+            let _ = writeln!(md, "{}", comparison_row(&c));
             comparisons.push((format!("TCO {class}"), c));
         }
         md.push('\n');

@@ -1,13 +1,7 @@
 //! Shared helpers for the benchmark/repro harness.
-//!
-//! The table/row renderers now live in
-//! [`thermal_time_shifting::report`] so the experiment implementations can
-//! render themselves; this crate re-exports them for the bench targets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
 pub mod harness;
-
-pub use thermal_time_shifting::report::{comparison_row, format_quantity, text_table};

@@ -552,14 +552,6 @@ impl<B: Balancer> DiscreteClusterSim<B> {
         self.obs.servers_down.set(self.servers_down() as f64);
     }
 
-    /// Enables recording of the cluster's utilization as a time series
-    /// with the given bucket width. Call before [`Self::run`]; retrieve
-    /// with [`Self::utilization_trace`].
-    pub fn record_utilization(&mut self, interval: Seconds) {
-        assert!(interval.value() > 0.0, "interval must be positive");
-        self.util_recording = Some(UtilRecorder::new(self.soa.len(), interval.value()));
-    }
-
     /// The recorded cluster-utilization trace (fraction of total core
     /// capacity per bucket), or `None` if recording was not enabled.
     ///
@@ -1006,8 +998,8 @@ mod tests {
         let mut sim = ClusterConfig::new(10)
             .cores_per_server(1)
             .rack_size(5)
+            .record_utilization(Seconds::new(300.0))
             .build(RoundRobin::new());
-        sim.record_utilization(Seconds::new(300.0));
         let horizon = Seconds::new(2.0 * 3600.0);
         let m = sim.run(&jobs, horizon);
         let trace = sim.utilization_trace().expect("recording enabled");
@@ -1210,8 +1202,8 @@ mod tests {
         let mut sim = ClusterConfig::new(20)
             .cores_per_server(1)
             .rack_size(10)
+            .record_utilization(Seconds::new(600.0))
             .build(RoundRobin::new());
-        sim.record_utilization(Seconds::new(600.0));
         sim.run(&jobs, Seconds::new(7200.0));
         let out = sim.utilization_trace().unwrap();
         let first_hour: f64 = out.values()[..6].iter().sum::<f64>() / 6.0;
@@ -1236,9 +1228,9 @@ mod tests {
         let mut new_sim = ClusterConfig::new(8)
             .cores_per_server(2)
             .rack_size(4)
+            .record_utilization(Seconds::new(300.0))
             .build(LeastLoaded::new());
         new_sim.set_fault_hook(Box::new(Scheduled::new(faults.clone())));
-        new_sim.record_utilization(Seconds::new(300.0));
         let new_m = new_sim.run(&jobs, Seconds::new(3600.0));
         let mut old_sim = crate::legacy::LegacySim::new(8, 2, 4, LeastLoaded::new());
         old_sim.set_fault_hook(Box::new(Scheduled::new(faults)));

@@ -808,8 +808,12 @@ impl FleetSim {
             .map(|(d, spec)| DcMetrics {
                 name: spec.name.clone(),
                 servers: spec.servers,
-                mean_utilization: dc_done[d]
-                    / ((spec.servers * self.cores) as f64 * (epochs as f64 * dt)),
+                // An empty site has no capacity to divide by.
+                mean_utilization: if spec.servers > 0 {
+                    dc_done[d] / ((spec.servers * self.cores) as f64 * (epochs as f64 * dt))
+                } else {
+                    0.0
+                },
                 peak_utilization: dc_peak_util[d],
                 it_energy_kwh: dc_it_kwh[d],
                 cooling_energy_kwh: dc_cool_kwh[d],
@@ -1061,6 +1065,18 @@ mod tests {
             .run();
         assert_eq!(m.epochs, 2 * 1440);
         assert!((0.0..=1.0).contains(&m.mean_utilization));
+    }
+
+    #[test]
+    fn an_empty_site_reports_zero_utilization() {
+        let m = FleetConfig::new(diurnal(1))
+            .datacenter(DatacenterSpec::new("busy", 8))
+            .datacenter(DatacenterSpec::new("empty", 0))
+            .build()
+            .run();
+        assert!(m.per_dc[0].mean_utilization > 0.0);
+        assert_eq!(m.per_dc[1].mean_utilization, 0.0);
+        assert!(!m.to_json_string().contains("null"));
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl<B: Balancer> LegacySim<B> {
     }
 
     /// Enables utilization recording (see
-    /// [`crate::discrete::DiscreteClusterSim::record_utilization`]).
+    /// [`crate::discrete::ClusterConfig::record_utilization`]).
     pub fn record_utilization(&mut self, interval: Seconds) {
         assert!(interval.value() > 0.0, "interval must be positive");
         self.util_recording = Some(UtilRecorder::new(self.servers.len(), interval.value()));

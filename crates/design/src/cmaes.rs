@@ -96,13 +96,11 @@ pub struct CmaEs {
 
 impl CmaEs {
     /// New strategy centred on `mean0` (unit cube) with initial step `sigma0`.
-    /// `lambda` defaults to `4 + ⌊3 ln d⌋` when `None`.
-    pub fn new(dim: usize, seed: u64, sigma0: f64, lambda: Option<usize>, mean0: Vec<f64>) -> Self {
+    /// The population size is `4 + ⌊3 ln d⌋`.
+    pub fn new(dim: usize, seed: u64, sigma0: f64, mean0: Vec<f64>) -> Self {
         assert!(dim >= 1, "CMA-ES needs at least one dimension");
         assert_eq!(mean0.len(), dim, "mean/dim mismatch");
-        let lambda = lambda
-            .unwrap_or(4 + (3.0 * (dim as f64).ln()).floor() as usize)
-            .max(2);
+        let lambda = 4 + (3.0 * (dim as f64).ln()).floor() as usize;
         let mu = lambda / 2;
         let mut weights: Vec<f64> = (0..mu)
             .map(|i| ((lambda as f64 + 1.0) / 2.0).ln() - ((i + 1) as f64).ln())
@@ -301,7 +299,7 @@ mod tests {
     #[test]
     fn converges_on_a_quadratic_bowl() {
         let target = [0.3, 0.7];
-        let mut es = CmaEs::new(2, 7, 0.3, None, vec![0.5, 0.5]);
+        let mut es = CmaEs::new(2, 7, 0.3, vec![0.5, 0.5]);
         let mut best = f64::INFINITY;
         for _ in 0..60 {
             let pts = es.ask();
@@ -324,8 +322,8 @@ mod tests {
 
     #[test]
     fn identical_seeds_give_identical_streams() {
-        let mut a = CmaEs::new(3, 42, 0.3, None, vec![0.5; 3]);
-        let mut b = CmaEs::new(3, 42, 0.3, None, vec![0.5; 3]);
+        let mut a = CmaEs::new(3, 42, 0.3, vec![0.5; 3]);
+        let mut b = CmaEs::new(3, 42, 0.3, vec![0.5; 3]);
         for _ in 0..5 {
             let pa = a.ask();
             let pb = b.ask();

@@ -90,8 +90,6 @@ pub struct SearchConfig {
     pub budget: usize,
     /// Cap on CMA-ES generations.
     pub max_generations: usize,
-    /// Population size override (default `4 + ⌊3 ln d⌋`).
-    pub lambda: Option<usize>,
     /// Paid evaluations per generation: the surrogate ranks the population
     /// by expected improvement and only the top `screen` are simulated.
     pub screen: usize,
@@ -99,8 +97,6 @@ pub struct SearchConfig {
     pub doe: usize,
     /// Initial CMA-ES step size in the unit cube.
     pub sigma0: f64,
-    /// Spend leftover budget certifying lattice-local optimality.
-    pub polish: bool,
 }
 
 impl Default for SearchConfig {
@@ -110,11 +106,9 @@ impl Default for SearchConfig {
             seed: 42,
             budget: 64,
             max_generations: 64,
-            lambda: None,
             screen: 1,
             doe: 3,
             sigma0: 0.3,
-            polish: true,
         }
     }
 }
@@ -356,13 +350,10 @@ impl<'a, O: Objective> Search<'a, O> {
             Some((bx, _, _)) => self.space.unit_of(bx),
             None => vec![0.5; d],
         };
-        let mut es = CmaEs::new(d, cfg.seed, cfg.sigma0, cfg.lambda, mean0);
+        let mut es = CmaEs::new(d, cfg.seed, cfg.sigma0, mean0);
 
-        let reserve = if cfg.polish {
-            self.polish_reserve().min(self.budget / 3)
-        } else {
-            0
-        };
+        // Leftover budget certifies lattice-local optimality.
+        let reserve = self.polish_reserve().min(self.budget / 3);
         let gen_budget = self.budget.saturating_sub(reserve);
         let mut stall = 0usize;
         while self.evals < gen_budget && self.generations < cfg.max_generations {
@@ -442,9 +433,7 @@ impl<'a, O: Objective> Search<'a, O> {
             }
         }
 
-        if cfg.polish {
-            self.polish();
-        }
+        self.polish();
         self.finish()
     }
 

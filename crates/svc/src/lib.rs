@@ -41,7 +41,7 @@ pub use cache::ResultCache;
 pub use http::{chunk_frame, ChunkedDecoder, Request, RequestParser, Response};
 pub use jobs::{Job, JobStatus, JobStore};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
-pub use router::{App, AppConfig, Reply};
+pub use router::{App, Reply};
 pub use sched::{Lease, Scheduler, SchedulerFull};
 pub use server::{Server, ServerConfig, ShutdownHandle};
-pub use storm::{default_storm, run_storm, ClientOutcome, StormConfig, StormReport};
+pub use storm::{default_storm, run_storm, ClientOutcome, StormReport};

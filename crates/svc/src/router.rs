@@ -41,7 +41,7 @@ use crate::cache::ResultCache;
 use crate::http::{Request, Response};
 use crate::jobs::{Job, JobStatus, JobStore};
 use crate::sched::Scheduler;
-use crate::server::ShutdownHandle;
+use crate::server::{ServerConfig, ShutdownHandle};
 
 /// Longest `/debug/sleep` the handler will honour.
 const MAX_DEBUG_SLEEP_MS: u64 = 10_000;
@@ -66,37 +66,6 @@ impl From<Response> for Reply {
         Self {
             response,
             stream: None,
-        }
-    }
-}
-
-/// Knobs for the shared application state.
-#[derive(Debug, Clone)]
-pub struct AppConfig {
-    /// Enables `/debug/sleep` (test instrumentation).
-    pub debug: bool,
-    /// Worker-thread budget the scheduler partitions (0 = the executor's
-    /// resolved thread count).
-    pub budget: usize,
-    /// Bound on synchronous runs waiting for a lease (beyond: `429`).
-    pub sched_queue: usize,
-    /// Bound on queued-or-running async jobs (beyond: `429`).
-    pub max_jobs: usize,
-    /// Result-cache byte cap (0 = unbounded).
-    pub cache_cap_bytes: usize,
-    /// Result-cache persistence directory (`None` = memory only).
-    pub cache_dir: Option<std::path::PathBuf>,
-}
-
-impl Default for AppConfig {
-    fn default() -> Self {
-        Self {
-            debug: false,
-            budget: 0,
-            sched_queue: 16,
-            max_jobs: 8,
-            cache_cap_bytes: 64 * 1024 * 1024,
-            cache_dir: None,
         }
     }
 }
@@ -143,17 +112,17 @@ pub struct App {
 }
 
 impl App {
-    /// Application state reporting telemetry into `sink`.
+    /// Application state reporting telemetry into `sink`, sized by the
+    /// scheduler, job and cache fields of `config`.
     #[must_use]
-    pub fn new(sink: MetricsSink, shutdown: ShutdownHandle, config: AppConfig) -> Self {
+    pub fn new(sink: MetricsSink, shutdown: ShutdownHandle, config: &ServerConfig) -> Self {
         let budget = if config.budget == 0 {
             tts_exec::thread_count()
         } else {
             config.budget
         };
-        let cache_dir = config.cache_dir.clone();
         Self {
-            cache: ResultCache::bounded(config.cache_cap_bytes, cache_dir, &sink),
+            cache: ResultCache::bounded(config.cache_cap_bytes, config.cache_dir.clone(), &sink),
             sched: Scheduler::new(budget, config.sched_queue, &sink),
             jobs: JobStore::new(config.max_jobs, 64, &sink),
             obs: SvcObs::resolve(&sink),
@@ -551,7 +520,7 @@ mod tests {
         Arc::new(App::new(
             MetricsSink::fresh(),
             ShutdownHandle::new(),
-            AppConfig::default(),
+            &ServerConfig::default(),
         ))
     }
 

@@ -36,7 +36,7 @@ use tts_exec::WorkerPool;
 use tts_obs::MetricsSink;
 
 use crate::http::{chunk_frame, RequestParser, Response};
-use crate::router::{self, App, AppConfig, Reply};
+use crate::router::{self, App, Reply};
 
 /// How the server is wired: address, pool shape, timeouts, debug knobs.
 #[derive(Debug, Clone)]
@@ -51,12 +51,6 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Per-connection write timeout.
     pub write_timeout: Duration,
-    /// How long a keep-alive connection may sit idle *between* requests
-    /// before the server closes it silently.
-    pub idle_timeout: Duration,
-    /// Requests served per connection before the server closes it (a
-    /// fairness bound: one chatty peer cannot pin a worker forever).
-    pub max_requests_per_conn: usize,
     /// Worker-thread budget the run scheduler partitions (0 = auto).
     pub budget: usize,
     /// Bound on synchronous runs waiting for a lease (beyond: `429`).
@@ -73,39 +67,29 @@ pub struct ServerConfig {
     pub metrics_out: Option<PathBuf>,
 }
 
+/// How long a keep-alive connection may sit idle *between* requests
+/// before the server closes it silently.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Requests served per connection before the server closes it (a
+/// fairness bound: one chatty peer cannot pin a worker forever).
+const MAX_REQUESTS_PER_CONN: usize = 1024;
+
 impl Default for ServerConfig {
     fn default() -> Self {
-        let app = AppConfig::default();
         Self {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             queue_cap: 64,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            idle_timeout: Duration::from_secs(5),
-            max_requests_per_conn: 1024,
-            budget: app.budget,
-            sched_queue: app.sched_queue,
-            max_jobs: app.max_jobs,
-            cache_cap_bytes: app.cache_cap_bytes,
+            budget: 0,
+            sched_queue: 16,
+            max_jobs: 8,
+            cache_cap_bytes: 64 * 1024 * 1024,
             cache_dir: None,
             debug: false,
             metrics_out: None,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// The application knobs carried by this server config.
-    #[must_use]
-    pub fn app_config(&self) -> AppConfig {
-        AppConfig {
-            debug: self.debug,
-            budget: self.budget,
-            sched_queue: self.sched_queue,
-            max_jobs: self.max_jobs,
-            cache_cap_bytes: self.cache_cap_bytes,
-            cache_dir: self.cache_dir.clone(),
         }
     }
 }
@@ -163,7 +147,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let shutdown = ShutdownHandle::new();
         shutdown.attach(listener.local_addr()?);
-        let app = Arc::new(App::new(sink, shutdown.clone(), config.app_config()));
+        let app = Arc::new(App::new(sink, shutdown.clone(), &config));
         Ok(Self {
             listener,
             app,
@@ -195,18 +179,13 @@ impl Server {
     /// (if configured).
     pub fn run(self) -> std::io::Result<()> {
         let app = Arc::clone(&self.app);
-        let conn = ConnConfig {
-            read_timeout: self.config.read_timeout,
-            write_timeout: self.config.write_timeout,
-            idle_timeout: self.config.idle_timeout,
-            max_requests: self.config.max_requests_per_conn.max(1),
-        };
+        let (read_timeout, write_timeout) = (self.config.read_timeout, self.config.write_timeout);
         let pool = WorkerPool::new(
             "svc",
             self.config.workers,
             self.config.queue_cap,
             self.app.sink(),
-            move |stream: TcpStream| handle_connection(&app, stream, &conn),
+            move |stream: TcpStream| handle_connection(&app, stream, read_timeout, write_timeout),
         );
         loop {
             let (stream, _) = match self.listener.accept() {
@@ -242,15 +221,6 @@ impl Server {
         }
         Ok(())
     }
-}
-
-/// Per-connection limits threaded into the handler.
-#[derive(Debug, Clone, Copy)]
-struct ConnConfig {
-    read_timeout: Duration,
-    write_timeout: Duration,
-    idle_timeout: Duration,
-    max_requests: usize,
 }
 
 /// What one iteration of the connection loop produced.
@@ -297,9 +267,14 @@ fn read_request(stream: &mut TcpStream, parser: &mut RequestParser, buf: &mut [u
 /// (pipelining included), routed, and answered until the keep-alive
 /// negotiation, the request limit, the idle timeout, or an error ends
 /// the session.
-fn handle_connection(app: &Arc<App>, mut stream: TcpStream, conn: &ConnConfig) {
-    let _ = stream.set_read_timeout(Some(conn.read_timeout));
-    let _ = stream.set_write_timeout(Some(conn.write_timeout));
+fn handle_connection(
+    app: &Arc<App>,
+    mut stream: TcpStream,
+    read_timeout: Duration,
+    write_timeout: Duration,
+) {
+    let _ = stream.set_read_timeout(Some(read_timeout));
+    let _ = stream.set_write_timeout(Some(write_timeout));
     // Persistent connections exchange small segments; without nodelay
     // each response can stall on Nagle + the peer's delayed ACK.
     let _ = stream.set_nodelay(true);
@@ -311,7 +286,7 @@ fn handle_connection(app: &Arc<App>, mut stream: TcpStream, conn: &ConnConfig) {
         let (reply, keep): (Reply, bool) = match read_request(&mut stream, &mut parser, &mut buf) {
             ReadOutcome::Request(req) => {
                 let keep = req.wants_keep_alive()
-                    && served + 1 < conn.max_requests
+                    && served + 1 < MAX_REQUESTS_PER_CONN
                     && !app.shutdown_requested();
                 (router::handle(app, &req), keep)
             }
@@ -347,7 +322,7 @@ fn handle_connection(app: &Arc<App>, mut stream: TcpStream, conn: &ConnConfig) {
             break;
         }
         // Between requests the clock is the idle timeout.
-        let _ = stream.set_read_timeout(Some(conn.idle_timeout));
+        let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
     }
     let _ = stream.shutdown(Shutdown::Both);
 }

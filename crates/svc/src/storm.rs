@@ -40,30 +40,19 @@ use crate::server::{Server, ServerConfig};
 /// Statuses the service may legitimately answer under connection chaos.
 pub const ALLOWED_STATUSES: [u16; 9] = [200, 400, 404, 405, 408, 413, 431, 500, 503];
 
-/// Storm shape: the embedded server is deliberately small so
-/// backpressure paths actually trigger.
-#[derive(Debug, Clone)]
-pub struct StormConfig {
-    /// Worker threads for the embedded server.
-    pub workers: usize,
-    /// Bounded queue capacity (beyond this: `503`).
-    pub queue_cap: usize,
-    /// Server-side read timeout (what the slow loris trips).
-    pub read_timeout: Duration,
-    /// Client-side give-up timeout.
-    pub client_timeout: Duration,
-}
+/// Worker threads for the embedded server. The server is deliberately
+/// small, here and in [`QUEUE_CAP`], so backpressure paths actually
+/// trigger.
+const WORKERS: usize = 2;
 
-impl Default for StormConfig {
-    fn default() -> Self {
-        Self {
-            workers: 2,
-            queue_cap: 4,
-            read_timeout: Duration::from_millis(300),
-            client_timeout: Duration::from_secs(10),
-        }
-    }
-}
+/// Bounded queue capacity (beyond this: `503`).
+const QUEUE_CAP: usize = 4;
+
+/// Server-side read timeout (what the slow loris trips).
+const READ_TIMEOUT: Duration = Duration::from_millis(300);
+
+/// Client-side give-up timeout.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What one misbehaving client observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,12 +127,12 @@ pub fn default_storm() -> Vec<Fault> {
 /// Binds a throw-away server, drives every connection-level fault in
 /// `faults` against it concurrently, and checks the always-answers
 /// contract. Non-connection faults are ignored.
-pub fn run_storm(faults: &[Fault], cfg: &StormConfig) -> StormReport {
+pub fn run_storm(faults: &[Fault]) -> StormReport {
     let server = Server::bind(
         ServerConfig {
-            workers: cfg.workers,
-            queue_cap: cfg.queue_cap,
-            read_timeout: cfg.read_timeout,
+            workers: WORKERS,
+            queue_cap: QUEUE_CAP,
+            read_timeout: READ_TIMEOUT,
             write_timeout: Duration::from_secs(2),
             ..ServerConfig::default()
         },
@@ -170,9 +159,8 @@ pub fn run_storm(faults: &[Fault], cfg: &StormConfig) -> StormReport {
         }
         for _ in 0..n {
             let fault = *fault;
-            let timeout = cfg.client_timeout;
             handles.push(std::thread::spawn(move || {
-                (fault, drive(addr, &fault, timeout))
+                (fault, drive(addr, &fault, CLIENT_TIMEOUT))
             }));
         }
     }
@@ -182,7 +170,7 @@ pub fn run_storm(faults: &[Fault], cfg: &StormConfig) -> StormReport {
         .collect();
     // Every client is done, so the queue is empty: a healthy server
     // answers a one-client queue storm (one `GET /healthz`) at once.
-    let health = drive(addr, &Fault::QueueStorm { clients: 1 }, cfg.client_timeout);
+    let health = drive(addr, &Fault::QueueStorm { clients: 1 }, CLIENT_TIMEOUT);
 
     shutdown.trigger();
     join.join()
@@ -355,7 +343,7 @@ mod tests {
 
     #[test]
     fn the_default_storm_is_always_answered() {
-        let report = run_storm(&default_storm(), &StormConfig::default());
+        let report = run_storm(&default_storm());
         assert!(report.all_green(), "violations: {:?}", report.violations);
         assert_eq!(report.answered + report.closed + report.timed_out, 18);
         assert_eq!(
@@ -374,8 +362,8 @@ mod tests {
 
     #[test]
     fn deterministic_json_carries_no_timing() {
-        let a = run_storm(&default_storm(), &StormConfig::default());
-        let b = run_storm(&default_storm(), &StormConfig::default());
+        let a = run_storm(&default_storm());
+        let b = run_storm(&default_storm());
         assert_eq!(
             a.deterministic_json().to_string_pretty(),
             b.deterministic_json().to_string_pretty()
@@ -394,7 +382,7 @@ mod tests {
             .map(|seed| FaultPlan::sample(seed, &cfg))
             .find(|p| !p.connection_faults().is_empty())
             .expect("some seed samples a connection fault");
-        let report = run_storm(&plan.connection_faults(), &StormConfig::default());
+        let report = run_storm(&plan.connection_faults());
         assert!(report.all_green(), "violations: {:?}", report.violations);
     }
 }

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tts_dcsim::balancer::RoundRobin;
-use tts_dcsim::cluster::{melt_onset_load_fraction, ClusterConfig};
+use tts_dcsim::cluster::melt_onset_load_fraction;
 use tts_dcsim::discrete;
 use tts_obs::MetricsSink;
 use tts_server::blockage::default_sweep;
@@ -434,11 +434,11 @@ impl Experiment for Fig11CoolingLoad {
                 peak_reduction.measured,
                 peak_reduction.paper,
                 study.material.name(),
-                melt_onset_load_fraction(&ClusterConfig {
-                    spec: class.spec(),
-                    servers,
-                    chars: study.chars.clone(),
-                }) * 100.0,
+                melt_onset_load_fraction(
+                    &scenario
+                        .cluster()
+                        .with_melting_point(study.material.melting_point())
+                ) * 100.0,
                 study.run.elevated_hours / 2.0
             ));
             fig.comparisons
@@ -554,7 +554,6 @@ impl Experiment for DcsimQos {
             JobStream::new(trace.total().clone(), JobType::MapReduce, servers, seed).collect_all();
         let mut sim = discrete::ClusterConfig::new(servers)
             .rack_size(8)
-            .record_utilization(Seconds::from_minutes(5.0))
             .metrics(ctx.sink())
             .build(RoundRobin::new());
         let flush_ctx = ctx.clone();
@@ -958,11 +957,7 @@ impl Experiment for DesignSearch {
         // cross-check.
         let class = ServerClass::LowPower1U;
         let scenario = crate::Scenario::new(class).servers(servers);
-        let config = tts_dcsim::ClusterConfig {
-            spec: scenario.spec(),
-            servers,
-            chars: scenario.characteristics(),
-        };
+        let config = scenario.cluster();
         let trace = GoogleTrace::default_two_day().total().clone();
 
         let mut cache = design::EvalCache::new();

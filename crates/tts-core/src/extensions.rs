@@ -7,7 +7,6 @@
 
 use tts_cooling::freecooling::{cooling_electricity_cost, Economizer};
 use tts_cooling::{CoolingSystem, Site, Tariff, WeatherConfig, WeatherSeries};
-use tts_dcsim::cluster::ClusterConfig;
 use tts_dcsim::relocation::{wax_vs_relocation, yearly_saving};
 use tts_dcsim::{deployment_sweep, DeploymentPoint};
 use tts_pcm::degradation::DegradationModel;
@@ -105,12 +104,11 @@ pub fn relocation_study(class: ServerClass) -> RelocationStudy {
 
 /// Rack-by-rack deployment curve for one class.
 pub fn partial_deployment_study(class: ServerClass, steps: usize) -> Vec<DeploymentPoint> {
-    let study = Scenario::new(class).cooling_load_study();
-    let config = ClusterConfig {
-        spec: class.spec(),
-        servers: 1008,
-        chars: study.chars.clone(),
-    };
+    let scenario = Scenario::new(class);
+    let study = scenario.cooling_load_study();
+    let config = scenario
+        .cluster()
+        .with_melting_point(study.material.melting_point());
     let trace = GoogleTrace::default_two_day();
     deployment_sweep(&config, trace.total(), steps)
 }

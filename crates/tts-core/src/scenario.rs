@@ -133,14 +133,14 @@ impl Scenario {
 
     /// Extracts the wax characteristics for this scenario's server
     /// (geometry only; the material's melting point is substituted later).
-    pub fn characteristics(&self) -> ServerWaxCharacteristics {
+    fn characteristics(&self) -> ServerWaxCharacteristics {
         let probe_material = PcmMaterial::commercial_paraffin(Celsius::new(45.0));
         ServerWaxCharacteristics::extract(&self.spec(), &probe_material)
     }
 
-    /// This scenario's cluster, carrying the probe wax of
-    /// [`characteristics`](Self::characteristics).
-    fn cluster(&self) -> ClusterConfig {
+    /// This scenario's cluster, carrying a 45 °C probe paraffin; swap in
+    /// a study's wax with [`ClusterConfig::with_melting_point`].
+    pub fn cluster(&self) -> ClusterConfig {
         ClusterConfig {
             spec: self.spec(),
             servers: self.servers,

@@ -1,73 +1,19 @@
-//! Demand-variation traces beyond the two-day diurnal: week-long
-//! seasonality, AI-training batch-burst schedules, and flash-crowd days.
+//! Demand-variation traces beyond the two-day diurnal: AI-training
+//! batch-burst schedules and flash-crowd days.
 //!
 //! The paper evaluates PCM time shifting against one calm diurnal trace;
 //! thermal-aware scheduling under demand variation (arXiv 2308.12559)
-//! motivates the shapes that actually stress the wax: a multi-week
-//! seasonal swell that changes how much refreeze headroom each night
-//! offers, AI-training fleets that run near-flat-out with periodic
-//! checkpoint dips (almost no diurnal trough to refreeze in), and
-//! flash-crowd days where the surge lands on an already-molten bank.
+//! motivates the shapes that actually stress the wax: AI-training fleets
+//! that run near-flat-out with periodic checkpoint dips (almost no
+//! diurnal trough to refreeze in), and flash-crowd days where the surge
+//! lands on an already-molten bank.
 //! All generators are seeded and deterministic: same config, same bytes.
 
 use crate::diurnal::{DiurnalShape, DAY_S};
 use crate::events::FlashCrowd;
 use crate::series::TimeSeries;
-use crate::weekly::{weekly_trace, WeeklyTraceConfig};
-use tts_rng::{Rng, RngCore, SeedableRng, SplitMix64, Xoshiro256pp};
+use tts_rng::{Rng, SeedableRng, Xoshiro256pp};
 use tts_units::Seconds;
-
-/// Configuration for [`seasonal_trace`]: a multi-week series built from
-/// per-week [`weekly_trace`] draws scaled by a seasonal envelope.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeasonalTraceConfig {
-    /// Number of weeks to generate.
-    pub weeks: usize,
-    /// Half-amplitude of the seasonal envelope (fraction of the mean).
-    pub amplitude: f64,
-    /// Week index (may be fractional) at which demand peaks.
-    pub peak_week: f64,
-    /// Period of the seasonal cycle, in weeks (52 for annual).
-    pub period_weeks: f64,
-    /// Master seed; each week's jitter stream derives from it.
-    pub seed: u64,
-    /// The per-week generator settings (its own seed field is ignored).
-    pub weekly: WeeklyTraceConfig,
-}
-
-impl Default for SeasonalTraceConfig {
-    fn default() -> Self {
-        Self {
-            weeks: 6,
-            amplitude: 0.20,
-            peak_week: 2.0,
-            period_weeks: 52.0,
-            seed: 11,
-            weekly: WeeklyTraceConfig::default(),
-        }
-    }
-}
-
-/// Generates a `weeks`-long trace: each week is an independent seeded
-/// [`weekly_trace`] scaled by `1 + amplitude · cos(2π (w − peak_week) /
-/// period_weeks)` and clamped into `[0, 1]`.
-pub fn seasonal_trace(config: &SeasonalTraceConfig) -> TimeSeries {
-    let mut seeds = SplitMix64::new(config.seed);
-    let mut values = Vec::new();
-    for week in 0..config.weeks.max(1) {
-        let envelope = 1.0
-            + config.amplitude
-                * (std::f64::consts::TAU * (week as f64 - config.peak_week) / config.period_weeks)
-                    .cos();
-        let week_cfg = WeeklyTraceConfig {
-            seed: seeds.next_u64(),
-            ..config.weekly
-        };
-        let base = weekly_trace(&week_cfg);
-        values.extend(base.values().iter().map(|v| (v * envelope).clamp(0.0, 1.0)));
-    }
-    TimeSeries::new(config.weekly.sample_period, values)
-}
 
 /// Configuration for [`training_burst_trace`]: an AI-training fleet
 /// running near-saturation with periodic synchronous checkpoint dips.
@@ -79,12 +25,6 @@ pub struct TrainingBurstConfig {
     pub days: usize,
     /// Utilization between checkpoints (training runs hot: ~0.92).
     pub base_util: f64,
-    /// Interval between checkpoint starts.
-    pub checkpoint_period: Seconds,
-    /// Utilization drop while checkpointing (GPUs stall on I/O).
-    pub checkpoint_dip: f64,
-    /// How long each checkpoint stall lasts.
-    pub checkpoint_duration: Seconds,
     /// Relative per-sample jitter amplitude.
     pub jitter: f64,
     /// Jitter seed.
@@ -97,31 +37,37 @@ impl Default for TrainingBurstConfig {
             sample_period: Seconds::from_minutes(5.0),
             days: 2,
             base_util: 0.92,
-            checkpoint_period: Seconds::new(4.0 * 3600.0),
-            checkpoint_dip: 0.55,
-            checkpoint_duration: Seconds::from_minutes(20.0),
             jitter: 0.01,
             seed: 13,
         }
     }
 }
 
+/// Interval between checkpoint starts.
+const CHECKPOINT_PERIOD: Seconds = Seconds::new(4.0 * 3600.0);
+
+/// Utilization drop while checkpointing (GPUs stall on I/O).
+const CHECKPOINT_DIP: f64 = 0.55;
+
+/// How long each checkpoint stall lasts.
+const CHECKPOINT_DURATION: Seconds = Seconds::new(20.0 * 60.0);
+
 /// Generates the training-fleet trace: flat near `base_util`, dropping by
-/// `checkpoint_dip` for `checkpoint_duration` at every multiple of
-/// `checkpoint_period`, with seeded multiplicative jitter. The near-zero
+/// [`CHECKPOINT_DIP`] for [`CHECKPOINT_DURATION`] at every multiple of
+/// [`CHECKPOINT_PERIOD`], with seeded multiplicative jitter. The near-zero
 /// diurnal swing is the point — the wax gets almost no nightly refreeze
 /// window.
 pub fn training_burst_trace(config: &TrainingBurstConfig) -> TimeSeries {
     let dt = config.sample_period.value();
     let n = (config.days.max(1) as f64 * DAY_S / dt).round() as usize;
     let mut rng = Xoshiro256pp::seed_from_u64(config.seed);
-    let period = config.checkpoint_period.value().max(dt);
+    let period = CHECKPOINT_PERIOD.value().max(dt);
     let values: Vec<f64> = (0..n)
         .map(|i| {
             let t = i as f64 * dt;
-            let in_checkpoint = t.rem_euclid(period) < config.checkpoint_duration.value();
+            let in_checkpoint = t.rem_euclid(period) < CHECKPOINT_DURATION.value();
             let level = if in_checkpoint {
-                config.base_util - config.checkpoint_dip
+                config.base_util - CHECKPOINT_DIP
             } else {
                 config.base_util
             };
@@ -189,38 +135,6 @@ pub fn flash_crowd_trace(config: &FlashCrowdTraceConfig) -> TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seasonal_trace_is_deterministic_and_bounded() {
-        let cfg = SeasonalTraceConfig::default();
-        let a = seasonal_trace(&cfg);
-        let b = seasonal_trace(&cfg);
-        assert_eq!(a, b);
-        assert!(a.values().iter().all(|&v| (0.0..=1.0).contains(&v)));
-        assert_eq!(a.duration(), Seconds::new(6.0 * 7.0 * DAY_S));
-    }
-
-    #[test]
-    fn seasonal_envelope_orders_the_weeks() {
-        let cfg = SeasonalTraceConfig {
-            weeks: 4,
-            amplitude: 0.25,
-            peak_week: 0.0,
-            period_weeks: 8.0,
-            ..SeasonalTraceConfig::default()
-        };
-        let t = seasonal_trace(&cfg);
-        let per_week = (7.0 * DAY_S / t.dt().value()) as usize;
-        let week_mean = |w: usize| {
-            let vals = &t.values()[w * per_week..(w + 1) * per_week];
-            vals.iter().sum::<f64>() / vals.len() as f64
-        };
-        // cos envelope: week 0 at the crest, week 4 of an 8-week period
-        // would be the trough; means must decline monotonically.
-        assert!(week_mean(0) > week_mean(1));
-        assert!(week_mean(1) > week_mean(2));
-        assert!(week_mean(2) > week_mean(3));
-    }
 
     #[test]
     fn training_trace_is_hot_with_checkpoint_dips() {

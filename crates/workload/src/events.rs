@@ -1,9 +1,9 @@
-//! Trace perturbations: flash crowds and load steps.
+//! Trace perturbations: flash crowds.
 //!
 //! The Google trace the paper uses is a calm diurnal pattern; operators
 //! also face flash crowds (a news event doubles search traffic for an
-//! hour) and planned steps (a service migration). These perturbations let
-//! the PCM experiments probe behaviour the two-day trace never exercises:
+//! hour). These perturbations let the PCM experiments probe behaviour the
+//! two-day trace never exercises:
 //! a spike landing on an already-molten wax bank, or a spike at dawn when
 //! the bank is full of cold capacity.
 
@@ -41,35 +41,6 @@ impl FlashCrowd {
         let values: Vec<f64> = trace
             .iter()
             .map(|(t, v)| Fraction::new(v + self.at(t)).value())
-            .collect();
-        TimeSeries::new(dt, values)
-    }
-}
-
-/// A permanent utilization step (a migration onto / off the cluster).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadStep {
-    /// When the step takes effect.
-    pub at: Seconds,
-    /// Utilization added from then on (may be negative), clamped.
-    pub delta: f64,
-}
-
-tts_units::derive_json! { struct LoadStep { at, delta } }
-
-impl LoadStep {
-    /// Applies the step to a trace.
-    pub fn apply(&self, trace: &TimeSeries) -> TimeSeries {
-        let dt = trace.dt();
-        let values: Vec<f64> = trace
-            .iter()
-            .map(|(t, v)| {
-                if t >= self.at {
-                    Fraction::new(v + self.delta).value()
-                } else {
-                    v
-                }
-            })
             .collect();
         TimeSeries::new(dt, values)
     }
@@ -127,24 +98,5 @@ mod tests {
             .count();
         // Only samples inside the 3000 s window (10 samples at 300 s) move.
         assert!(changed <= 11, "{changed} samples changed");
-    }
-
-    #[test]
-    fn load_step_shifts_the_tail() {
-        let base = flat(0.5, 10);
-        let stepped = LoadStep {
-            at: Seconds::new(1500.0),
-            delta: 0.3,
-        }
-        .apply(&base);
-        assert_eq!(stepped.values()[2], 0.5);
-        assert!((stepped.values()[5] - 0.8).abs() < 1e-12);
-        // Negative steps clamp at zero.
-        let down = LoadStep {
-            at: Seconds::new(0.0),
-            delta: -0.9,
-        }
-        .apply(&base);
-        assert_eq!(down.values()[3], 0.0);
     }
 }

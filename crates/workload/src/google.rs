@@ -16,6 +16,10 @@ use tts_units::Seconds;
 /// Cluster size the paper normalizes for.
 pub const CLUSTER_SERVERS: usize = 1008;
 
+/// Mix weights for (search, social, mapreduce); the weekly trace uses the
+/// same proportions.
+pub(crate) const JOB_MIX: [f64; 3] = [0.45, 0.30, 0.25];
+
 /// Configuration of the synthetic trace generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoogleTraceConfig {
@@ -31,11 +35,9 @@ pub struct GoogleTraceConfig {
     pub seed: u64,
     /// Relative jitter amplitude on each sample.
     pub jitter: f64,
-    /// Mix weights for (search, social, mapreduce).
-    pub mix: [f64; 3],
 }
 
-tts_units::derive_json! { struct GoogleTraceConfig { days, sample_period, target_mean, target_peak, seed, jitter, mix } }
+tts_units::derive_json! { struct GoogleTraceConfig { days, sample_period, target_mean, target_peak, seed, jitter } }
 
 impl Default for GoogleTraceConfig {
     fn default() -> Self {
@@ -46,7 +48,6 @@ impl Default for GoogleTraceConfig {
             target_peak: 0.95,
             seed: 11172010, // 11/17/2010 — the trace's first day
             jitter: 0.015,
-            mix: [0.45, 0.30, 0.25],
         }
     }
 }
@@ -68,11 +69,9 @@ impl GoogleTrace {
     /// Generates a trace from a configuration.
     ///
     /// # Panics
-    /// Panics if `days` is zero or the mix weights are all zero.
+    /// Panics if `days` is zero.
     pub fn generate(config: GoogleTraceConfig) -> Self {
         assert!(config.days > 0, "need at least one day");
-        let mix_sum: f64 = config.mix.iter().sum();
-        assert!(mix_sum > 0.0, "mix weights must not all be zero");
 
         let n = (config.days as f64 * DAY_S / config.sample_period.value()).round() as usize;
         let mut rng = Xoshiro256pp::seed_from_u64(config.seed);
@@ -116,7 +115,7 @@ impl GoogleTrace {
             for (c, shape) in shapes.iter().enumerate() {
                 let shifted = t - day_shift_h[day][c] * 3600.0;
                 let jitter = 1.0 + rng.gen_range(-config.jitter..config.jitter);
-                let v = shape.at(shifted) * day_scale[day][c] * config.mix[c] * jitter;
+                let v = shape.at(shifted) * day_scale[day][c] * JOB_MIX[c] * jitter;
                 comp_raw[c].push(v.max(0.0));
             }
         }

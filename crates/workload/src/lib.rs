@@ -37,10 +37,9 @@ pub mod series;
 pub mod weekly;
 
 pub use demand::{
-    flash_crowd_trace, seasonal_trace, training_burst_trace, FlashCrowdTraceConfig,
-    SeasonalTraceConfig, TrainingBurstConfig,
+    flash_crowd_trace, training_burst_trace, FlashCrowdTraceConfig, TrainingBurstConfig,
 };
-pub use events::{FlashCrowd, LoadStep};
+pub use events::FlashCrowd;
 pub use google::GoogleTrace;
 pub use jobs::{Job, JobStream, JobType};
 pub use series::TimeSeries;

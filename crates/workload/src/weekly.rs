@@ -8,6 +8,7 @@
 //! when the peak shrinks).
 
 use crate::diurnal::{DiurnalShape, DAY_S};
+use crate::google::JOB_MIX;
 use crate::normalize::normalize_mean_peak;
 use crate::series::TimeSeries;
 use tts_rng::{Rng, SeedableRng, Xoshiro256pp};
@@ -22,17 +23,13 @@ pub struct WeeklyTraceConfig {
     pub target_mean: f64,
     /// Target peak over the whole week.
     pub target_peak: f64,
-    /// Interactive-traffic multiplier on Saturday/Sunday.
-    pub weekend_interactive_scale: f64,
-    /// Batch-traffic multiplier on Saturday/Sunday (backfill).
-    pub weekend_batch_scale: f64,
     /// Seed for per-sample jitter.
     pub seed: u64,
     /// Relative jitter amplitude.
     pub jitter: f64,
 }
 
-tts_units::derive_json! { struct WeeklyTraceConfig { sample_period, target_mean, target_peak, weekend_interactive_scale, weekend_batch_scale, seed, jitter } }
+tts_units::derive_json! { struct WeeklyTraceConfig { sample_period, target_mean, target_peak, seed, jitter } }
 
 impl Default for WeeklyTraceConfig {
     fn default() -> Self {
@@ -40,13 +37,17 @@ impl Default for WeeklyTraceConfig {
             sample_period: Seconds::from_minutes(5.0),
             target_mean: 0.50,
             target_peak: 0.95,
-            weekend_interactive_scale: 0.65,
-            weekend_batch_scale: 1.25,
             seed: 7,
             jitter: 0.015,
         }
     }
 }
+
+/// Interactive-traffic multiplier on Saturday/Sunday.
+const WEEKEND_INTERACTIVE_SCALE: f64 = 0.65;
+
+/// Batch-traffic multiplier on Saturday/Sunday (backfill).
+const WEEKEND_BATCH_SCALE: f64 = 1.25;
 
 /// Generates a 7-day trace starting on a Monday.
 ///
@@ -61,7 +62,6 @@ pub fn weekly_trace(config: &WeeklyTraceConfig) -> TimeSeries {
         (DiurnalShape::social(), true),
         (DiurnalShape::mapreduce(), false),
     ];
-    let mix = [0.45, 0.30, 0.25];
 
     let values: Vec<f64> = (0..n)
         .map(|i| {
@@ -70,12 +70,12 @@ pub fn weekly_trace(config: &WeeklyTraceConfig) -> TimeSeries {
             let weekend = day >= 5;
             let jitter = 1.0 + rng.gen_range(-config.jitter..config.jitter);
             let mut v = 0.0;
-            for ((shape, interactive), w) in shapes.iter().zip(mix) {
+            for ((shape, interactive), w) in shapes.iter().zip(JOB_MIX) {
                 let scale = if weekend {
                     if *interactive {
-                        config.weekend_interactive_scale
+                        WEEKEND_INTERACTIVE_SCALE
                     } else {
-                        config.weekend_batch_scale
+                        WEEKEND_BATCH_SCALE
                     }
                 } else {
                     1.0

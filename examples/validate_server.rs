@@ -6,7 +6,7 @@
 //! ```
 
 use thermal_time_shifting::chart::ascii_chart;
-use tts_server::validation::{run, ValidationConfig};
+use tts_server::validation::{run, ValidationConfig, PERTURBATION, SENSOR_SIGMA_K};
 
 fn main() {
     let config = ValidationConfig::default();
@@ -15,8 +15,8 @@ fn main() {
         config.idle_before_h,
         config.load_h,
         config.idle_after_h,
-        config.sensor_sigma,
-        config.perturbation * 100.0
+        SENSOR_SIGMA_K,
+        PERTURBATION * 100.0
     );
     let r = run(&config);
 
