@@ -12,6 +12,11 @@ cargo fmt --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings)"
+# A deleted or private item left behind in an intra-doc link is a broken
+# link in the published docs; clippy does not check them.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 

@@ -26,7 +26,7 @@ use tts_server::{ServerClass, ServerWaxCharacteristics};
 use tts_thermal::network::ThermalNetwork;
 use tts_thermal::Integrator;
 use tts_units::{
-    Celsius, Fraction, JoulesPerKelvin, Liters, Meters, Seconds, Watts, WattsPerKelvin,
+    Celsius, JoulesPerKelvin, Liters, Meters, Seconds, Watts, WattsPerKelvin,
     WattsPerSquareMeterKelvin,
 };
 use tts_workload::series::TimeSeries;
@@ -185,10 +185,6 @@ fn report_quality_metrics() {
         .run(&jobs, Seconds::new(1800.0))
         .mean_response_s;
     eprintln!("[ablation] balancer mean response: round-robin {rr:.2}s, least-loaded {ll:.2}s");
-
-    // Utilization consistency under different load fractions (Figure 12's
-    // claim that arms agree off-peak) — handled in tests; note the check.
-    let _ = Fraction::new(0.5);
 }
 
 fn bench_steady_state(c: &mut Criterion) {

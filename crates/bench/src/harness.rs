@@ -1,7 +1,7 @@
 //! A minimal wall-clock benchmark harness (the `criterion` replacement).
 //!
 //! Exposes the slice of the criterion API the `benches/*.rs` targets use —
-//! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`]/[`iter_batched`],
+//! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`]/[`iter_batched`](Bencher::iter_batched),
 //! [`BatchSize`], [`Throughput`] and the [`criterion_group!`]/
 //! [`criterion_main!`] macros — so every pre-existing bench target compiles
 //! and runs unchanged, hermetically.

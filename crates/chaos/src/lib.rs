@@ -18,8 +18,8 @@
 //! * **Faults enter through typed seams, not forks.** dcsim takes a
 //!   [`tts_dcsim::discrete::FaultHook`], the thermal network takes a
 //!   [`tts_thermal::BoundaryFault`], the ride-through solver takes a
-//!   [`tts_cooling::CoolingProfile`]. The production code paths are the
-//!   ones under test.
+//!   [`tts_cooling::DegradedCooling`] profile. The production code paths
+//!   are the ones under test.
 //! * **Summaries are byte-deterministic** at any `TTS_THREADS`, so the
 //!   CI gate can `cmp` them.
 

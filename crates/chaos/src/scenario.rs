@@ -9,7 +9,7 @@
 //!    failures, blockage spikes and sensor faults
 //!    ([`tts_thermal::BoundaryFault`]).
 //! 3. **Cooling** — room ride-through under plant outages/deratings
-//!    ([`tts_cooling::CoolingProfile`]).
+//!    ([`tts_cooling::DegradedCooling`]).
 //! 4. **Workload** — seeded trace generation, JSON round-trip and
 //!    non-negativity.
 //! 5. **Schedule** — the receding-horizon PCM/job co-optimizer
@@ -28,7 +28,7 @@
 
 use crate::fault::{Fault, FaultPlan, PlanConfig};
 use crate::invariant::{Checker, Violation};
-use tts_cooling::emergency::{ride_through_degraded, DegradedCooling, RoomModel};
+use tts_cooling::emergency::{ride_through, DegradedCooling, RoomModel};
 use tts_dcsim::balancer::LeastLoaded;
 use tts_dcsim::discrete::{ClusterConfig, FaultAction, FaultHook};
 use tts_dcsim::fleet::{DatacenterSpec, FleetConfig};
@@ -581,7 +581,7 @@ fn cooling_phase(cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mut Checker) 
     };
 
     let run = |budget: Joules, plant: Watts| {
-        ride_through_degraded(
+        ride_through(
             &room,
             it_power,
             DegradedCooling {
@@ -792,14 +792,14 @@ fn schedule_phase(cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mut Checker)
 /// The economizer runs against a generated temperate weather series with
 /// the plan's damper jams applied through the typed damper seam; the
 /// hot-water loop takes the plan's reuse dropouts through the demand
-/// seam and its pump derates through the `CoolingProfile` ride-through
+/// seam and its pump derates through the `DegradedCooling` ride-through
 /// seam. Every check is a comparison principle: a fault can only move
 /// the bill toward the fully-broken bound, never past it and never
 /// below nominal, and a pump derate can only shorten ride-through.
 fn backend_phase(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mut Checker) {
     use tts_cooling::climate::{Site, WeatherConfig, WeatherSeries};
-    use tts_cooling::freecooling::cooling_electricity_cost_damped;
-    use tts_cooling::hotwater::{hot_water_bill_with_demand, HotWaterLoop};
+    use tts_cooling::freecooling::cooling_electricity_cost;
+    use tts_cooling::hotwater::{hot_water_bill, HotWaterLoop};
     use tts_cooling::{CoolingSystem, Economizer, Tariff};
     use tts_units::KiloWatts;
 
@@ -839,10 +839,9 @@ fn backend_phase(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mu
             .fold(1.0, f64::min)
     };
     let econ = Economizer::around(CoolingSystem::new(KiloWatts::new(200.0), 4.0));
-    let nominal = cooling_electricity_cost_damped(&loads_w, dt, &econ, &tariff, &weather, |_| 1.0);
-    let faulted = cooling_electricity_cost_damped(&loads_w, dt, &econ, &tariff, &weather, damper);
-    let mechanical =
-        cooling_electricity_cost_damped(&loads_w, dt, &econ, &tariff, &weather, |_| 0.0);
+    let nominal = cooling_electricity_cost(&loads_w, dt, &econ, &tariff, &weather, |_| 1.0);
+    let faulted = cooling_electricity_cost(&loads_w, dt, &econ, &tariff, &weather, damper);
+    let mechanical = cooling_electricity_cost(&loads_w, dt, &econ, &tariff, &weather, |_| 0.0);
     let eps = 1e-9 * mechanical.value().max(1.0);
     checker.check(
         "economizer.jam_not_cheaper",
@@ -889,8 +888,8 @@ fn backend_phase(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mu
         }
     };
     let water = HotWaterLoop::idatacool();
-    let bill_nominal = hot_water_bill_with_demand(&loads_w, dt, &water, &tariff, &weather, |_| 1.0);
-    let bill_faulted = hot_water_bill_with_demand(&loads_w, dt, &water, &tariff, &weather, demand);
+    let bill_nominal = hot_water_bill(&loads_w, dt, &water, &tariff, &weather, |_| 1.0);
+    let bill_faulted = hot_water_bill(&loads_w, dt, &water, &tariff, &weather, demand);
     checker.check(
         "hotwater.credit_physical",
         bill_faulted.heat_reused_kwh <= bill_faulted.heat_rejected_kwh + 1e-9
@@ -952,8 +951,8 @@ fn backend_phase(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mu
     };
     let room = RoomModel::cluster_room();
     let window = Seconds::new(cfg.window_s.max(1_800.0));
-    let run = |profile: &dyn tts_cooling::CoolingProfile| {
-        ride_through_degraded(
+    let run = |profile: &dyn Fn(Seconds) -> f64| {
+        ride_through(
             &room,
             Watts::new(120_000.0),
             DegradedCooling {

@@ -1,11 +1,11 @@
 //! Seeded ambient-weather generation for site-diverse cooling studies.
 //!
-//! The paper's economizer analysis (and PR 5's `AmbientCycle`) assumes a
-//! single idealized temperate sinusoid. Real free-cooling economics hinge
-//! on *where* the datacenter sits: a desert site swings hard between cold
-//! nights and hot afternoons, a tropical site barely moves but never gets
-//! cold, a temperate site has a deep seasonal cycle. This module generates
-//! deterministic year-scale hourly temperature series per [`Site`]:
+//! Free-cooling economics hinge on *where* the datacenter sits, which a
+//! single idealized sinusoid cannot show: a desert site swings hard
+//! between cold nights and hot afternoons, a tropical site barely moves
+//! but never gets cold, a temperate site has a deep seasonal cycle. This
+//! module generates deterministic year-scale hourly temperature series
+//! per [`Site`]:
 //!
 //! ```text
 //! T(t) = mean
@@ -19,14 +19,11 @@
 //! (weather fronts last days, not hours) and the series stays inside
 //! provable bounds — see [`WeatherSeries::bounds`] and
 //! [`WeatherSeries::slew_bound_k_per_hour`], which the property tests
-//! pin. Same seed, same bytes, on any machine.
-//!
-//! [`AmbientSource`] abstracts "a thing that knows the outdoor
-//! temperature at time t" so the economizer bill in
-//! [`crate::freecooling`] works against either the legacy
-//! [`AmbientCycle`](crate::AmbientCycle) or a generated series.
+//! pin. Same seed, same bytes, on any machine. The economizer bill in
+//! [`crate::freecooling`] and the hot-water bill in [`crate::hotwater`]
+//! read the outdoor temperature from a series through
+//! [`WeatherSeries::at`].
 
-use crate::freecooling::AmbientCycle;
 use tts_rng::{Rng, SeedableRng, Xoshiro256pp};
 use tts_units::{Celsius, Seconds};
 
@@ -34,22 +31,6 @@ use tts_units::{Celsius, Seconds};
 const HOUR_S: f64 = 3_600.0;
 /// Hours per (tropical) year, matching the seasonal period.
 const YEAR_H: f64 = 365.25 * 24.0;
-
-/// Anything that can report the outdoor dry-bulb temperature at a
-/// simulation time. Implemented by the legacy fixed [`AmbientCycle`] and
-/// by generated [`WeatherSeries`]; cooling-cost integrators take
-/// `&impl AmbientSource` so both plug in.
-pub trait AmbientSource {
-    /// Outdoor temperature at simulation time `t` (wrapping beyond the
-    /// source's native period).
-    fn ambient_at(&self, t: Seconds) -> Celsius;
-}
-
-impl AmbientSource for AmbientCycle {
-    fn ambient_at(&self, t: Seconds) -> Celsius {
-        self.at(t)
-    }
-}
 
 /// A climate preset: the site archetypes the scenario matrix sweeps.
 ///
@@ -194,19 +175,13 @@ impl WeatherSeries {
     }
 
     /// The seasonal + diurnal skeleton (no front) at hour `h` from the
-    /// series start. Season peaks mid-July (day 196), days peak at 15:00
-    /// — matching [`AmbientCycle::temperate`]'s phase.
+    /// series start. Season peaks mid-July (day 196), days peak at 15:00.
     fn deterministic_at(site: Site, h: f64) -> f64 {
         let day = h / 24.0;
         let hour = h.rem_euclid(24.0);
         site.annual_mean_c()
             + site.seasonal_amplitude_k() * (std::f64::consts::TAU * (day - 196.0) / 365.25).cos()
             + site.diurnal_amplitude_k() * (std::f64::consts::TAU * (hour - 15.0) / 24.0).cos()
-    }
-
-    /// The site this series was generated for.
-    pub fn site(&self) -> Site {
-        self.site
     }
 
     /// The raw hourly samples (°C), one per hour from t = 0.
@@ -249,12 +224,6 @@ impl WeatherSeries {
         let front = (1.0 - rho) * 3.0 * s.front_sigma_k()
             + 6.0 * s.front_sigma_k() * (1.0 - rho * rho).sqrt();
         seasonal + diurnal + front + 1e-9
-    }
-}
-
-impl AmbientSource for WeatherSeries {
-    fn ambient_at(&self, t: Seconds) -> Celsius {
-        self.at(t)
     }
 }
 
@@ -311,12 +280,5 @@ mod tests {
         let t = Seconds::new(12.5 * HOUR_S);
         let wrapped = Seconds::new(12.5 * HOUR_S + year_s);
         assert_eq!(s.at(t).value(), s.at(wrapped).value());
-    }
-
-    #[test]
-    fn ambient_cycle_is_an_ambient_source() {
-        let cycle = AmbientCycle::temperate();
-        let t = Seconds::new(3.0 * HOUR_S);
-        assert_eq!(cycle.ambient_at(t).value(), cycle.at(t).value());
     }
 }

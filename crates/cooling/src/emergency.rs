@@ -8,17 +8,12 @@
 //! stretches the time until the critical temperature — the window for
 //! generators to start or workloads to drain.
 //!
-//! Two entry points:
-//!
-//! * [`ride_through`] — the classic total-outage scenario (plant fully
-//!   offline for up to 24 h).
-//! * [`ride_through_degraded`] — the general boundary-condition form: a
-//!   [`CoolingProfile`] describes the *fraction of nominal plant
-//!   capacity* still available at each instant, so partial deratings,
-//!   staged recoveries, and repeated flaps (the fault-injection cases)
-//!   share one integrator with the total outage.
-//!
-//! Both return a [`RideThrough`] report rather than ad-hoc values, so
+//! [`ride_through`] integrates one boundary condition: a
+//! [`DegradedCooling`] profile gives the *fraction of nominal plant
+//! capacity* still available at each instant, so the classic total
+//! outage (zero capacity), partial deratings, staged recoveries, and
+//! repeated flaps (the fault-injection cases) share one integrator. It
+//! returns a [`RideThrough`] report rather than ad-hoc values, so
 //! invariant checkers can assert on time-to-threshold, peak room
 //! temperature, and the wax energy actually absorbed.
 
@@ -54,51 +49,17 @@ impl RoomModel {
     }
 }
 
-/// Time-varying availability of the cooling plant during a degraded
-/// episode — the boundary-condition fault hook. Implemented by the
-/// chaos engine's scheduled outage/derating faults; closures work too.
-pub trait CoolingProfile {
-    /// Fraction of nominal plant capacity available `t` seconds after
-    /// the episode starts. Values are clamped to `[0, 1]` by the
-    /// integrator.
-    fn capacity_frac(&self, t: Seconds) -> f64;
-}
-
-/// The plant is fully offline for the whole episode.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TotalOutage;
-
-impl CoolingProfile for TotalOutage {
-    fn capacity_frac(&self, _t: Seconds) -> f64 {
-        0.0
-    }
-}
-
-/// The plant runs at a constant fraction of nominal capacity (a partial
-/// derating: one CRAC of several tripped, a fouled condenser, …).
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantDerating(pub f64);
-
-impl CoolingProfile for ConstantDerating {
-    fn capacity_frac(&self, _t: Seconds) -> f64 {
-        self.0
-    }
-}
-
-impl<F: Fn(Seconds) -> f64> CoolingProfile for F {
-    fn capacity_frac(&self, t: Seconds) -> f64 {
-        self(t)
-    }
-}
-
 /// The degraded cooling plant: nominal capacity plus the availability
-/// profile applied to it.
+/// profile applied to it — the boundary-condition fault seam the chaos
+/// engine's scheduled outage/derating faults inject through.
 #[derive(Clone, Copy)]
 pub struct DegradedCooling<'a> {
-    /// Heat-removal capacity of the healthy plant, W.
+    /// Heat-removal capacity of the healthy plant, W (zero for a total
+    /// outage).
     pub plant_capacity: Watts,
-    /// Fraction of that capacity available over time.
-    pub profile: &'a dyn CoolingProfile,
+    /// Fraction of that capacity available `t` seconds after the
+    /// episode starts, clamped to `[0, 1]` by the integrator.
+    pub profile: &'a dyn Fn(Seconds) -> f64,
 }
 
 impl std::fmt::Debug for DegradedCooling<'_> {
@@ -132,49 +93,19 @@ tts_units::derive_json! { struct RideThrough {
     time_to_critical, peak_room_temp, wax_saturated_at, wax_energy_absorbed, simulated
 } }
 
-impl RideThrough {
-    /// Did the room hit the shutdown threshold?
-    pub fn reached_critical(&self) -> bool {
-        self.time_to_critical.is_some()
-    }
-}
-
-/// Simulates a total cooling failure: the room heats under `it_power`
-/// while a wax bank of total `coupling` (W/K) and `latent_budget` (J,
-/// counted from the failure moment) absorbs heat whenever the room is
-/// above `wax_melting_point`. The episode is capped at 24 h — if
-/// `time_to_critical` is `None`, envelope losses (plus wax, while it
-/// lasts) balanced the IT power first.
-pub fn ride_through(
-    room: &RoomModel,
-    it_power: Watts,
-    coupling: WattsPerKelvin,
-    latent_budget: Joules,
-    wax_melting_point: Celsius,
-) -> RideThrough {
-    ride_through_degraded(
-        room,
-        it_power,
-        DegradedCooling {
-            plant_capacity: Watts::ZERO,
-            profile: &TotalOutage,
-        },
-        coupling,
-        latent_budget,
-        wax_melting_point,
-        Seconds::new(86_400.0),
-    )
-}
-
-/// The general degraded-cooling integrator: explicit 1 s steps of the
-/// lumped room balance
+/// Simulates a cooling failure: the room heats under `it_power` while a
+/// wax bank of total `coupling` (W/K) and `latent_budget` (J, counted
+/// from the failure moment) absorbs heat whenever the room is above
+/// `wax_melting_point`, integrated in explicit 1 s steps of the lumped
+/// room balance
 ///
 /// `C dT/dt = IT − wax − envelope − plant·frac(t)`
 ///
 /// where the plant term never cools the room below its setpoint
 /// (`room.start`). Runs until the critical temperature or the end of
-/// `window`, whichever comes first.
-pub fn ride_through_degraded(
+/// `window`, whichever comes first: if `time_to_critical` is `None`,
+/// envelope losses, the plant and the wax balanced the IT power first.
+pub fn ride_through(
     room: &RoomModel,
     it_power: Watts,
     cooling: DegradedCooling<'_>,
@@ -198,10 +129,7 @@ pub fn ride_through_degraded(
             q_wax = remaining / dt;
         }
         let q_env = room.envelope_loss.value() * (t_room - room.start.value());
-        let frac = cooling
-            .profile
-            .capacity_frac(Seconds::new(elapsed))
-            .clamp(0.0, 1.0);
+        let frac = (cooling.profile)(Seconds::new(elapsed)).clamp(0.0, 1.0);
         let q_plant = cooling.plant_capacity.value() * frac;
         let net = it_power.value() - q_wax - q_env - q_plant;
         // The plant chases its setpoint; it never undercools the room.
@@ -232,14 +160,25 @@ mod tests {
 
     const IT_POWER: f64 = 180_000.0; // a 1U cluster at full tilt
 
+    /// The plant fully offline for the whole episode.
+    const OUTAGE: DegradedCooling<'static> = DegradedCooling {
+        plant_capacity: Watts::ZERO,
+        profile: &|_| 0.0,
+    };
+
+    /// The classic total-outage window.
+    const DAY: Seconds = Seconds::new(86_400.0);
+
     #[test]
     fn bare_room_reaches_critical_in_minutes() {
         let r = ride_through(
             &RoomModel::cluster_room(),
             Watts::new(IT_POWER),
+            OUTAGE,
             WattsPerKelvin::ZERO,
             Joules::ZERO,
             Celsius::new(39.0),
+            DAY,
         );
         let minutes = r.time_to_critical.expect("must overheat").value() / 60.0;
         assert!(
@@ -262,18 +201,22 @@ mod tests {
         let bare = ride_through(
             &room,
             Watts::new(IT_POWER),
+            OUTAGE,
             WattsPerKelvin::ZERO,
             Joules::ZERO,
             Celsius::new(28.0),
+            DAY,
         )
         .time_to_critical
         .unwrap();
         let waxed = ride_through(
             &room,
             Watts::new(IT_POWER),
+            OUTAGE,
             WattsPerKelvin::new(1008.0 * 5.0),
             Joules::new(1008.0 * 2.0e5),
             Celsius::new(28.0),
+            DAY,
         );
         let ratio = waxed.time_to_critical.unwrap().value() / bare.value();
         assert!(
@@ -295,9 +238,11 @@ mod tests {
             ride_through(
                 &room,
                 Watts::new(IT_POWER),
+                OUTAGE,
                 WattsPerKelvin::new(1008.0 * 3.0),
                 Joules::new(1008.0 * 2.0e5),
                 Celsius::new(melt_c),
+                DAY,
             )
             .time_to_critical
             .unwrap()
@@ -316,12 +261,14 @@ mod tests {
         let r = ride_through(
             &room,
             Watts::new(8_000.0),
+            OUTAGE,
             WattsPerKelvin::ZERO,
             Joules::ZERO,
             Celsius::new(39.0),
+            DAY,
         );
-        assert!(!r.reached_critical(), "{r:?}");
-        assert_eq!(r.simulated, Seconds::new(86_400.0));
+        assert!(r.time_to_critical.is_none(), "{r:?}");
+        assert_eq!(r.simulated, DAY);
         // The peak is the 16 K equilibrium excursion, below critical.
         assert!(r.peak_room_temp.value() < room.critical.value());
         assert!(r.peak_room_temp.value() > room.start.value() + 10.0);
@@ -333,9 +280,11 @@ mod tests {
         let r = ride_through(
             &RoomModel::cluster_room(),
             Watts::new(IT_POWER),
+            OUTAGE,
             WattsPerKelvin::new(1008.0 * 5.0),
             Joules::new(budget),
             Celsius::new(28.0),
+            DAY,
         );
         let sat = r.wax_saturated_at.expect("tiny budget must saturate");
         assert!(sat.value() < RoomModel::cluster_room().critical.value());
@@ -349,19 +298,19 @@ mod tests {
         // With full capacity ≥ IT power the room never leaves its start
         // temperature (the plant chases the setpoint, never undercools).
         let room = RoomModel::cluster_room();
-        let r = ride_through_degraded(
+        let r = ride_through(
             &room,
             Watts::new(IT_POWER),
             DegradedCooling {
                 plant_capacity: Watts::new(IT_POWER),
-                profile: &ConstantDerating(1.0),
+                profile: &|_| 1.0,
             },
             WattsPerKelvin::ZERO,
             Joules::ZERO,
             Celsius::new(28.0),
             Seconds::new(3_600.0),
         );
-        assert!(!r.reached_critical());
+        assert!(r.time_to_critical.is_none());
         assert!((r.peak_room_temp.value() - room.start.value()).abs() < 1e-9);
     }
 
@@ -370,12 +319,12 @@ mod tests {
         // Half the plant surviving must strictly lengthen the climb.
         let room = RoomModel::cluster_room();
         let run = |frac: f64| {
-            ride_through_degraded(
+            ride_through(
                 &room,
                 Watts::new(IT_POWER),
                 DegradedCooling {
                     plant_capacity: Watts::new(IT_POWER),
-                    profile: &ConstantDerating(frac),
+                    profile: &|_| frac,
                 },
                 WattsPerKelvin::ZERO,
                 Joules::ZERO,
@@ -387,7 +336,7 @@ mod tests {
         let derated = run(0.5).time_to_critical.expect("half plant overheats");
         assert!(derated.value() > 1.5 * outage.value());
         // 95 % capacity: envelope + plant carry the load forever.
-        assert!(!run(0.97).reached_critical());
+        assert!(run(0.97).time_to_critical.is_none());
     }
 
     #[test]
@@ -396,7 +345,7 @@ mod tests {
         // the setpoint; the peak happens near the recovery moment.
         let room = RoomModel::cluster_room();
         let recovery = |t: Seconds| if t.value() < 600.0 { 0.0 } else { 1.0 };
-        let r = ride_through_degraded(
+        let r = ride_through(
             &room,
             Watts::new(IT_POWER),
             DegradedCooling {
@@ -408,7 +357,7 @@ mod tests {
             Celsius::new(28.0),
             Seconds::new(3_600.0),
         );
-        assert!(!r.reached_critical(), "{r:?}");
+        assert!(r.time_to_critical.is_none(), "{r:?}");
         let expected_peak = room.start.value() + IT_POWER * 600.0 / room.capacitance.value();
         assert!(
             (r.peak_room_temp.value() - expected_peak).abs() < 1.0,

@@ -3,47 +3,16 @@
 //! Figure 1 lists the off-peak advantages of thermal time shifting:
 //! "Nighttime: lower ambient temperature, more natural cooling
 //! opportunities" and "Off-peak time: power is cheaper". This module
-//! models both: a diurnal ambient-temperature cycle drives the plant's
-//! effective COP (air-side economizers approach free cooling when the
-//! outside air is cold), and a [`crate::Tariff`] prices the electricity.
-//! Shifting cooling work from a hot, expensive afternoon to a cold, cheap
-//! night is worth more than the plain kWh accounting suggests.
+//! models both: a seeded [`WeatherSeries`] drives the plant's effective
+//! COP (air-side economizers approach free cooling when the outside air
+//! is cold), and a [`crate::Tariff`] prices the electricity. Shifting
+//! cooling work from a hot, expensive afternoon to a cold, cheap night is
+//! worth more than the plain kWh accounting suggests.
 
-use crate::climate::AmbientSource;
+use crate::climate::WeatherSeries;
 use crate::system::CoolingSystem;
 use crate::tariff::Tariff;
-use tts_units::{Celsius, Dollars, Seconds, TempDelta, Watts};
-
-/// A sinusoidal diurnal ambient-temperature model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AmbientCycle {
-    /// Daily mean outdoor temperature.
-    pub mean: Celsius,
-    /// Half the peak-to-trough swing.
-    pub amplitude_k: f64,
-    /// Local hour of the daily maximum (mid-afternoon).
-    pub peak_hour: f64,
-}
-
-tts_units::derive_json! { struct AmbientCycle { mean, amplitude_k, peak_hour } }
-
-impl AmbientCycle {
-    /// A temperate-climate default: 18 °C mean, ±7 K swing, 15:00 peak.
-    pub fn temperate() -> Self {
-        Self {
-            mean: Celsius::new(18.0),
-            amplitude_k: 7.0,
-            peak_hour: 15.0,
-        }
-    }
-
-    /// Outdoor temperature at simulation time `t`.
-    pub fn at(&self, t: Seconds) -> Celsius {
-        let hour = (t.value().rem_euclid(86_400.0)) / 3600.0;
-        let phase = (hour - self.peak_hour) / 24.0 * std::f64::consts::TAU;
-        self.mean + TempDelta::new(self.amplitude_k * phase.cos())
-    }
-}
+use tts_units::{Celsius, Dollars, Seconds, Watts};
 
 /// An economizer-equipped plant: effective COP rises as the outdoor air
 /// cools below the return-air setpoint.
@@ -100,43 +69,31 @@ impl Economizer {
 
     /// Effective COP with the outside-air damper at `damper` ∈ [0, 1]:
     /// 1 is the nominal blend, 0 is a stuck-closed damper (fully
-    /// mechanical regardless of ambient). This is the typed seam the
-    /// chaos engine's `EconomizerDamperStuck` fault injects through.
-    pub fn effective_cop_damped(&self, ambient: Celsius, damper: f64) -> f64 {
+    /// mechanical regardless of ambient).
+    fn effective_cop_damped(&self, ambient: Celsius, damper: f64) -> f64 {
         let nominal = self.effective_cop(ambient);
         self.plant.cop() + damper.clamp(0.0, 1.0) * (nominal - self.plant.cop())
     }
 }
 
 /// Integrates the electricity bill for a cooling-load trace under a tariff
-/// and any [`AmbientSource`] (the fixed [`AmbientCycle`] or a generated
-/// [`crate::climate::WeatherSeries`]). `loads` are sampled every `dt`
-/// starting at t = 0 (midnight).
-pub fn cooling_electricity_cost<A: AmbientSource + ?Sized>(
+/// and a weather series. `loads` are sampled every `dt` starting at t = 0
+/// (midnight). `damper(t)` ∈ [0, 1] is the outside-air damper position
+/// (the `EconomizerDamperStuck` fault seam): it scales the economizer's
+/// approach to free cooling at each step, and `|_| 1.0` is the healthy
+/// plant.
+pub fn cooling_electricity_cost(
     loads_w: &[f64],
     dt: Seconds,
     economizer: &Economizer,
     tariff: &Tariff,
-    ambient: &A,
-) -> Dollars {
-    cooling_electricity_cost_damped(loads_w, dt, economizer, tariff, ambient, |_| 1.0)
-}
-
-/// [`cooling_electricity_cost`] with a time-varying damper position (the
-/// `EconomizerDamperStuck` fault seam): `damper(t)` ∈ [0, 1] scales the
-/// economizer's approach to free cooling at each step.
-pub fn cooling_electricity_cost_damped<A: AmbientSource + ?Sized>(
-    loads_w: &[f64],
-    dt: Seconds,
-    economizer: &Economizer,
-    tariff: &Tariff,
-    ambient: &A,
+    weather: &WeatherSeries,
     damper: impl Fn(Seconds) -> f64,
 ) -> Dollars {
     let mut total = Dollars::ZERO;
     for (i, &load) in loads_w.iter().enumerate() {
         let t = Seconds::new(i as f64 * dt.value());
-        let cop = economizer.effective_cop_damped(ambient.ambient_at(t), damper(t));
+        let cop = economizer.effective_cop_damped(weather.at(t), damper(t));
         let power = Watts::new(load.max(0.0) / cop);
         let energy = power * dt;
         total += tariff.cost(energy, t);
@@ -147,21 +104,16 @@ pub fn cooling_electricity_cost_damped<A: AmbientSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::climate::{Site, WeatherConfig};
     use tts_units::KiloWatts;
 
     fn plant() -> CoolingSystem {
         CoolingSystem::new(KiloWatts::new(200.0), 4.0)
     }
 
-    #[test]
-    fn ambient_cycle_peaks_at_peak_hour() {
-        let a = AmbientCycle::temperate();
-        let at_peak = a.at(Seconds::new(15.0 * 3600.0)).value();
-        assert!((at_peak - 25.0).abs() < 1e-9);
-        let at_trough = a.at(Seconds::new(3.0 * 3600.0)).value();
-        assert!((at_trough - 11.0).abs() < 1e-9);
-        // Wraps across days.
-        assert!((a.at(Seconds::new((24.0 + 15.0) * 3600.0)).value() - at_peak).abs() < 1e-9);
+    /// One seeded year of temperate weather.
+    fn temperate_year() -> WeatherSeries {
+        WeatherSeries::generate(&WeatherConfig::year(Site::Temperate, 1))
     }
 
     #[test]
@@ -175,11 +127,11 @@ mod tests {
 
     #[test]
     fn night_cooling_is_cheaper_per_joule() {
+        // An 11 °C night against a 25 °C afternoon.
         let e = Economizer::around(plant());
-        let a = AmbientCycle::temperate();
         let load = Watts::new(100_000.0);
-        let day = e.electrical_power(load, a.at(Seconds::new(15.0 * 3600.0)));
-        let night = e.electrical_power(load, a.at(Seconds::new(3.0 * 3600.0)));
+        let day = e.electrical_power(load, Celsius::new(25.0));
+        let night = e.electrical_power(load, Celsius::new(11.0));
         assert!(
             night.value() < 0.5 * day.value(),
             "night {night} vs day {day}"
@@ -189,20 +141,22 @@ mod tests {
     #[test]
     fn shifting_load_to_night_cuts_the_bill() {
         // Two 24 h load profiles with the same total energy: one peaks at
-        // 14:00, one at 02:00. The night-shifted profile must cost less
-        // under tariff + economizer.
+        // 14:00, one at 02:00, both on the summer crest day (day 196),
+        // when nights are cool and afternoons hot. The night-shifted
+        // profile must cost less under tariff + economizer.
         let e = Economizer::around(plant());
-        let a = AmbientCycle::temperate();
+        let a = temperate_year();
         let t = Tariff::paper_default();
         let dt = Seconds::new(3600.0);
-        let day_profile: Vec<f64> = (0..24)
-            .map(|h| 50_000.0 + 50_000.0 * gauss(h as f64, 14.0))
-            .collect();
-        let night_profile: Vec<f64> = (0..24)
-            .map(|h| 50_000.0 + 50_000.0 * gauss_wrap(h as f64, 2.0))
-            .collect();
-        let day_cost = cooling_electricity_cost(&day_profile, dt, &e, &t, &a);
-        let night_cost = cooling_electricity_cost(&night_profile, dt, &e, &t, &a);
+        let on_summer_day = |load: fn(f64) -> f64| -> Vec<f64> {
+            let mut loads = vec![0.0; 196 * 24];
+            loads.extend((0..24).map(|h| 50_000.0 + 50_000.0 * load(h as f64)));
+            loads
+        };
+        let day_profile = on_summer_day(|h| gauss(h, 14.0));
+        let night_profile = on_summer_day(|h| gauss_wrap(h, 2.0));
+        let day_cost = cooling_electricity_cost(&day_profile, dt, &e, &t, &a, |_| 1.0);
+        let night_cost = cooling_electricity_cost(&night_profile, dt, &e, &t, &a, |_| 1.0);
         assert!(
             night_cost.value() < 0.8 * day_cost.value(),
             "night {night_cost} vs day {day_cost}"
@@ -226,12 +180,12 @@ mod tests {
     #[test]
     fn stuck_damper_raises_the_bill() {
         let e = Economizer::around(plant());
-        let a = AmbientCycle::temperate();
+        let a = temperate_year();
         let t = Tariff::paper_default();
         let dt = Seconds::new(3600.0);
         let loads = [80_000.0; 24];
-        let nominal = cooling_electricity_cost(&loads, dt, &e, &t, &a);
-        let stuck = cooling_electricity_cost_damped(&loads, dt, &e, &t, &a, |_| 0.0);
+        let nominal = cooling_electricity_cost(&loads, dt, &e, &t, &a, |_| 1.0);
+        let stuck = cooling_electricity_cost(&loads, dt, &e, &t, &a, |_| 0.0);
         assert!(
             stuck.value() > nominal.value(),
             "stuck {stuck} vs nominal {nominal}"
@@ -241,9 +195,10 @@ mod tests {
     #[test]
     fn negative_loads_cost_nothing() {
         let e = Economizer::around(plant());
-        let a = AmbientCycle::temperate();
+        let a = temperate_year();
         let t = Tariff::paper_default();
-        let cost = cooling_electricity_cost(&[-100.0; 24], Seconds::new(3600.0), &e, &t, &a);
+        let cost =
+            cooling_electricity_cost(&[-100.0; 24], Seconds::new(3600.0), &e, &t, &a, |_| 1.0);
         assert_eq!(cost.value(), 0.0);
     }
 

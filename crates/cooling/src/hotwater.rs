@@ -16,7 +16,7 @@
 //! fraction of `heat_rejected` — the credit can never exceed what the
 //! servers physically emitted.
 
-use crate::climate::AmbientSource;
+use crate::climate::WeatherSeries;
 use crate::tariff::Tariff;
 use tts_units::{Celsius, Dollars, DollarsPerKwh, KilowattHours, Seconds, TempDelta, Watts};
 
@@ -129,28 +129,17 @@ impl HotWaterBill {
 }
 
 /// Integrates the hot-water bill for a cooling-load trace (`loads_w`
-/// sampled every `dt` from t = 0) under a tariff and ambient source, at
-/// nominal reuse demand.
-pub fn hot_water_bill<A: AmbientSource + ?Sized>(
+/// sampled every `dt` from t = 0) under a tariff and a weather series.
+/// `demand(t)` ∈ [0, 1] is the reuse consumer's availability (the
+/// `ReuseDropout` fault seam): it scales the contract's `demand_frac` at
+/// each step, and `|_| 1.0` is nominal demand. With no contract attached
+/// the closure is irrelevant and the credit is zero.
+pub fn hot_water_bill(
     loads_w: &[f64],
     dt: Seconds,
     water: &HotWaterLoop,
     tariff: &Tariff,
-    ambient: &A,
-) -> HotWaterBill {
-    hot_water_bill_with_demand(loads_w, dt, water, tariff, ambient, |_| 1.0)
-}
-
-/// [`hot_water_bill`] with a time-varying reuse-demand availability
-/// (the `ReuseDropout` fault seam): `demand(t)` ∈ [0, 1] scales the
-/// contract's `demand_frac` at each step. With no contract attached the
-/// closure is irrelevant and the credit is zero.
-pub fn hot_water_bill_with_demand<A: AmbientSource + ?Sized>(
-    loads_w: &[f64],
-    dt: Seconds,
-    water: &HotWaterLoop,
-    tariff: &Tariff,
-    ambient: &A,
+    weather: &WeatherSeries,
     demand: impl Fn(Seconds) -> f64,
 ) -> HotWaterBill {
     let mut energy_cost = Dollars::ZERO;
@@ -161,7 +150,7 @@ pub fn hot_water_bill_with_demand<A: AmbientSource + ?Sized>(
         let t = Seconds::new(i as f64 * dt.value());
         let heat_kwh = (Watts::new(load.max(0.0)) * dt).kilowatt_hours().value();
         heat_rejected_kwh += heat_kwh;
-        let electricity = water.electrical_power(Watts::new(load), ambient.ambient_at(t)) * dt;
+        let electricity = water.electrical_power(Watts::new(load), weather.at(t)) * dt;
         energy_cost += tariff.cost(electricity, t);
         if let Some(contract) = &water.reuse {
             if water.outlet().value() >= contract.min_outlet.value() {
@@ -183,7 +172,16 @@ pub fn hot_water_bill_with_demand<A: AmbientSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::freecooling::AmbientCycle;
+    use crate::climate::{Site, WeatherConfig};
+
+    /// Two seeded days of temperate weather.
+    fn weather() -> WeatherSeries {
+        WeatherSeries::generate(&WeatherConfig {
+            site: Site::Temperate,
+            seed: 1,
+            days: 2,
+        })
+    }
 
     #[test]
     fn outlet_is_inlet_plus_design_rise() {
@@ -221,7 +219,8 @@ mod tests {
             Seconds::new(3600.0),
             &w,
             &Tariff::paper_default(),
-            &AmbientCycle::temperate(),
+            &weather(),
+            |_| 1.0,
         );
         assert!(bill.heat_reused_kwh <= bill.heat_rejected_kwh);
         let max_credit = w.reuse.unwrap().price.value() * bill.heat_rejected_kwh;
@@ -233,14 +232,22 @@ mod tests {
         let loads = [90_000.0; 48];
         let dt = Seconds::new(3600.0);
         let tariff = Tariff::paper_default();
-        let ambient = AmbientCycle::temperate();
-        let with = hot_water_bill(&loads, dt, &HotWaterLoop::idatacool(), &tariff, &ambient);
+        let ambient = weather();
+        let with = hot_water_bill(
+            &loads,
+            dt,
+            &HotWaterLoop::idatacool(),
+            &tariff,
+            &ambient,
+            |_| 1.0,
+        );
         let without = hot_water_bill(
             &loads,
             dt,
             &HotWaterLoop::idatacool().without_reuse(),
             &tariff,
             &ambient,
+            |_| 1.0,
         );
         assert_eq!(with.energy_cost.value(), without.energy_cost.value());
         assert!(with.net().value() < without.net().value());
@@ -259,7 +266,8 @@ mod tests {
             Seconds::new(3600.0),
             &w,
             &Tariff::paper_default(),
-            &AmbientCycle::temperate(),
+            &weather(),
+            |_| 1.0,
         );
         assert_eq!(bill.heat_reused_kwh, 0.0);
         assert_eq!(bill.reuse_credit.value(), 0.0);
@@ -271,10 +279,10 @@ mod tests {
         let dt = Seconds::new(3600.0);
         let w = HotWaterLoop::idatacool();
         let tariff = Tariff::paper_default();
-        let ambient = AmbientCycle::temperate();
-        let nominal = hot_water_bill(&loads, dt, &w, &tariff, &ambient);
+        let ambient = weather();
+        let nominal = hot_water_bill(&loads, dt, &w, &tariff, &ambient, |_| 1.0);
         // Demand gone for the middle of the day.
-        let faulted = hot_water_bill_with_demand(&loads, dt, &w, &tariff, &ambient, |t| {
+        let faulted = hot_water_bill(&loads, dt, &w, &tariff, &ambient, |t| {
             let h = t.value() / 3600.0;
             if (8.0..16.0).contains(&h) {
                 0.0
@@ -295,7 +303,8 @@ mod tests {
             Seconds::new(3600.0),
             &HotWaterLoop::idatacool(),
             &Tariff::paper_default(),
-            &AmbientCycle::temperate(),
+            &weather(),
+            |_| 1.0,
         );
         assert_eq!(bill.heat_rejected_kwh, 0.0);
         assert_eq!(bill.energy_cost.value(), 0.0);

@@ -17,15 +17,10 @@ pub mod hotwater;
 pub mod system;
 pub mod tariff;
 
-pub use climate::{AmbientSource, Site, WeatherConfig, WeatherSeries};
-pub use emergency::{
-    ride_through, ride_through_degraded, ConstantDerating, CoolingProfile, DegradedCooling,
-    RideThrough, RoomModel, TotalOutage,
-};
-pub use freecooling::{AmbientCycle, Economizer};
-pub use hotwater::{
-    hot_water_bill, hot_water_bill_with_demand, HotWaterBill, HotWaterLoop, ReuseContract,
-};
+pub use climate::{Site, WeatherConfig, WeatherSeries};
+pub use emergency::{ride_through, DegradedCooling, RideThrough, RoomModel};
+pub use freecooling::Economizer;
+pub use hotwater::{hot_water_bill, HotWaterBill, HotWaterLoop, ReuseContract};
 pub use system::CoolingSystem;
 pub use tariff::Tariff;
 

@@ -53,41 +53,22 @@ impl CoolingSystem {
         self.electrical_power(load) * dt
     }
 
-    /// `true` when `load` exceeds what the plant can remove.
-    pub fn is_overloaded(&self, load: Watts) -> bool {
-        load.value() > self.peak_capacity.watts().value()
-    }
-
     /// Load as a fraction of capacity (may exceed 1 when oversubscribed).
     pub fn utilization(&self, load: Watts) -> f64 {
         load.value() / self.peak_capacity.watts().value()
-    }
-
-    /// A smaller plant scaled to `factor` of this one's capacity (the
-    /// "install an X % smaller cooling system" scenario).
-    ///
-    /// # Panics
-    /// Panics if `factor` is not positive.
-    pub fn scaled(&self, factor: f64) -> Self {
-        assert!(factor > 0.0, "scale factor must be positive");
-        Self {
-            peak_capacity: self.peak_capacity * factor,
-            cop: self.cop,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tts_rng::prop::prelude::*;
 
     #[test]
     fn sized_for_matches_peak() {
         let plant = CoolingSystem::sized_for(Watts::new(186_000.0));
         assert!((plant.peak_capacity().value() - 186.0).abs() < 1e-9);
-        assert!(!plant.is_overloaded(Watts::new(186_000.0)));
-        assert!(plant.is_overloaded(Watts::new(186_001.0)));
+        assert!(plant.utilization(Watts::new(186_000.0)) <= 1.0);
+        assert!(plant.utilization(Watts::new(186_001.0)) > 1.0);
     }
 
     #[test]
@@ -109,27 +90,8 @@ mod tests {
     }
 
     #[test]
-    fn scaled_plant_shrinks_capacity_only() {
-        let plant = CoolingSystem::new(KiloWatts::new(200.0), 4.0);
-        let small = plant.scaled(0.88);
-        assert!((small.peak_capacity().value() - 176.0).abs() < 1e-9);
-        assert_eq!(small.cop(), 4.0);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         CoolingSystem::new(KiloWatts::ZERO, 4.0);
-    }
-
-    proptest! {
-        #[test]
-        fn utilization_is_consistent_with_overload(
-            cap in 1.0f64..1000.0, load in 0.0f64..2000.0,
-        ) {
-            let plant = CoolingSystem::new(KiloWatts::new(cap), 4.0);
-            let w = Watts::new(load * 1000.0);
-            prop_assert_eq!(plant.is_overloaded(w), plant.utilization(w) > 1.0);
-        }
     }
 }

@@ -58,14 +58,6 @@ impl Tariff {
             .map(|k| self.rate_at(Seconds::new(start.value() + (k as f64 + 0.5) * dt.value())))
             .collect()
     }
-
-    /// Flat-average rate assuming the paper's 12 h/12 h split.
-    pub fn mean_rate(&self) -> DollarsPerKwh {
-        let peak_frac = (self.peak_end_hour - self.peak_start_hour) / 24.0;
-        DollarsPerKwh::new(
-            self.peak_rate.value() * peak_frac + self.offpeak_rate.value() * (1.0 - peak_frac),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -112,12 +104,5 @@ mod tests {
             1,
         );
         assert_eq!(rates[0].value(), 0.13);
-    }
-
-    #[test]
-    fn mean_rate_is_the_windowed_average() {
-        let t = Tariff::paper_default();
-        // 12 h at 0.13 + 12 h at 0.08 → 0.105.
-        assert!((t.mean_rate().value() - 0.105).abs() < 1e-12);
     }
 }

@@ -2,9 +2,9 @@
 //! free-cooling crossover, and ride-through duration as a function of
 //! the wax budget.
 
-use tts_cooling::emergency::{ride_through, RoomModel};
+use tts_cooling::emergency::{ride_through, DegradedCooling, RoomModel};
 use tts_cooling::freecooling::cooling_electricity_cost;
-use tts_cooling::{AmbientCycle, CoolingSystem, Economizer, Tariff};
+use tts_cooling::{CoolingSystem, Economizer, Site, Tariff, WeatherConfig, WeatherSeries};
 use tts_units::{Celsius, Joules, KiloWatts, Seconds, Watts, WattsPerKelvin};
 
 fn hours(h: f64) -> Seconds {
@@ -36,7 +36,10 @@ fn a_constant_load_pays_exactly_the_mean_rate() {
         let energy = Joules::new(1000.0 * dt);
         total += t.cost(energy, Seconds::new(i as f64 * dt)).value();
     }
-    let expected = t.mean_rate().value() * 24.0; // 24 kWh at the mean rate
+    // 24 kWh at the window-weighted mean rate.
+    let peak_frac = (t.peak_end_hour - t.peak_start_hour) / 24.0;
+    let mean_rate = t.peak_rate.value() * peak_frac + t.offpeak_rate.value() * (1.0 - peak_frac);
+    let expected = mean_rate * 24.0;
     assert!(
         (total - expected).abs() < 1e-9,
         "constant load: integrated {total} vs mean-rate {expected}"
@@ -81,10 +84,14 @@ fn colder_ambient_never_costs_more_electricity() {
 fn night_shifted_cooling_is_cheaper_than_afternoon_cooling() {
     let eco = Economizer::around(CoolingSystem::new(KiloWatts::new(200.0), 4.0));
     let tariff = Tariff::paper_default();
-    let ambient = AmbientCycle::temperate();
+    let ambient = WeatherSeries::generate(&WeatherConfig {
+        site: Site::Temperate,
+        seed: 1,
+        days: 1,
+    });
     // The same 6 h × 100 kW cooling burst, once overnight (midnight–6:00,
     // off-peak and cold) and once in the afternoon (12:00–18:00, peak and
-    // hot). 24 h of samples at 10-minute resolution.
+    // warmer). 24 h of samples at 10-minute resolution.
     let dt = Seconds::new(600.0);
     let samples = 24 * 6;
     let burst = |start_h: usize| -> Vec<f64> {
@@ -99,8 +106,8 @@ fn night_shifted_cooling_is_cheaper_than_afternoon_cooling() {
             })
             .collect()
     };
-    let night = cooling_electricity_cost(&burst(0), dt, &eco, &tariff, &ambient);
-    let afternoon = cooling_electricity_cost(&burst(12), dt, &eco, &tariff, &ambient);
+    let night = cooling_electricity_cost(&burst(0), dt, &eco, &tariff, &ambient, |_| 1.0);
+    let afternoon = cooling_electricity_cost(&burst(12), dt, &eco, &tariff, &ambient, |_| 1.0);
     assert!(
         night.value() < afternoon.value(),
         "night {night:?} should undercut afternoon {afternoon:?}"
@@ -115,10 +122,16 @@ fn ride_through_duration_grows_monotonically_with_wax_budget() {
     let it = Watts::new(150_000.0);
     let coupling = WattsPerKelvin::new(1008.0 * 5.0);
     let melt = Celsius::new(28.0);
+    // The plant fully offline for up to a day.
+    let outage = DegradedCooling {
+        plant_capacity: Watts::ZERO,
+        profile: &|_| 0.0,
+    };
+    let day = Seconds::new(86_400.0);
     let budgets = [0.0, 5.0e7, 1.0e8, 2.0e8, 4.0e8];
     let results: Vec<_> = budgets
         .iter()
-        .map(|&b| ride_through(&room, it, coupling, Joules::new(b), melt))
+        .map(|&b| ride_through(&room, it, outage, coupling, Joules::new(b), melt, day))
         .collect();
     // With no plant and finite room mass, the bare room must overheat.
     let bare = results[0].time_to_critical.expect("bare room overheats");

@@ -3,10 +3,9 @@
 //! reuse contract's effect on the bill, and the comparison principles of
 //! degraded-cooling ride-through the pump-derate chaos fault relies on.
 
-use tts_cooling::emergency::{ride_through_degraded, DegradedCooling, RoomModel};
+use tts_cooling::emergency::{ride_through, DegradedCooling, RoomModel};
 use tts_cooling::{
-    hot_water_bill, hot_water_bill_with_demand, AmbientCycle, HotWaterLoop, ReuseContract, Site,
-    Tariff, WeatherConfig, WeatherSeries,
+    hot_water_bill, HotWaterLoop, ReuseContract, Site, Tariff, WeatherConfig, WeatherSeries,
 };
 use tts_units::{Celsius, Joules, Seconds, TempDelta, Watts, WattsPerKelvin};
 
@@ -28,7 +27,7 @@ fn reuse_credit_never_exceeds_the_heat_rejected() {
     let tariff = Tariff::paper_default();
     let weather = WeatherSeries::generate(&WeatherConfig::year(Site::Temperate, 1));
     let water = HotWaterLoop::idatacool();
-    let bill = hot_water_bill(&loads, dt, &water, &tariff, &weather);
+    let bill = hot_water_bill(&loads, dt, &water, &tariff, &weather, |_| 1.0);
     assert!(bill.heat_rejected_kwh > 0.0);
     assert!(bill.heat_reused_kwh <= bill.heat_rejected_kwh);
     // Credit is exactly price × heat delivered — no bonus money.
@@ -73,32 +72,20 @@ fn cop_is_monotone_in_outlet_temperature() {
 fn the_bill_with_reuse_never_exceeds_the_bill_without() {
     let (loads, dt) = day_loads();
     let tariff = Tariff::paper_default();
-    // Both a seeded weather year and the legacy fixed cycle: the reuse
-    // credit is ambient-independent, so the inequality is unconditional.
+    // The reuse credit is ambient-independent, so the inequality is
+    // unconditional: any seeded weather year shows it.
     let weather = WeatherSeries::generate(&WeatherConfig::year(Site::Desert, 7));
-    let cycle = AmbientCycle::temperate();
     let with = HotWaterLoop::idatacool();
     let without = with.without_reuse();
-    for (label, a, b) in [
-        (
-            "weather",
-            hot_water_bill(&loads, dt, &with, &tariff, &weather),
-            hot_water_bill(&loads, dt, &without, &tariff, &weather),
-        ),
-        (
-            "cycle",
-            hot_water_bill(&loads, dt, &with, &tariff, &cycle),
-            hot_water_bill(&loads, dt, &without, &tariff, &cycle),
-        ),
-    ] {
-        assert_eq!(
-            a.energy_cost, b.energy_cost,
-            "{label}: the contract does not change electricity bought"
-        );
-        assert!(a.net().value() < b.net().value(), "{label}: {a:?} vs {b:?}");
-        assert_eq!(b.reuse_credit.value(), 0.0, "{label}");
-        assert_eq!(b.heat_reused_kwh, 0.0, "{label}");
-    }
+    let a = hot_water_bill(&loads, dt, &with, &tariff, &weather, |_| 1.0);
+    let b = hot_water_bill(&loads, dt, &without, &tariff, &weather, |_| 1.0);
+    assert_eq!(
+        a.energy_cost, b.energy_cost,
+        "the contract does not change electricity bought"
+    );
+    assert!(a.net().value() < b.net().value(), "{a:?} vs {b:?}");
+    assert_eq!(b.reuse_credit.value(), 0.0);
+    assert_eq!(b.heat_reused_kwh, 0.0);
 }
 
 #[test]
@@ -112,7 +99,7 @@ fn a_cold_outlet_earns_nothing() {
         inlet: Celsius::new(35.0), // outlet 50 °C < 55 °C floor
         ..HotWaterLoop::idatacool()
     };
-    let bill = hot_water_bill(&loads, dt, &tepid, &tariff, &weather);
+    let bill = hot_water_bill(&loads, dt, &tepid, &tariff, &weather, |_| 1.0);
     assert_eq!(bill.reuse_credit.value(), 0.0, "{bill:?}");
     assert_eq!(bill.heat_reused_kwh, 0.0, "{bill:?}");
 }
@@ -123,7 +110,7 @@ fn demand_dropout_scales_the_credit_but_not_the_energy_cost() {
     let tariff = Tariff::paper_default();
     let weather = WeatherSeries::generate(&WeatherConfig::year(Site::Temperate, 1));
     let water = HotWaterLoop::idatacool();
-    let nominal = hot_water_bill(&loads, dt, &water, &tariff, &weather);
+    let nominal = hot_water_bill(&loads, dt, &water, &tariff, &weather, |_| 1.0);
     // The consumer disappears for the middle third of the day.
     let dropout = |t: Seconds| -> f64 {
         if (28_800.0..57_600.0).contains(&t.value()) {
@@ -132,7 +119,7 @@ fn demand_dropout_scales_the_credit_but_not_the_energy_cost() {
             1.0
         }
     };
-    let faulted = hot_water_bill_with_demand(&loads, dt, &water, &tariff, &weather, dropout);
+    let faulted = hot_water_bill(&loads, dt, &water, &tariff, &weather, dropout);
     assert_eq!(nominal.energy_cost, faulted.energy_cost);
     assert!(faulted.reuse_credit.value() < nominal.reuse_credit.value());
     assert!(faulted.heat_reused_kwh < nominal.heat_reused_kwh);
@@ -153,7 +140,7 @@ fn pump_derate_comparison_principles_hold_for_ride_through() {
     let window = Seconds::new(4.0 * 3600.0);
     let run = |frac: f64| {
         let profile = move |_t: Seconds| frac;
-        ride_through_degraded(
+        ride_through(
             &room,
             it,
             DegradedCooling {
@@ -203,7 +190,7 @@ fn a_generous_contract_cannot_deliver_more_than_physics() {
         }),
         ..HotWaterLoop::idatacool()
     };
-    let bill = hot_water_bill(&loads, dt, &water, &tariff, &weather);
+    let bill = hot_water_bill(&loads, dt, &water, &tariff, &weather, |_| 1.0);
     assert!(
         bill.heat_reused_kwh <= bill.heat_rejected_kwh + 1e-9,
         "{bill:?}"

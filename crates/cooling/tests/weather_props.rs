@@ -2,7 +2,7 @@
 //! deterministic prop harness: every run prints its master seed on
 //! failure and replays exactly with `TTS_PROP_SEED=0x…`.
 
-use tts_cooling::{AmbientSource, Site, WeatherConfig, WeatherSeries};
+use tts_cooling::{Site, WeatherConfig, WeatherSeries};
 use tts_rng::prop::prelude::*;
 use tts_units::Seconds;
 
@@ -97,15 +97,13 @@ proptest! {
         for h in 0..(10 * 24 - 1) {
             let a = w.samples()[h];
             let b = w.samples()[h + 1];
-            let mid = w
-                .ambient_at(Seconds::new((h as f64 + 0.5) * 3600.0))
-                .value();
+            let mid = w.at(Seconds::new((h as f64 + 0.5) * 3600.0)).value();
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             prop_assert!((lo - 1e-9..=hi + 1e-9).contains(&mid), "h{h}: {mid} outside [{lo},{hi}]");
         }
         // Wrapping: one full period later reads the same value.
         let t = Seconds::new(12.25 * 3600.0);
         let wrapped = Seconds::new(12.25 * 3600.0 + 10.0 * 24.0 * 3600.0);
-        prop_assert_eq!(w.ambient_at(t), w.ambient_at(wrapped));
+        prop_assert_eq!(w.at(t), w.at(wrapped));
     }
 }

@@ -1,6 +1,6 @@
 //! Load-balancing policies.
 //!
-//! The paper "use[s] a round robin load balancing scheme" (§4.2); the
+//! The paper "use\[s\] a round robin load balancing scheme" (§4.2); the
 //! alternatives here feed the load-balancing ablation bench.
 
 use tts_rng::{Rng, SeedableRng, Xoshiro256pp};

@@ -7,7 +7,7 @@
 //!
 //! # Engine layout (fleet-scale rebuild)
 //!
-//! Server state lives in struct-of-arrays form ([`ServerArrays`]): core
+//! Server state lives in struct-of-arrays form (`ServerArrays`): core
 //! occupancy, kill epoch, and the QoS accumulators (busy time, completion
 //! counts) are parallel flat arrays, so the hot dispatch/completion loop
 //! walks cache-linear memory, and the balancer's occupancy view is

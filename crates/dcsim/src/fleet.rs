@@ -14,13 +14,13 @@
 //!
 //! # State layout
 //!
-//! Struct-of-arrays, sharded: each [`Shard`] owns flat arrays —
+//! Struct-of-arrays, sharded: each `Shard` owns flat arrays —
 //! `remaining` (backlog core-seconds, the remaining-work array),
-//! `offered`/`done`/`delay` (QoS accumulators), `down`, and `epoch_tag`
-//! (kill counter) — for a contiguous run of whole racks. Shards step in
-//! parallel over [`tts_exec::par_map_mut`]; everything that crosses a
-//! shard boundary (fault actions, the reroute pool, demand planning,
-//! per-DC accounting) happens serially between epochs.
+//! `done`/`delay` (QoS accumulators) and `down` — for a contiguous run
+//! of whole racks. Shards step in parallel over
+//! [`tts_exec::par_map_mut`]; everything that crosses a shard boundary
+//! (fault actions, the reroute pool, demand planning, per-DC accounting)
+//! happens serially between epochs.
 //!
 //! # Determinism argument (thread- AND shard-invariance)
 //!
@@ -41,9 +41,13 @@
 
 use crate::calendar::CalendarQueue;
 use crate::discrete::{FaultAction, FaultHook};
+use tts_cooling::Tariff;
 use tts_obs::{Counter, Gauge, MetricsSink};
-use tts_units::Seconds;
+use tts_units::{DollarsPerKwh, Seconds};
 use tts_workload::TimeSeries;
+
+/// Local hours of every site's peak-tariff window, `[start, end)`.
+const PEAK_WINDOW_H: (f64, f64) = (8.0, 20.0);
 
 /// One datacenter in the fleet: capacity plus the per-site economics the
 /// geo-router trades against (tariff, ambient-driven cooling overhead,
@@ -109,12 +113,15 @@ impl DatacenterSpec {
 
     /// The tariff in force at trace time `t_s` (local peak = 08:00–20:00).
     pub fn tariff_at(&self, t_s: f64) -> f64 {
-        let local_h = (t_s / 3600.0 + self.utc_offset_h).rem_euclid(24.0);
-        if (8.0..20.0).contains(&local_h) {
-            self.tariff_peak_per_kwh
-        } else {
-            self.tariff_offpeak_per_kwh
-        }
+        let tariff = Tariff {
+            peak_rate: DollarsPerKwh::new(self.tariff_peak_per_kwh),
+            offpeak_rate: DollarsPerKwh::new(self.tariff_offpeak_per_kwh),
+            peak_start_hour: PEAK_WINDOW_H.0,
+            peak_end_hour: PEAK_WINDOW_H.1,
+        };
+        tariff
+            .rate_at(Seconds::new(t_s + self.utc_offset_h * 3600.0))
+            .value()
     }
 
     /// Cooling power as a fraction of IT power: 0.10 at ≤10 °C ambient,
@@ -282,11 +289,9 @@ impl FleetConfig {
                 racks: shard_racks,
                 dc,
                 remaining: vec![0.0; n],
-                offered: vec![0.0; n],
                 done: vec![0.0; n],
                 delay: vec![0.0; n],
                 down: vec![false; n],
-                epoch_tag: vec![0; n],
             });
             base += n;
         }
@@ -338,17 +343,12 @@ struct Shard {
     dc: Vec<u32>,
     /// Remaining work (backlog), core-seconds.
     remaining: Vec<f64>,
-    /// Fresh work credited, core-seconds (excludes rerouted deliveries —
-    /// the conservation ledger counts those once, at injection).
-    offered: Vec<f64>,
     /// Work completed, core-seconds.
     done: Vec<f64>,
     /// ∫ backlog dt, core-seconds² (queueing-delay accumulator).
     delay: Vec<f64>,
     /// Down due to an injected fault.
     down: Vec<bool>,
-    /// Bumped on every kill.
-    epoch_tag: Vec<u32>,
 }
 
 /// Per-rack partial sums from one epoch step, merged serially in global
@@ -394,7 +394,6 @@ impl Shard {
                 let g = (self.base + i) as u64;
                 let fresh = fresh_per_core[d] * cores_f * jitter(seed, g, e);
                 let redo = reroute_per_core[d] * cores_f;
-                self.offered[i] += fresh;
                 let x = self.remaining[i] + fresh + redo;
                 let done = x.min(cap);
                 self.remaining[i] = x - done;
@@ -609,7 +608,6 @@ impl FleetSim {
                 self.obs.kills.incr();
                 let shard = &mut self.shards[s];
                 shard.down[i] = true;
-                shard.epoch_tag[i] += 1;
                 let d = shard.dc[i] as usize;
                 let displaced = shard.remaining[i];
                 shard.remaining[i] = 0.0;
@@ -788,16 +786,13 @@ impl FleetSim {
         let mut done_total = 0.0;
         let mut backlog_total = 0.0;
         let mut delay_total = 0.0;
-        let mut offered_check = 0.0;
         for shard in &self.shards {
             for i in 0..shard.dc.len() {
                 done_total += shard.done[i];
                 backlog_total += shard.remaining[i];
                 delay_total += shard.delay[i];
-                offered_check += shard.offered[i];
             }
         }
-        let _ = offered_check;
         let pool_total: f64 = self.reroute_pool.iter().sum();
         let servers = self.servers();
         let capacity = (servers * self.cores) as f64 * (epochs as f64 * dt);
@@ -1077,6 +1072,26 @@ mod tests {
         assert!(m.per_dc[0].mean_utilization > 0.0);
         assert_eq!(m.per_dc[1].mean_utilization, 0.0);
         assert!(!m.to_json_string().contains("null"));
+    }
+
+    #[test]
+    fn tariff_window_is_08_to_20_local_time_at_every_offset() {
+        let (peak, offpeak) = (0.14, 0.06);
+        for offset_h in [-8.0, 0.0, 5.5, 12.0] {
+            let spec = DatacenterSpec::new("site", 1)
+                .tariffs(peak, offpeak)
+                .utc_offset_h(offset_h);
+            // Trace time of a local clock reading on the trace's second day.
+            let at = |h: f64, m: f64| 86_400.0 + h * 3600.0 + m * 60.0 - offset_h * 3600.0;
+            for (t_s, want, label) in [
+                (at(7.0, 59.0), offpeak, "07:59"),
+                (at(8.0, 0.0), peak, "08:00"),
+                (at(19.0, 59.0), peak, "19:59"),
+                (at(20.0, 0.0), offpeak, "20:00"),
+            ] {
+                assert_eq!(spec.tariff_at(t_s), want, "{label} local at {offset_h:+} h");
+            }
+        }
     }
 
     #[test]

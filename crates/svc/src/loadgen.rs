@@ -1,6 +1,6 @@
 //! The mixed-traffic load generator behind `BENCH_ttsd.json`.
 //!
-//! Binds a throw-away in-process [`Server`](crate::Server) and drives it
+//! Binds a throw-away in-process [`Server`] and drives it
 //! with the three traffic classes the daemon serves in production —
 //! cached hits over keep-alive connections, cold scenario runs, and
 //! async jobs — then reports sustained throughput and latency quantiles

@@ -1,4 +1,4 @@
-//! Connection-level chaos: drive a real [`Server`](crate::Server) with
+//! Connection-level chaos: drive a real [`Server`] with
 //! misbehaving clients and check that it *always* answers (or times the
 //! client out) with a mapped status — never hangs, never emits garbage.
 //!

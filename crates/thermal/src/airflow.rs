@@ -224,24 +224,24 @@ mod tests {
     #[test]
     fn operating_point_lies_on_both_curves() {
         let p = path();
-        let op = p.operating_point(Fraction::new(0.3), Fraction::ONE);
-        // On the system curve: p = K q².
-        let k = 2.0e4 + {
-            // re-derive blockage impedance through public behaviour:
-            // compare against the zero-blockage point.
-            let op0 = p.operating_point(Fraction::ZERO, Fraction::ONE);
-            let k0 = op0.pressure.value() / op0.flow.value().powi(2);
-            let kb = op.pressure.value() / op.flow.value().powi(2);
-            kb - k0 // grille component only; total recomputed below
-        };
-        let _ = k;
-        let sys_p = op.pressure.value();
         let fan = FanCurve::new(Pascals::new(160.0), CubicMetersPerSecond::from_cfm(35.0));
-        let q_per_fan = op.flow.value() / 6.0;
-        let fan_p = fan
-            .pressure_at(CubicMetersPerSecond::new(q_per_fan))
-            .value();
-        assert!((sys_p - fan_p).abs() < 1e-6, "{sys_p} vs {fan_p}");
+        for blockage in [Fraction::new(0.3), Fraction::ZERO] {
+            let op = p.operating_point(blockage, Fraction::ONE);
+            let sys_p = op.pressure.value();
+            // On the system curve: p = K q², K = base + blockage impedance.
+            let k = 2.0e4 + p.blockage_impedance(blockage);
+            let curve_p = k * op.flow.value().powi(2);
+            assert!(
+                (sys_p - curve_p).abs() <= 1e-9 * curve_p,
+                "{blockage:?}: {sys_p} vs system curve {curve_p}"
+            );
+            // On the fan curve: each of the six fans delivers a sixth.
+            let q_per_fan = op.flow.value() / 6.0;
+            let fan_p = fan
+                .pressure_at(CubicMetersPerSecond::new(q_per_fan))
+                .value();
+            assert!((sys_p - fan_p).abs() < 1e-6, "{sys_p} vs {fan_p}");
+        }
     }
 
     #[test]

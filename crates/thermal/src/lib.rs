@@ -29,7 +29,7 @@
 //!   them).
 //! * [`trace`] — time-series comparison (RMSE, mean difference) used by
 //!   the model-validation experiment (Figure 4).
-//! * [`reference`] — parameter perturbation and sensor-noise utilities for
+//! * [`reference`](mod@reference) — parameter perturbation and sensor-noise utilities for
 //!   building the high-resolution "real server" stand-in.
 //!
 //! # Example: a heater in an air stream

@@ -4,7 +4,7 @@
 //! the steady state itself is just the solution of one linear system — at
 //! equilibrium every node's heat balance is zero, so capacitances drop out
 //! and solids become algebraic like the air nodes. This module solves that
-//! system directly. Its one production caller is [`crate::audit`];
+//! system directly. Its one production caller is [`crate::audit()`];
 //! characteristics extraction and the Figure 7 blockage sweep settle
 //! transiently. The bench suite ablates it against transient settling.
 //!

@@ -24,8 +24,7 @@ pub const OPEX_WEATHER_SEED: u64 = 42;
 /// The Figure 1 "additional advantages", quantified: yearly cooling
 /// electricity bill for one cluster with and without PCM, under the
 /// paper's tariff and a temperate-climate economizer driven by a seeded
-/// weather year (diurnal + seasonal + stochastic fronts) rather than the
-/// old fixed sinusoid.
+/// weather year (diurnal + seasonal + stochastic fronts).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoolingOpexStudy {
     /// Bill without wax, $/yr.
@@ -53,6 +52,7 @@ pub fn cooling_opex_study(class: ServerClass) -> CoolingOpexStudy {
         &economizer,
         &tariff,
         &ambient,
+        |_| 1.0,
     );
     let cost_w = cooling_electricity_cost(
         &to_watts(&study.run.load_with_wax_kw),
@@ -60,6 +60,7 @@ pub fn cooling_opex_study(class: ServerClass) -> CoolingOpexStudy {
         &economizer,
         &tariff,
         &ambient,
+        |_| 1.0,
     );
     let days = study.run.times_h.last().expect("non-empty run") / 24.0;
     let scale = 365.25 / days;
@@ -190,12 +191,12 @@ mod tests {
 
     #[test]
     fn opex_weather_sweeps_the_economizer_through_all_three_regimes() {
-        // The old fixed AmbientCycle::temperate() sinusoid (18 ± 7 °C)
-        // never dipped under the 12 °C free-cooling threshold, so the
-        // opex study exercised only the blend/mechanical corner. The
-        // seeded temperate weather year must cross the full crossover
-        // blend: free (< 12 °C), blended, and mechanical (≥ 24 °C) hours
-        // all present, with the blend strictly between the endpoints.
+        // A fixed 18 ± 7 °C sinusoid never dips under the 12 °C
+        // free-cooling threshold, so it would exercise only the
+        // blend/mechanical corner. The seeded temperate weather year must
+        // cross the full crossover blend: free (< 12 °C), blended, and
+        // mechanical (≥ 24 °C) hours all present, with the blend strictly
+        // between the endpoints.
         let weather =
             WeatherSeries::generate(&WeatherConfig::year(Site::Temperate, OPEX_WEATHER_SEED));
         let economizer =

@@ -195,7 +195,7 @@ fn backend_bill(
         "economizer" => {
             let plant = CoolingSystem::sized_for(Watts::new(peak_no_wax_w));
             let economizer = Economizer::around(plant);
-            let cost = cooling_electricity_cost(loads_w, dt, &economizer, tariff, weather);
+            let cost = cooling_electricity_cost(loads_w, dt, &economizer, tariff, weather, |_| 1.0);
             BackendBill {
                 cost: cost * scale,
                 reuse_credit: Dollars::ZERO,
@@ -204,8 +204,11 @@ fn backend_bill(
         }
         "hotwater" => {
             let water = HotWaterLoop::idatacool();
-            let bill: HotWaterBill = hot_water_bill(loads_w, dt, &water, tariff, weather);
-            let plain = hot_water_bill(loads_w, dt, &water.without_reuse(), tariff, weather);
+            let bill: HotWaterBill = hot_water_bill(loads_w, dt, &water, tariff, weather, |_| 1.0);
+            let plain =
+                hot_water_bill(loads_w, dt, &water.without_reuse(), tariff, weather, |_| {
+                    1.0
+                });
             BackendBill {
                 cost: bill.net() * scale,
                 reuse_credit: bill.reuse_credit * scale,

@@ -53,8 +53,8 @@ const CHECKPOINT_DIP: f64 = 0.55;
 const CHECKPOINT_DURATION: Seconds = Seconds::new(20.0 * 60.0);
 
 /// Generates the training-fleet trace: flat near `base_util`, dropping by
-/// [`CHECKPOINT_DIP`] for [`CHECKPOINT_DURATION`] at every multiple of
-/// [`CHECKPOINT_PERIOD`], with seeded multiplicative jitter. The near-zero
+/// 0.55 for 20 minutes at every multiple of 4 h (one checkpoint stall),
+/// with seeded multiplicative jitter. The near-zero
 /// diurnal swing is the point — the wax gets almost no nightly refreeze
 /// window.
 pub fn training_burst_trace(config: &TrainingBurstConfig) -> TimeSeries {

@@ -58,25 +58,35 @@ fn main() {
 
     // 5. A cooling-plant failure: how much ride-through does the wax buy?
     {
-        use tts_cooling::emergency::{ride_through, RoomModel};
-        use tts_units::{Celsius, Joules, Watts, WattsPerKelvin};
+        use tts_cooling::emergency::{ride_through, DegradedCooling, RoomModel};
+        use tts_units::{Celsius, Joules, Seconds, Watts, WattsPerKelvin};
         let room = RoomModel::cluster_room();
         let it = Watts::new(180_000.0);
+        // The plant fully offline for up to a day.
+        let outage = DegradedCooling {
+            plant_capacity: Watts::ZERO,
+            profile: &|_| 0.0,
+        };
+        let day = Seconds::new(86_400.0);
         let bare = ride_through(
             &room,
             it,
+            outage,
             WattsPerKelvin::ZERO,
             Joules::ZERO,
             Celsius::new(28.0),
+            day,
         )
         .time_to_critical
         .expect("bare room overheats");
         let waxed = ride_through(
             &room,
             it,
+            outage,
             WattsPerKelvin::new(1008.0 * 5.0),
             Joules::new(1008.0 * 2.0e5),
             Celsius::new(28.0),
+            day,
         )
         .time_to_critical
         .expect("waxed room still overheats, later");

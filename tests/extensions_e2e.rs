@@ -7,9 +7,9 @@ use thermal_time_shifting::extensions::{
     relocation_study,
 };
 use thermal_time_shifting::Scenario;
-use tts_cooling::emergency::{ride_through, RoomModel};
+use tts_cooling::emergency::{ride_through, DegradedCooling, RoomModel};
 use tts_server::ServerClass;
-use tts_units::{Celsius, Joules, Watts, WattsPerKelvin};
+use tts_units::{Celsius, Joules, Seconds, Watts, WattsPerKelvin};
 
 #[test]
 fn ride_through_with_real_server_characteristics() {
@@ -27,15 +27,31 @@ fn ride_through_with_real_server_characteristics() {
             * n,
     );
     let room = RoomModel::cluster_room();
+    // The plant fully offline for up to a day.
+    let outage = DegradedCooling {
+        plant_capacity: Watts::ZERO,
+        profile: &|_| 0.0,
+    };
+    let day = Seconds::new(86_400.0);
 
     let bare = ride_through(
         &room,
         it_power,
+        outage,
         WattsPerKelvin::ZERO,
         Joules::ZERO,
         Celsius::new(30.0),
+        day,
     );
-    let waxed = ride_through(&room, it_power, coupling, budget, Celsius::new(30.0));
+    let waxed = ride_through(
+        &room,
+        it_power,
+        outage,
+        coupling,
+        budget,
+        Celsius::new(30.0),
+        day,
+    );
     let bare_t = bare.time_to_critical.expect("bare room overheats");
     let waxed_t = waxed
         .time_to_critical
