@@ -164,14 +164,18 @@ echo "==> ttsd loadgen gate (keep-alive+pipelining vs serial close, zero errors,
 "$TTSD" loadgen --duration-ms 1500 --out "$TMPDIR_CI/ttsd_bench.json"
 bench_gate "$TMPDIR_CI/ttsd_bench.json" BENCH_ttsd.json 60 "ttsd bench gate"
 
-echo "==> chaos gate (8 seeded fault scenarios, zero violations, byte-identical at 1 and 4 threads)"
+echo "==> chaos gate (8 seeded fault scenarios, zero violations, byte-identical at 1 and 4 threads and to the golden summary)"
 # The fault-injection batch must come back green and its summary JSON
 # must not depend on the worker count: a fixed base seed, run serially
 # and with 4 workers, has to produce byte-identical bytes. The storm
 # section only carries plan-determined fields, so the cmp is sound.
+# The summary is also held to tests/golden/chaos_seeds8.summary.json, so
+# a deterministic change to any phase (the LP controller of phase 5
+# included) shows as a diff across commits, not only across threads.
 TTS_THREADS=1 "$REPRO" chaos --seeds 8 --summary "$TMPDIR_CI/chaos.t1.json"
 TTS_THREADS=4 "$REPRO" chaos --seeds 8 --summary "$TMPDIR_CI/chaos.t4.json"
 cmp "$TMPDIR_CI/chaos.t1.json" "$TMPDIR_CI/chaos.t4.json"
+cmp tests/golden/chaos_seeds8.summary.json "$TMPDIR_CI/chaos.t1.json"
 # The batch must actually exercise the cooling-backend faults: at the
 # default base seed the sampler draws each of the three backend kinds at
 # least once across the 8 plans, and their invariant phases run with

@@ -273,21 +273,18 @@ impl FleetConfig {
             let hi = ((k + 1) * racks.len()).div_ceil(effective).min(racks.len());
             let mut shard_racks = Vec::new();
             let mut n = 0usize;
-            let mut dc = Vec::new();
             for &(d, len) in &racks[rack_cursor..hi] {
                 shard_racks.push(ShardRack {
                     start: n,
                     len,
                     dc: d,
                 });
-                dc.extend(std::iter::repeat_n(d, len));
                 n += len;
             }
             rack_cursor = hi;
             shards.push(Shard {
                 base,
                 racks: shard_racks,
-                dc,
                 remaining: vec![0.0; n],
                 done: vec![0.0; n],
                 delay: vec![0.0; n],
@@ -338,9 +335,9 @@ struct ShardRack {
 struct Shard {
     /// Global index of the shard's first server.
     base: usize,
+    /// The shard's racks, in ascending `start` order; a server's site is
+    /// its rack's.
     racks: Vec<ShardRack>,
-    /// Per-server owning datacenter.
-    dc: Vec<u32>,
     /// Remaining work (backlog), core-seconds.
     remaining: Vec<f64>,
     /// Work completed, core-seconds.
@@ -364,6 +361,17 @@ struct RackPartial {
 }
 
 impl Shard {
+    /// Servers in the shard.
+    fn len(&self) -> usize {
+        self.remaining.len()
+    }
+
+    /// Owning datacenter of local server `i`.
+    fn dc_of(&self, i: usize) -> usize {
+        let r = self.racks.partition_point(|rack| rack.start <= i) - 1;
+        self.racks[r].dc as usize
+    }
+
     /// Steps every live server one epoch. Pure per-server arithmetic —
     /// see the module-level determinism argument.
     fn step(
@@ -377,8 +385,12 @@ impl Shard {
     ) -> Vec<RackPartial> {
         let cores_f = cores as f64;
         let cap = cores_f * dt;
+        let key = epoch_key(seed, e);
         let mut out = Vec::with_capacity(self.racks.len());
         for rack in &self.racks {
+            let d = rack.dc as usize;
+            let fresh_per_server = fresh_per_core[d] * cores_f;
+            let redo = reroute_per_core[d] * cores_f;
             let mut p = RackPartial {
                 dc: rack.dc,
                 offered: 0.0,
@@ -390,10 +402,7 @@ impl Shard {
                 if self.down[i] {
                     continue;
                 }
-                let d = self.dc[i] as usize;
-                let g = (self.base + i) as u64;
-                let fresh = fresh_per_core[d] * cores_f * jitter(seed, g, e);
-                let redo = reroute_per_core[d] * cores_f;
+                let fresh = fresh_per_server * jitter(key, (self.base + i) as u64);
                 let x = self.remaining[i] + fresh + redo;
                 let done = x.min(cap);
                 self.remaining[i] = x - done;
@@ -410,13 +419,16 @@ impl Shard {
     }
 }
 
+/// The per-(seed, epoch) half of the [`jitter`] hash input.
+fn epoch_key(seed: u64, epoch: u64) -> u64 {
+    seed ^ epoch.wrapping_mul(0xD1B5_4A32_D192_ED03)
+}
+
 /// Deterministic per-(seed, server, epoch) demand jitter in [0.75, 1.25)
-/// — a splitmix64 finalizer, so servers decorrelate without any shared
-/// RNG stream to order.
-fn jitter(seed: u64, server: u64, epoch: u64) -> f64 {
-    let mut z = seed
-        ^ server.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ epoch.wrapping_mul(0xD1B5_4A32_D192_ED03);
+/// — a splitmix64 finalizer over `epoch_key(seed, epoch) ^ server·φ`, so
+/// servers decorrelate without any shared RNG stream to order.
+fn jitter(epoch_key: u64, server: u64) -> f64 {
+    let mut z = epoch_key ^ server.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
@@ -571,7 +583,7 @@ impl FleetSim {
 
     /// Fleet size.
     pub fn servers(&self) -> usize {
-        self.shards.iter().map(|s| s.dc.len()).sum()
+        self.shards.iter().map(Shard::len).sum()
     }
 
     /// Number of shards after snapping to rack boundaries.
@@ -608,7 +620,7 @@ impl FleetSim {
                 self.obs.kills.incr();
                 let shard = &mut self.shards[s];
                 shard.down[i] = true;
-                let d = shard.dc[i] as usize;
+                let d = shard.dc_of(i);
                 let displaced = shard.remaining[i];
                 shard.remaining[i] = 0.0;
                 self.reroute_pool[d] += displaced;
@@ -625,7 +637,7 @@ impl FleetSim {
                 self.fault_events += 1;
                 self.obs.revives.incr();
                 self.shards[s].down[i] = false;
-                let d = self.shards[s].dc[i] as usize;
+                let d = self.shards[s].dc_of(i);
                 self.live[d] += 1;
             }
         }
@@ -641,7 +653,7 @@ impl FleetSim {
             Err(s) => s - 1,
         };
         let i = g - self.shards[s].base;
-        (i < self.shards[s].dc.len()).then_some((s, i))
+        (i < self.shards[s].len()).then_some((s, i))
     }
 
     /// Runs the configured horizon and returns the aggregate metrics.
@@ -787,7 +799,7 @@ impl FleetSim {
         let mut backlog_total = 0.0;
         let mut delay_total = 0.0;
         for shard in &self.shards {
-            for i in 0..shard.dc.len() {
+            for i in 0..shard.len() {
                 done_total += shard.done[i];
                 backlog_total += shard.remaining[i];
                 delay_total += shard.delay[i];
@@ -1002,6 +1014,51 @@ mod tests {
         let b = run(5);
         assert_eq!(a, b);
         assert_eq!(a.to_json_string(), b.to_json_string());
+    }
+
+    /// Kills on both sides of a site boundary that falls inside a shard:
+    /// each one lands on its own site, and the shard count changes no
+    /// per-site result.
+    #[test]
+    fn kills_inside_a_shard_that_spans_two_sites() {
+        // Racks of 16: site a is racks 0–2 (16, 16 and 8 servers), site b
+        // racks 3–5. At 3 shards, shard 1 holds racks 2 and 3, so server
+        // 39 (a's last) and server 40 (b's first) share a shard.
+        let run = |shards: usize, kills: &[usize]| {
+            let mut sim = FleetConfig::new(diurnal(24))
+                .datacenter(DatacenterSpec::new("a", 40))
+                .datacenter(DatacenterSpec::new("b", 40).utc_offset_h(6.0))
+                .cores_per_server(4)
+                .rack_size(16)
+                .shards(shards)
+                .deferrable_frac(0.0)
+                .seed(13)
+                .build();
+            if shards == 3 {
+                let sites: Vec<u32> = sim.shards[1].racks.iter().map(|r| r.dc).collect();
+                assert_eq!(sites, [0, 1]);
+            }
+            sim.set_fault_hook(Box::new(Scheduled {
+                faults: kills
+                    .iter()
+                    .map(|&g| (0.0, FaultAction::KillServer(g)))
+                    .collect(),
+                cursor: 0,
+            }));
+            sim.run().per_dc
+        };
+        // With no deferrable work, a kill at one site leaves the other's
+        // results exactly as they were.
+        let intact = run(1, &[]);
+        let a_only = run(3, &[39]);
+        assert_ne!(a_only[0], intact[0]);
+        assert_eq!(a_only[1], intact[1]);
+        let b_only = run(3, &[40]);
+        assert_eq!(b_only[0], intact[0]);
+        assert_ne!(b_only[1], intact[1]);
+        let both = run(3, &[39, 40]);
+        assert_eq!(both, run(1, &[39, 40]));
+        assert_eq!(both, [a_only[0].clone(), b_only[1].clone()]);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! # Layers
 //!
 //! * [`simplex`] — a bounded-variable primal simplex solver (dense
-//!   tableau values over per-row sparsity patterns, Bland's anti-cycling
-//!   rule, deterministic pivoting). No
+//!   tableau values over per-row sparsity patterns, Dantzig pricing with
+//!   a Bland's-rule anti-cycling fallback, deterministic pivoting). No
 //!   clocks, no allocator tricks, no randomness: the same `Lp` always
 //!   produces the same pivot sequence and the same solution bytes.
 //! * [`model`] — translates a forecast horizon (slot-indexed firm load,

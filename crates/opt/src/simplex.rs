@@ -9,7 +9,7 @@
 //!
 //! * **phase 1** drives bound violations of the basic variables to zero by
 //!   minimizing the total infeasibility (a piecewise-linear objective whose
-//!   gradient is recomputed exactly each iteration — no Big-M constants);
+//!   gradient is kept exact each iteration — no Big-M constants);
 //! * **phase 2** prices with Dantzig's rule (most negative reduced cost,
 //!   lowest index on ties) and falls back to **Bland's rule** after a run
 //!   of degenerate pivots, which guarantees termination; once a
@@ -39,6 +39,22 @@
 //! A zero tableau entry may carry the other sign than under dense loops,
 //! but every nonzero entry is identical, and the sign of a zero never
 //! reaches a comparison, a pivot or the solution.
+//!
+//! The phase-1 gradient `d_j = Σ_i sign_i · (B⁻¹A)_ij` (sign `+1` for a
+//! basic variable below its lower bound, `−1` above its upper, `0` when
+//! feasible) is filled from scratch once, then updated in place. Between
+//! two iterations `d_j` can change only if column `j` of the tableau did,
+//! or if some row with `j` in its pattern changed sign. A pivot writes only
+//! the columns of the pivot row's pattern, which include the entering and
+//! the leaving variable; a bound flip writes none. A row's old pattern lies
+//! in its new one plus the pivot row's. So each iteration recomputes `d_j`
+//! only for those columns and for the patterns of the rows whose sign
+//! changed (a step, a bound flip or the periodic refresh of basic values
+//! can each move a sign). Each recomputed `d_j` is the same ascending-row
+//! sum of the same products as the full fill: the extra `±0` terms from
+//! rows outside `j`'s patterns leave a sum started at `+0.0` unchanged.
+//! Every other entry is already the value the fill would give, so the
+//! gradient, and every pivot after it, is bit-identical to a fresh fill.
 
 /// Reduced-cost tolerance: a direction must beat this to count as improving.
 const COST_TOL: f64 = 1e-9;
@@ -218,6 +234,20 @@ struct Solver {
     /// Pricing vector over all `nt` columns: the phase-1 infeasibility
     /// gradient or the phase-2 reduced costs.
     d: Vec<f64>,
+    /// Per row: the sign its basic variable's bound violation had in the
+    /// last phase-1 gradient (`+1` below, `−1` above, `0` feasible). Empty
+    /// until the first gradient of phase 1.
+    signs: Vec<f64>,
+    /// Scratch: the columns whose phase-1 gradient entry may have changed
+    /// since the last gradient, with a per-column mark to keep them unique.
+    stale: Vec<u32>,
+    stale_mark: Vec<bool>,
+    /// Scratch: the rows with a nonzero sign, ascending.
+    infeasible: Vec<usize>,
+    /// Scratch: tableau column `q` of this iteration's entering variable,
+    /// gathered once so the ratio test, the step and the pivot read it
+    /// contiguously rather than at a stride of `nt`.
+    col: Vec<f64>,
     /// Basic variable per row.
     basis: Vec<usize>,
     /// Variable → basis row, or `-1` when nonbasic.
@@ -289,6 +319,11 @@ impl Solver {
             pivot_cols: Vec::with_capacity(nt),
             merged: Vec::with_capacity(nt),
             d: vec![0.0; nt],
+            signs: Vec::new(),
+            stale: Vec::with_capacity(nt),
+            stale_mark: vec![false; nt],
+            infeasible: Vec::with_capacity(m),
+            col: vec![0.0; m],
             basis: (n..nt).collect(),
             pos: (0..nt).map(|j| j as i64 - n as i64).collect(),
             x,
@@ -349,27 +384,78 @@ impl Solver {
         }
     }
 
+    /// Row `i`'s phase-1 sign: `+1` if its basic variable lies below its
+    /// lower bound, `−1` if above its upper bound, `0` if feasible.
+    fn infeasibility_sign(&self, i: usize) -> f64 {
+        let b = self.basis[i];
+        if self.x[b] < self.lower[b] - FEAS_TOL {
+            1.0
+        } else if self.x[b] > self.upper[b] + FEAS_TOL {
+            -1.0
+        } else {
+            0.0
+        }
+    }
+
     /// Phase-1 gradient of the total infeasibility `w = Σ (l−β)⁺ + (β−u)⁺`
-    /// with respect to each nonbasic variable.
-    fn infeasibility_gradient(&mut self) {
-        self.d.fill(0.0);
-        for (i, &b) in self.basis.iter().enumerate() {
-            let sign = if self.x[b] < self.lower[b] - FEAS_TOL {
-                1.0
-            } else if self.x[b] > self.upper[b] + FEAS_TOL {
-                -1.0
-            } else {
+    /// with respect to each nonbasic variable, from scratch into `d`: each
+    /// infeasible row's pattern, rows in ascending order.
+    fn fill_gradient(&self, d: &mut [f64]) {
+        d.fill(0.0);
+        for i in 0..self.m {
+            let sign = self.infeasibility_sign(i);
+            if sign == 0.0 {
                 continue;
-            };
+            }
             let row = &self.tab[i * self.nt..(i + 1) * self.nt];
             let s = self.slots[i];
             for &j in &self.cols[s.at..s.at + s.len] {
-                self.d[j as usize] += sign * row[j as usize];
+                d[j as usize] += sign * row[j as usize];
             }
         }
         for &b in &self.basis {
-            self.d[b] = 0.0;
+            d[b] = 0.0;
         }
+    }
+
+    /// The phase-1 gradient, updated in place. The first call fills it;
+    /// later calls recompute only the entries that can have changed since
+    /// the last call (see the module docs), each as the same ascending-row
+    /// sum that [`Solver::fill_gradient`] forms.
+    fn infeasibility_gradient(&mut self) {
+        if self.signs.is_empty() {
+            let mut d = std::mem::take(&mut self.d);
+            self.fill_gradient(&mut d);
+            self.d = d;
+            self.signs = (0..self.m).map(|i| self.infeasibility_sign(i)).collect();
+            return;
+        }
+        mark_stale(&self.pivot_cols, &mut self.stale_mark, &mut self.stale);
+        self.infeasible.clear();
+        for i in 0..self.m {
+            let sign = self.infeasibility_sign(i);
+            if sign != self.signs[i] {
+                self.signs[i] = sign;
+                let s = self.slots[i];
+                let cols = &self.cols[s.at..s.at + s.len];
+                mark_stale(cols, &mut self.stale_mark, &mut self.stale);
+            }
+            if sign != 0.0 {
+                self.infeasible.push(i);
+            }
+        }
+        for &j in &self.stale {
+            let j = j as usize;
+            self.stale_mark[j] = false;
+            let mut dj = 0.0;
+            if self.pos[j] < 0 {
+                for &i in &self.infeasible {
+                    dj += self.signs[i] * self.tab[i * self.nt + j];
+                }
+            }
+            self.d[j] = dj;
+        }
+        self.stale.clear();
     }
 
     /// Picks the entering variable and its direction (+1 from lower, −1
@@ -398,16 +484,24 @@ impl Solver {
         best.map(|(j, dir, _)| (j, dir))
     }
 
+    /// Gathers tableau column `q` into `col`, for the ratio test and the
+    /// step that follow.
+    fn gather_column(&mut self, q: usize) {
+        for (i, a) in self.col.iter_mut().enumerate() {
+            *a = self.tab[i * self.nt + q];
+        }
+    }
+
     /// The ratio test: how far the entering variable `q` can move along
     /// `dir` before a basic variable hits a bound (or its own span runs
     /// out). Returns the step and the blocking row with its landing bound;
-    /// `None` row means a bound flip, `None` overall means unbounded.
+    /// `None` row means a bound flip, `None` overall means unbounded. Reads
+    /// column `q` from `col`.
     fn ratio(&self, q: usize, dir: f64, phase1: bool) -> Option<(f64, Option<(usize, Landing)>)> {
         let mut t_best = self.upper[q] - self.lower[q]; // own span (may be ∞)
         let mut block: Option<(usize, Landing)> = None;
         const TIE: f64 = 1e-9;
-        for i in 0..self.m {
-            let a = self.tab[i * self.nt + q];
+        for (i, &a) in self.col.iter().enumerate() {
             if a.abs() <= PIVOT_TOL {
                 continue;
             }
@@ -446,7 +540,7 @@ impl Solver {
                     if self.bland {
                         self.basis[i] < self.basis[r]
                     } else {
-                        a.abs() > self.tab[r * self.nt + q].abs()
+                        a.abs() > self.col[r].abs()
                     }
                 }
                 _ => false,
@@ -464,18 +558,20 @@ impl Solver {
     }
 
     /// Applies a step of length `t` of variable `q` along `dir`, either as
-    /// a bound flip or as a pivot on the blocking row.
+    /// a bound flip or as a pivot on the blocking row. Reads column `q`
+    /// from `col`.
     fn step(&mut self, q: usize, dir: f64, t: f64, block: Option<(usize, Landing)>) {
         if t > 0.0 {
-            for i in 0..self.m {
-                let delta = -self.tab[i * self.nt + q] * dir * t;
-                self.x[self.basis[i]] += delta;
+            for (&a, &b) in self.col.iter().zip(&self.basis) {
+                self.x[b] += -a * dir * t;
             }
             self.x[q] += dir * t;
         }
         match block {
             None => {
-                // Bound flip: park exactly on the opposite bound.
+                // Bound flip: park exactly on the opposite bound. The
+                // tableau is untouched, so no column's entries changed.
+                self.pivot_cols.clear();
                 self.at_upper[q] = dir > 0.0;
                 self.x[q] = if dir > 0.0 {
                     self.upper[q]
@@ -515,7 +611,7 @@ impl Solver {
     /// pattern only.
     fn pivot(&mut self, r: usize, q: usize) {
         let nt = self.nt;
-        let piv = self.tab[r * nt + q];
+        let piv = self.col[r];
         debug_assert!(piv.abs() > PIVOT_TOL, "pivot too small: {piv}");
         let inv = 1.0 / piv;
         let s = self.slots[r];
@@ -526,7 +622,7 @@ impl Solver {
             self.tab[r * nt + j as usize] *= inv;
         }
         for i in 0..self.m {
-            if i != r && self.tab[i * nt + q] != 0.0 {
+            if i != r && self.col[i] != 0.0 {
                 self.eliminate(i, r, q);
             }
         }
@@ -539,7 +635,7 @@ impl Solver {
     /// minus any entry that cancelled to exactly zero (reset to `+0.0`).
     fn eliminate(&mut self, i: usize, r: usize, q: usize) {
         let nt = self.nt;
-        let f = self.tab[i * nt + q];
+        let f = self.col[i];
         let (row, pivot_row) = if i < r {
             let (head, tail) = self.tab.split_at_mut(r * nt);
             (&mut head[i * nt..(i + 1) * nt], &tail[..nt])
@@ -608,6 +704,7 @@ impl Solver {
             let Some((q, dir)) = self.entering() else {
                 return Outcome::Infeasible; // w minimized but still > 0
             };
+            self.gather_column(q);
             let Some((t, block)) = self.ratio(q, dir, true) else {
                 // An improving ray of a function bounded below: numerics.
                 return Outcome::IterationLimit;
@@ -623,6 +720,7 @@ impl Solver {
             let Some((q, dir)) = self.entering() else {
                 break; // optimal
             };
+            self.gather_column(q);
             match self.ratio(q, dir, false) {
                 None => return Outcome::Unbounded,
                 Some((t, block)) => self.step(q, dir, t, block),
@@ -646,6 +744,16 @@ impl Solver {
             objective,
             iterations: self.iterations,
         })
+    }
+}
+
+/// Appends to `stale` each of `cols` not yet in it, as `mark` records.
+fn mark_stale(cols: &[u32], mark: &mut [bool], stale: &mut Vec<u32>) {
+    for &j in cols {
+        if !mark[j as usize] {
+            mark[j as usize] = true;
+            stale.push(j);
+        }
     }
 }
 
@@ -833,6 +941,7 @@ mod tests {
                     continue;
                 }
                 let r = rows[rng.gen_range(0usize..rows.len())];
+                s.gather_column(q);
                 s.step(q, 1.0, 0.0, Some((r, Landing::Lower)));
                 assert_tableau_holds(&s, &t0);
             }
@@ -840,6 +949,113 @@ mod tests {
             let mut s = Solver::new(&lp);
             let _ = s.run();
             assert_tableau_holds(&s, &t0);
+        }
+    }
+
+    /// Phase 1 of [`Solver::run`], one iteration at a time: after every
+    /// gradient update, `d` must equal the from-scratch row-wise fill, bit
+    /// for bit. Returns the phase-1 iterations and bound flips taken.
+    fn assert_gradients_match_fill(lp: &Lp) -> (u64, u64) {
+        let mut s = Solver::new(lp);
+        let mut fill = vec![0.0; s.nt];
+        let mut flips = 0;
+        while s.max_violation() > FEAS_TOL {
+            s.infeasibility_gradient();
+            s.fill_gradient(&mut fill);
+            for (j, (got, want)) in s.d.iter().zip(&fill).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "d[{j}] after {} iterations: {got} vs {want}",
+                    s.iterations
+                );
+            }
+            let Some((q, dir)) = s.entering() else {
+                break;
+            };
+            s.gather_column(q);
+            let Some((t, block)) = s.ratio(q, dir, true) else {
+                break;
+            };
+            flips += u64::from(block.is_none());
+            s.step(q, dir, t, block);
+        }
+        (s.iterations, flips)
+    }
+
+    /// A feasible sparse LP of small integers: short variable spans, so
+    /// that steps often exhaust them as bound flips, and each row ranged
+    /// around its value at a hidden integer point of the box, which the
+    /// all-lower start mostly misses, so that phase 1 runs long.
+    fn random_sparse_lp(seed: u64) -> Lp {
+        use tts_rng::{Rng, SeedableRng, Xoshiro256pp};
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let n = rng.gen_range(20usize..80);
+        let m = rng.gen_range(20usize..120);
+        let mut lp = Lp::new();
+        let mut hidden = Vec::with_capacity(n);
+        for _ in 0..n {
+            let lo = rng.gen_range(-2i64..2);
+            let span = rng.gen_range(1i64..5);
+            lp.add_var(
+                lo as f64,
+                (lo + span) as f64,
+                rng.gen_range(-3i64..4) as f64,
+            );
+            hidden.push((lo + rng.gen_range(0..span + 1)) as f64);
+        }
+        for _ in 0..m {
+            let coeffs: Vec<(usize, f64)> = (0..rng.gen_range(2usize..6))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(-3i64..4) as f64))
+                .collect();
+            let at: f64 = coeffs.iter().map(|&(j, a)| a * hidden[j]).sum();
+            let below = rng.gen_range(0i64..3) as f64;
+            lp.add_row(at - below, &coeffs, at + rng.gen_range(0i64..3) as f64);
+        }
+        lp
+    }
+
+    #[test]
+    fn incremental_gradient_matches_fill_on_random_lps() {
+        tts_rng::prop::run(
+            "incremental_gradient_matches_fill_on_random_lps",
+            0u64..u64::MAX,
+            |seed| {
+                assert_gradients_match_fill(&random_sparse_lp(seed));
+            },
+        );
+    }
+
+    /// The random family above crosses a `refresh_basics` in phase 1 and
+    /// takes bound flips, so the oracle test sees both.
+    #[test]
+    fn random_lps_cross_refreshes_and_take_bound_flips() {
+        let runs: Vec<(u64, u64)> = (0..8)
+            .map(|seed| assert_gradients_match_fill(&random_sparse_lp(seed)))
+            .collect();
+        assert!(
+            runs.iter().any(|&(iters, _)| iters > REFRESH_EVERY),
+            "{runs:?}"
+        );
+        assert!(runs.iter().any(|&(_, flips)| flips > 0), "{runs:?}");
+    }
+
+    mod planning {
+        use crate::model::{BacklogItem, HorizonModel, SlotForecast, DELAY_CLASSES_MIN};
+        use crate::simplex::Lp;
+
+        include!("../tests/common/schedule_lp.rs");
+
+        #[test]
+        fn incremental_gradient_matches_fill_on_schedule_lps() {
+            for lp in [
+                default_schedule_lp(),
+                schedule_lp(1, 30.0, 0.0, 170.0),
+                schedule_lp(4, 15.0, 6.0, 125.0),
+            ] {
+                let (iters, _) = super::assert_gradients_match_fill(&lp);
+                assert!(iters > super::REFRESH_EVERY, "{iters} phase-1 iterations");
+            }
         }
     }
 }

@@ -15,7 +15,8 @@
 //! far below the grid resolution. Failures replay exactly via the
 //! printed `TTS_PROP_SEED` (the harness is seed-chained).
 
-use tts_opt::{Lp, Outcome};
+use tts_opt::model::{BacklogItem, DELAY_CLASSES_MIN};
+use tts_opt::{HorizonModel, Lp, Outcome, SlotForecast};
 use tts_rng::prop::prelude::*;
 
 const TOL: f64 = 1e-6;
@@ -315,45 +316,7 @@ fn pinned_lp(seed: u64) -> Lp {
     lp.build()
 }
 
-/// The `schedule` experiment's default plan shape: 108 slots (24 h + 3 h
-/// of 15-minute slots) × 4 delay classes, diurnal load, peak/off-peak
-/// tariff, PCM mid-melt.
-fn default_schedule_lp() -> Lp {
-    use tts_opt::{HorizonModel, SlotForecast};
-    let slots = 108;
-    let tranches = 4;
-    let dt_h = 0.25;
-    let forecasts = (0..slots)
-        .map(|k| {
-            let hour = (k as f64 * dt_h) % 24.0;
-            let util = 0.5 + 0.3 * (core::f64::consts::TAU * (hour / 24.0 - 0.25)).sin();
-            let it_kw = 161.3 * util;
-            SlotForecast {
-                firm_kw: 0.75 * it_kw,
-                arrivals_kw: vec![0.25 * it_kw / tranches as f64; tranches],
-                rate_usd_per_kwh: if (7.0..19.0).contains(&hour) {
-                    0.13
-                } else {
-                    0.08
-                },
-                charge_ub_kw: 12.0,
-                discharge_ub_kw: 8.0,
-                cooling_cap_kw: 170.0,
-            }
-        })
-        .collect();
-    HorizonModel {
-        slots: forecasts,
-        tranches,
-        dt_h,
-        deadline_slots: vec![2, 4, 8, 12],
-        stored_kwh: 22.0,
-        capacity_kwh: 44.0,
-        cop: 4.0,
-        backlog: vec![Vec::new(); tranches],
-    }
-    .build()
-}
+include!("common/schedule_lp.rs");
 
 /// `fingerprint(pinned_lp(seed))` for seeds `0..20`, recorded on the
 /// dense-loop solver; the row-pattern kernels must reproduce them bit for
@@ -393,4 +356,21 @@ fn fixed_seed_lps_keep_their_bits() {
 fn default_schedule_plan_keeps_its_bits() {
     let got = fingerprint(&default_schedule_lp());
     assert_eq!(got, (604, 0x4050f2462021cbc4, 0x4fb17d83a6eb3072));
+}
+
+/// One delay class at 30-minute slots: 54 slots, the coarsest default
+/// grid `schedule` accepts with its shortest deadline window.
+#[test]
+fn one_tranche_half_hour_plan_keeps_its_bits() {
+    let got = fingerprint(&schedule_lp(1, 30.0, 0.0, 170.0));
+    assert_eq!(got, (133, 0x4051b8dbfffad53a, 0xcfa38359abbb0bc1));
+}
+
+/// Four classes, each with 6 kW·slot of backlog already overdue, under a
+/// plant derated to 125 kW: every job-conservation row starts below its
+/// lower bound, so phase 1 opens with hundreds of infeasible rows.
+#[test]
+fn overdue_derated_plan_keeps_its_bits() {
+    let got = fingerprint(&schedule_lp(4, 15.0, 6.0, 125.0));
+    assert_eq!(got, (611, 0x405118ac8688322c, 0x6f4c4309070faaec));
 }
