@@ -188,18 +188,25 @@ for kind in EconomizerDamperStuck PumpDerate ReuseDropout; do
 done
 echo "chaos gate: all three cooling-backend fault kinds injected"
 
-echo "==> fleet gate (100k servers, 6 h horizon, byte-identical at 1 and 4 threads)"
-# The epoch-sharded fleet engine must not let the worker count leak into
-# results: the same 100k-server run at 1 and 4 threads has to produce
-# byte-identical summary AND raw-metrics JSON.
-for T in 1 4; do
+echo "==> fleet gate (100k servers, 6 h horizon, byte-identical at 1, 2 and 4 threads and at 7 shards)"
+# The epoch-sharded fleet engine must not let the worker count or the
+# shard count leak into results: the same 100k-server run at 2 threads
+# (this host's nproc, where the shards really split across workers), at
+# 4 threads, and at 2 threads over 7 shards has to produce summary AND
+# raw-metrics JSON byte-identical to the 1-thread run.
+for run in "t1 1" "t2 2" "t4 4" "t2s7 2 --shards 7"; do
+  set -- $run
+  name=$1 T=$2
+  shift 2
   (cd "$TMPDIR_CI" && TTS_THREADS=$T "$REPRO_ABS" fleet \
-    --servers 100000 --horizon-h 6 --write > /dev/null)
-  cp "$TMPDIR_CI/results/fleet.summary.json" "$TMPDIR_CI/fleet.t$T.summary.json"
-  cp "$TMPDIR_CI/results/fleet.json" "$TMPDIR_CI/fleet.t$T.raw.json"
+    --servers 100000 --horizon-h 6 "$@" --write > /dev/null)
+  cp "$TMPDIR_CI/results/fleet.summary.json" "$TMPDIR_CI/fleet.$name.summary.json"
+  cp "$TMPDIR_CI/results/fleet.json" "$TMPDIR_CI/fleet.$name.raw.json"
 done
-cmp "$TMPDIR_CI/fleet.t1.summary.json" "$TMPDIR_CI/fleet.t4.summary.json"
-cmp "$TMPDIR_CI/fleet.t1.raw.json" "$TMPDIR_CI/fleet.t4.raw.json"
+for name in t2 t4 t2s7; do
+  cmp "$TMPDIR_CI/fleet.t1.summary.json" "$TMPDIR_CI/fleet.$name.summary.json"
+  cmp "$TMPDIR_CI/fleet.t1.raw.json" "$TMPDIR_CI/fleet.$name.raw.json"
+done
 
 echo "==> fleet bench gate (server-step throughput within 20% of BENCH_fleet.json)"
 # Same degradation contract as the thermal gate above: exit 3 (missing or

@@ -103,6 +103,11 @@ pub struct ScenarioReport {
     pub stale_completions: u64,
     /// Kill/revive actions the simulator actually applied.
     pub fault_events: u64,
+    /// FNV-1a hex of the phase-1b fleet run's `FleetMetrics` JSON.
+    pub fleet_digest: String,
+    /// FNV-1a hex of the phase-5 schedule outcome's JSON (costs, simplex
+    /// iterations and the per-slot loads its plans produced).
+    pub plan_digest: String,
 }
 
 impl ScenarioReport {
@@ -150,6 +155,14 @@ impl ToJson for ScenarioReport {
             (
                 "fault_events".to_string(),
                 Json::Num(self.fault_events as f64),
+            ),
+            (
+                "fleet_digest".to_string(),
+                Json::Str(self.fleet_digest.clone()),
+            ),
+            (
+                "plan_digest".to_string(),
+                Json::Str(self.plan_digest.clone()),
             ),
         ])
     }
@@ -214,7 +227,7 @@ pub fn run_plan(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan) -> ScenarioRe
     thermal_phase(seed, cfg, plan, &mut checker);
     cooling_phase(cfg, plan, &mut checker);
     workload_phase(seed, &mut checker);
-    schedule_phase(cfg, plan, &mut checker);
+    let plan_digest = schedule_phase(cfg, plan, &mut checker);
     backend_phase(seed, cfg, plan, &mut checker);
     let (checks, violations) = checker.into_parts();
     ScenarioReport {
@@ -226,7 +239,15 @@ pub fn run_plan(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan) -> ScenarioRe
         rescheduled: cluster.1,
         stale_completions: cluster.2,
         fault_events: cluster.3,
+        fleet_digest: cluster.4,
+        plan_digest,
     }
+}
+
+/// FNV-1a 64-bit of `text`, as 16 hex digits: a stable digest that lets
+/// the chaos summary pin a phase's full result in one short field.
+fn fnv1a_hex(text: &str) -> String {
+    format!("{:016x}", tts_units::fnv1a64(text.as_bytes()))
 }
 
 /// Multiplies trace buckets covered by workload faults.
@@ -258,15 +279,16 @@ fn faulted_trace(cfg: &ScenarioConfig, plan: &FaultPlan) -> TimeSeries {
 }
 
 /// Phase 1: the discrete cluster under event-level faults. Returns
-/// `(completed, rescheduled, stale_completions, fault_events)`.
+/// `(completed, rescheduled, stale_completions, fault_events,
+/// fleet_digest)`.
 fn cluster_phase(
     seed: u64,
     cfg: &ScenarioConfig,
     plan: &FaultPlan,
     checker: &mut Checker,
-) -> (u64, u64, u64, u64) {
+) -> (u64, u64, u64, u64, String) {
     let trace = faulted_trace(cfg, plan);
-    fleet_cross_check(seed, cfg, plan, &trace, checker);
+    let fleet_digest = fleet_cross_check(seed, cfg, plan, &trace, checker);
     let jobs = JobStream::new(trace, JobType::SocialNetworking, cfg.servers, seed).collect_all();
     let offered = jobs.len() as u64;
     let sink = MetricsSink::fresh();
@@ -335,6 +357,7 @@ fn cluster_phase(
         m.rescheduled,
         m.stale_completions,
         m.fault_events,
+        fleet_digest,
     )
 }
 
@@ -342,14 +365,15 @@ fn cluster_phase(
 /// and fault plan, once un-sharded and once with ≥4 shards. The two runs
 /// must agree byte-for-byte (metrics, JSON rendering, and telemetry
 /// counters) and the work ledger must conserve — the chaos-level pin on
-/// the fleet engine's shard-invariance contract.
+/// the fleet engine's shard-invariance contract. Returns the digest of
+/// the un-sharded run's metrics JSON.
 fn fleet_cross_check(
     seed: u64,
     cfg: &ScenarioConfig,
     plan: &FaultPlan,
     trace: &TimeSeries,
     checker: &mut Checker,
-) {
+) -> String {
     let run = |shards: usize| {
         let sink = MetricsSink::fresh();
         let mut sim = FleetConfig::new(trace.clone())
@@ -392,6 +416,7 @@ fn fleet_cross_check(
             )
         },
     );
+    fnv1a_hex(&unsharded.to_json_string())
 }
 
 /// Phase 2: a PCM-backed server rig under boundary-condition faults.
@@ -685,8 +710,9 @@ fn workload_phase(seed: u64, checker: &mut Checker) {
 /// forecast stays nominal — exactly the mismatch chaos is meant to
 /// probe. Feasible-or-graceful means: every arrived joule is executed
 /// (conservation), no deadline is missed, the wax stays inside its
-/// physical state of charge, and the bill stays finite.
-fn schedule_phase(cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mut Checker) {
+/// physical state of charge, and the bill stays finite. Returns the
+/// digest of the outcome's JSON.
+fn schedule_phase(cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mut Checker) -> String {
     use tts_opt::{run_schedule_on, Disturbances, ScheduleConfig};
 
     let mut faults = Disturbances::default();
@@ -785,6 +811,7 @@ fn schedule_phase(cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mut Checker)
             .all(|kw| kw.is_finite() && *kw >= -1e-9),
         || "non-physical per-slot chiller load".to_string(),
     );
+    fnv1a_hex(&out.to_json_string())
 }
 
 /// Phase 6: the alternative cooling backends under backend-level faults.
@@ -1008,6 +1035,12 @@ mod tests {
             a.to_json().to_string_pretty(),
             b.to_json().to_string_pretty()
         );
+    }
+
+    #[test]
+    fn digest_is_sixteen_hex_digits() {
+        assert_eq!(fnv1a_hex(""), "cbf29ce484222325");
+        assert_eq!(fnv1a_hex("a"), "af63dc4c8601ec8c");
     }
 
     #[test]

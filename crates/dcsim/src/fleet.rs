@@ -17,10 +17,15 @@
 //! Struct-of-arrays, sharded: each `Shard` owns flat arrays —
 //! `remaining` (backlog core-seconds, the remaining-work array),
 //! `done`/`delay` (QoS accumulators) and `down` — for a contiguous run
-//! of whole racks. Shards step in parallel over
-//! [`tts_exec::par_map_mut`]; everything that crosses a shard boundary
-//! (fault actions, the reroute pool, demand planning, per-DC accounting)
-//! happens serially between epochs.
+//! of whole racks. Each rack steps through one out-of-line kernel over
+//! its slices. [`FleetSim::run`] picks `min(thread_count, shards,
+//! servers / FLEET_GRAIN)` workers from counts alone; at one it steps
+//! the shards in a plain loop. Otherwise it spawns the extra workers once
+//! per run, and each epoch hands each of them a contiguous chunk of the
+//! shards while the calling thread steps the first chunk itself.
+//! Everything that crosses a shard boundary (fault actions, the reroute
+//! pool, demand planning, per-DC accounting) happens serially between
+//! epochs, on the shards reassembled in order.
 //!
 //! # Determinism argument (thread- AND shard-invariance)
 //!
@@ -30,7 +35,10 @@
 //!    partial sums accumulate over the same servers in the same order
 //!    no matter how racks are grouped into shards.
 //! 3. The merge folds rack partials in global rack order on the driver
-//!    thread, and `par_map_mut` returns shard results in input order.
+//!    thread. Chunk k of the hand-off is shards `[k·S/W, (k+1)·S/W)`;
+//!    the calling thread takes the chunks back in k order and appends
+//!    them, so the shards (and their partials) are back in their
+//!    original order before the merge reads them.
 //!
 //! Hence the result is byte-identical across `TTS_THREADS` *and* across
 //! shard counts — `rack_size` is the real scheduling boundary, and the
@@ -38,6 +46,9 @@
 //! the same bytes. Fault actions from a [`FaultHook`] pass through a
 //! [`CalendarQueue`], which quantizes them to the next epoch boundary in
 //! deterministic `(time, insertion)` order.
+
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc;
 
 use crate::calendar::CalendarQueue;
 use crate::discrete::{FaultAction, FaultHook};
@@ -289,6 +300,7 @@ impl FleetConfig {
                 done: vec![0.0; n],
                 delay: vec![0.0; n],
                 down: vec![false; n],
+                partials: Vec::new(),
             });
             base += n;
         }
@@ -346,6 +358,8 @@ struct Shard {
     delay: Vec<f64>,
     /// Down due to an injected fault.
     down: Vec<bool>,
+    /// The last step's per-rack sums, in rack order (reused every epoch).
+    partials: Vec<RackPartial>,
 }
 
 /// Per-rack partial sums from one epoch step, merged serially in global
@@ -372,52 +386,102 @@ impl Shard {
         self.racks[r].dc as usize
     }
 
-    /// Steps every live server one epoch. Pure per-server arithmetic —
-    /// see the module-level determinism argument.
-    fn step(
-        &mut self,
-        e: u64,
-        dt: f64,
-        cores: usize,
-        seed: u64,
-        fresh_per_core: &[f64],
-        reroute_per_core: &[f64],
-    ) -> Vec<RackPartial> {
-        let cores_f = cores as f64;
-        let cap = cores_f * dt;
-        let key = epoch_key(seed, e);
-        let mut out = Vec::with_capacity(self.racks.len());
+    /// Steps every live server one epoch and records each rack's sums in
+    /// `partials`. Pure per-server arithmetic — see the module-level
+    /// determinism argument.
+    fn step(&mut self, input: &EpochStep) {
+        self.partials.clear();
         for rack in &self.racks {
             let d = rack.dc as usize;
-            let fresh_per_server = fresh_per_core[d] * cores_f;
-            let redo = reroute_per_core[d] * cores_f;
-            let mut p = RackPartial {
-                dc: rack.dc,
-                offered: 0.0,
-                done: 0.0,
-                backlog: 0.0,
-                delivered: 0.0,
-            };
-            for i in rack.start..rack.start + rack.len {
-                if self.down[i] {
-                    continue;
-                }
-                let fresh = fresh_per_server * jitter(key, (self.base + i) as u64);
-                let x = self.remaining[i] + fresh + redo;
-                let done = x.min(cap);
-                self.remaining[i] = x - done;
-                self.done[i] += done;
-                self.delay[i] += self.remaining[i] * dt;
-                p.offered += fresh;
-                p.done += done;
-                p.backlog += self.remaining[i];
-                p.delivered += redo;
+            let span = rack.start..rack.start + rack.len;
+            let (offered, done, backlog, live) = step_rack(
+                &mut self.remaining[span.clone()],
+                &mut self.done[span.clone()],
+                &mut self.delay[span.clone()],
+                &self.down[span],
+                input,
+                d,
+                ((self.base + rack.start) as u64).wrapping_mul(PHI),
+            );
+            // One `redo` per live server, added in rack order: the same
+            // sum the server loop would build.
+            let redo = input.redo[d];
+            let mut delivered = 0.0;
+            for _ in 0..live {
+                delivered += redo;
             }
-            out.push(p);
+            self.partials.push(RackPartial {
+                dc: rack.dc,
+                offered,
+                done,
+                backlog,
+                delivered,
+            });
         }
-        out
     }
 }
+
+/// What every shard needs to step one epoch.
+#[derive(Debug, Clone)]
+struct EpochStep {
+    /// `epoch_key(seed, epoch)`.
+    key: u64,
+    /// Epoch length, s.
+    dt: f64,
+    /// Core-seconds one server completes per epoch at full occupancy.
+    cap: f64,
+    /// Fresh work per live server before jitter, core-seconds, per site.
+    fresh_per_server: Vec<f64>,
+    /// Rerouted work delivered to each live server, core-seconds, per site.
+    redo: Vec<f64>,
+}
+
+/// Steps one rack of site `d` one epoch; `server_term` is the rack's
+/// first global server index times [`PHI`]. Returns the rack's
+/// `(offered, done, backlog, live servers)`.
+///
+/// Out of line and over slices cut once per rack, so the four sums stay
+/// in registers and the server loop runs without bounds checks.
+#[inline(never)]
+fn step_rack(
+    remaining: &mut [f64],
+    done: &mut [f64],
+    delay: &mut [f64],
+    down: &[bool],
+    input: &EpochStep,
+    d: usize,
+    mut server_term: u64,
+) -> (f64, f64, f64, usize) {
+    let n = remaining.len();
+    let (done, delay, down) = (&mut done[..n], &mut delay[..n], &down[..n]);
+    let (key, dt, cap) = (input.key, input.dt, input.cap);
+    let (fresh_per_server, redo) = (input.fresh_per_server[d], input.redo[d]);
+    let (mut offered, mut done_sum, mut backlog, mut live) = (0.0, 0.0, 0.0, 0);
+    for i in 0..n {
+        if !down[i] {
+            let fresh = fresh_per_server * jitter(key, server_term);
+            let x = remaining[i] + fresh + redo;
+            // `x.min(cap)` as a plain select: both pick x when x < cap and
+            // cap otherwise (a NaN x included), but the select skips min's
+            // NaN fix-up, which would sit on every server's dependency chain.
+            let completed = if x < cap { x } else { cap };
+            let left = x - completed;
+            remaining[i] = left;
+            done[i] += completed;
+            delay[i] += left * dt;
+            offered += fresh;
+            done_sum += completed;
+            backlog += left;
+            live += 1;
+        }
+        // (server + 1)·φ, exactly, in wrapping integer arithmetic.
+        server_term = server_term.wrapping_add(PHI);
+    }
+    (offered, done_sum, backlog, live)
+}
+
+/// The golden-ratio multiplier of the [`jitter`] hash's server term.
+const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The per-(seed, epoch) half of the [`jitter`] hash input.
 fn epoch_key(seed: u64, epoch: u64) -> u64 {
@@ -425,14 +489,17 @@ fn epoch_key(seed: u64, epoch: u64) -> u64 {
 }
 
 /// Deterministic per-(seed, server, epoch) demand jitter in [0.75, 1.25)
-/// — a splitmix64 finalizer over `epoch_key(seed, epoch) ^ server·φ`, so
-/// servers decorrelate without any shared RNG stream to order.
-fn jitter(epoch_key: u64, server: u64) -> f64 {
-    let mut z = epoch_key ^ server.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// — a splitmix64 finalizer over `epoch_key(seed, epoch) ^ server·φ`
+/// (`server_term` is `server·φ`, wrapping), so servers decorrelate
+/// without any shared RNG stream to order.
+fn jitter(epoch_key: u64, server_term: u64) -> f64 {
+    let mut z = epoch_key ^ server_term;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    0.75 + 0.5 * ((z >> 11) as f64 / (1u64 << 53) as f64)
+    // 0.75 + 0.5·(u / 2^53) with u < 2^53: both scalings are exact
+    // powers of two, so u·2^-54 gives the same bits.
+    0.75 + (z >> 11) as f64 * (1.0 / (1u64 << 54) as f64)
 }
 
 /// Resolved epoch-loop metric handles (no-ops without a sink). The
@@ -454,6 +521,81 @@ impl FleetObs {
             servers_down: sink.gauge("fleet.servers_down"),
         }
     }
+}
+
+/// Servers each worker of [`FleetSim::run`] must have: below it, the
+/// per-epoch hand-off costs more than the worker saves. A count, not a
+/// clock, so the worker count never depends on timing (and the results
+/// never depend on the worker count).
+const FLEET_GRAIN: usize = 4_096;
+
+/// Polls a hand-off channel this many times, yielding the CPU between
+/// polls, before the wait parks the thread. Most epoch hand-offs then
+/// complete without waking a sleeping thread (which costs hundreds of µs
+/// on a busy virtual CPU), while a thread with work still gets the CPU.
+/// The count comes from a sweep (DESIGN.md, "Execution model").
+const POLLS_BEFORE_PARK: usize = 20_000;
+
+/// One worker of a [`FleetSim::run`]: it receives a chunk of shards with
+/// the epoch's inputs, steps them and sends the chunk back (or the panic
+/// that stopped it).
+struct Lane {
+    jobs: mpsc::Sender<(Vec<Shard>, EpochStep)>,
+    stepped: mpsc::Receiver<std::thread::Result<Vec<Shard>>>,
+}
+
+impl Lane {
+    fn spawn<'scope>(scope: &'scope std::thread::Scope<'scope, '_>) -> Self {
+        let (jobs, inbox) = mpsc::channel::<(Vec<Shard>, EpochStep)>();
+        let (outbox, stepped) = mpsc::channel();
+        scope.spawn(move || {
+            // Ends when the calling thread drops `jobs` (run over, or unwinding).
+            while let Ok((mut chunk, input)) = recv_polling(&inbox) {
+                let result = panic::catch_unwind(AssertUnwindSafe(move || {
+                    chunk.iter_mut().for_each(|shard| shard.step(&input));
+                    chunk
+                }));
+                if outbox.send(result).is_err() {
+                    break;
+                }
+            }
+        });
+        Self { jobs, stepped }
+    }
+}
+
+/// Steps `shards` one epoch on this thread and `lanes`. The shards are cut
+/// into `lanes.len() + 1` contiguous chunks; lane k steps chunk k + 1 and
+/// this thread chunk 0. The chunks come back in lane order, so `shards`
+/// ends in its original order. A worker's panic is re-raised here. With
+/// no lanes this is the plain serial loop: no send, no receive.
+fn hand_off(lanes: &[Lane], shards: &mut Vec<Shard>, input: &EpochStep) {
+    let (n, w) = (shards.len(), lanes.len() + 1);
+    for (k, lane) in lanes.iter().enumerate().rev() {
+        let chunk = shards.split_off((k + 1) * n / w);
+        lane.jobs
+            .send((chunk, input.clone()))
+            .expect("fleet worker alive");
+    }
+    shards.iter_mut().for_each(|shard| shard.step(input));
+    for lane in lanes {
+        match recv_polling(&lane.stepped).expect("fleet worker alive") {
+            Ok(chunk) => shards.extend(chunk),
+            Err(payload) => panic::resume_unwind(payload),
+        }
+    }
+}
+
+/// `rx.recv()`, polling first (see [`POLLS_BEFORE_PARK`]).
+fn recv_polling<T>(rx: &mpsc::Receiver<T>) -> Result<T, mpsc::RecvError> {
+    for _ in 0..POLLS_BEFORE_PARK {
+        match rx.try_recv() {
+            Ok(v) => return Ok(v),
+            Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
+            Err(mpsc::TryRecvError::Empty) => std::thread::yield_now(),
+        }
+    }
+    rx.recv()
 }
 
 /// Per-datacenter results of a fleet run.
@@ -657,7 +799,22 @@ impl FleetSim {
     }
 
     /// Runs the configured horizon and returns the aggregate metrics.
+    ///
+    /// Steps the shards on `min(thread_count, shards, servers /
+    /// FLEET_GRAIN)` workers: this thread plus workers spawned once for
+    /// the whole run (none at one worker, which is the plain serial loop).
     pub fn run(&mut self) -> FleetMetrics {
+        let workers = tts_exec::thread_count()
+            .min(self.shards.len())
+            .min(self.servers() / FLEET_GRAIN);
+        std::thread::scope(|scope| {
+            let lanes: Vec<Lane> = (1..workers).map(|_| Lane::spawn(scope)).collect();
+            self.run_epochs(&lanes)
+        })
+    }
+
+    /// The epoch loop, stepping the shards on this thread and `lanes`.
+    fn run_epochs(&mut self, lanes: &[Lane]) -> FleetMetrics {
         let dt = self.epoch;
         let cores_f = self.cores as f64;
         let ndc = self.datacenters.len();
@@ -745,18 +902,21 @@ impl FleetSim {
                 }
             }
 
-            // 4. Parallel shard step; results arrive in shard order.
-            let seed = self.seed;
-            let cores = self.cores;
-            let partials = tts_exec::par_map_mut(&mut self.shards, |shard| {
-                shard.step(e, dt, cores, seed, &fresh_per_core, &reroute_per_core)
-            });
+            // 4. Shard step on this thread and the run's workers.
+            let input = EpochStep {
+                key: epoch_key(self.seed, e),
+                dt,
+                cap: cores_f * dt,
+                fresh_per_server: fresh_per_core.iter().map(|f| f * cores_f).collect(),
+                redo: reroute_per_core.iter().map(|r| r * cores_f).collect(),
+            };
+            hand_off(lanes, &mut self.shards, &input);
 
             // 5. Serial merge in global rack order.
             let mut epoch_done = vec![0.0f64; ndc];
             let mut backlog_now = 0.0f64;
             let mut jitter_residue = vec![0.0f64; ndc];
-            for p in partials.iter().flatten() {
+            for p in self.shards.iter().flat_map(|shard| &shard.partials) {
                 let d = p.dc as usize;
                 jitter_residue[d] += p.offered;
                 self.reroute_pool[d] -= p.delivered;
@@ -1104,6 +1264,201 @@ mod tests {
         assert_eq!(sink.counter("fleet.epochs").value(), m.epochs);
         assert_eq!(sink.counter("fleet.fault.kills").value(), 1);
         assert_eq!(sink.counter("fleet.fault.revives").value(), 1);
+    }
+
+    /// FNV-1a over the `to_bits` of every `FleetMetrics` field (counts as
+    /// their integer value, site names as bytes) and of every per-site
+    /// utilization trace value, in order.
+    fn fingerprint(sim: &FleetSim, m: &FleetMetrics) -> u64 {
+        let mut bytes = Vec::new();
+        let mut eat = |word: u64| bytes.extend(word.to_le_bytes());
+        eat(m.servers as u64);
+        eat(m.epochs);
+        for x in [
+            m.offered_core_s,
+            m.done_core_s,
+            m.backlog_core_s,
+            m.reroute_pool_core_s,
+            m.conservation_error_core_s,
+            m.mean_utilization,
+            m.peak_backlog_core_s,
+            m.mean_delay_s,
+        ] {
+            eat(x.to_bits());
+        }
+        eat(m.fault_events);
+        eat(m.rescheduled_core_s.to_bits());
+        for (d, dc) in m.per_dc.iter().enumerate() {
+            dc.name.bytes().for_each(|b| eat(u64::from(b)));
+            eat(dc.servers as u64);
+            for x in [
+                dc.mean_utilization,
+                dc.peak_utilization,
+                dc.it_energy_kwh,
+                dc.cooling_energy_kwh,
+                dc.energy_cost_usd,
+            ] {
+                eat(x.to_bits());
+            }
+            let trace = sim.utilization_trace(d).expect("recorded");
+            trace.values().iter().for_each(|u| eat(u.to_bits()));
+        }
+        tts_units::fnv1a64(&bytes)
+    }
+
+    /// Kills servers in the middle of racks while they hold backlog and
+    /// revives some of them later, so racks step with down servers and a
+    /// non-zero reroute pool (`redo > 0`) in the epochs after each kill.
+    fn mid_rack_flaps(servers: usize) -> Scheduled {
+        let mut faults = Vec::new();
+        for k in 0..12usize {
+            let g = (k * 7919 + 23) % servers;
+            let t = 1800.0 * (k as f64 + 1.0);
+            faults.push((t, FaultAction::KillServer(g)));
+            if k % 3 != 1 {
+                faults.push((t + 5400.0, FaultAction::ReviveServer(g)));
+            }
+        }
+        faults.sort_by(|a, b| a.0.total_cmp(&b.0));
+        Scheduled { faults, cursor: 0 }
+    }
+
+    /// A two-site overloaded-at-peak fleet: racks of `rack` servers, the
+    /// last rack of each site partial when `rack` does not divide it.
+    fn pinned_config(rack: usize, shards: usize, servers: (usize, usize)) -> FleetConfig {
+        let peaky = TimeSeries::from_fn(Seconds::new(600.0), 36, |t| {
+            0.7 + 0.5 * (core::f64::consts::TAU * t / 21_600.0).sin()
+        });
+        FleetConfig::new(peaky)
+            .datacenter(DatacenterSpec::new("a", servers.0).tariffs(0.12, 0.05))
+            .datacenter(
+                DatacenterSpec::new("b", servers.1)
+                    .ambient_c(28.0)
+                    .utc_offset_h(3.0),
+            )
+            .cores_per_server(4)
+            .rack_size(rack)
+            .shards(shards)
+            .seed(0x5eed)
+    }
+
+    fn pinned_run(cfg: FleetConfig, hook: Option<Scheduled>) -> (u64, FleetMetrics) {
+        let mut sim = cfg.build();
+        if let Some(hook) = hook {
+            sim.set_fault_hook(Box::new(hook));
+        }
+        let m = sim.run();
+        (fingerprint(&sim, &m), m)
+    }
+
+    /// The fleet's output bits, recorded before the rack kernel and the
+    /// per-run worker scope landed; any change to the step arithmetic,
+    /// the merge order or the hand-off order moves one of these.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let single_server_racks = pinned_run(pinned_config(1, 4, (4, 3)), Some(mid_rack_flaps(7)));
+        let partial_racks = pinned_run(pinned_config(48, 4, (500, 310)), None);
+        let misaligned = pinned_run(pinned_config(48, 7, (500, 310)), None);
+        let flaps = pinned_run(pinned_config(48, 7, (500, 310)), Some(mid_rack_flaps(810)));
+        // Site a goes dark at its local peak; a fifth of it comes back.
+        let mut outage = (0..500)
+            .map(|s| (7200.0, FaultAction::KillServer(s)))
+            .collect::<Vec<_>>();
+        outage.extend((0..100).map(|s| (14_400.0, FaultAction::ReviveServer(20 + s))));
+        let site_outage = pinned_run(
+            pinned_config(48, 5, (500, 310)),
+            Some(Scheduled {
+                faults: outage,
+                cursor: 0,
+            }),
+        );
+        // The fault shapes really reach the redo path.
+        for (label, (_, m)) in [
+            ("single-server racks", &single_server_racks),
+            ("flaps", &flaps),
+            ("outage", &site_outage),
+        ] {
+            assert!(m.rescheduled_core_s > 0.0 && m.fault_events > 0, "{label}");
+        }
+        let got = [
+            single_server_racks,
+            partial_racks,
+            misaligned,
+            flaps,
+            site_outage,
+        ]
+        .map(|(h, _)| h);
+        let want: [u64; 5] = [
+            0xa3bf_1396_1764_29d4,
+            0x223c_105b_5a28_0281,
+            0x223c_105b_5a28_0281,
+            0x3342_03cf_a447_74ea,
+            0x77d7_81f6_14af_2a2d,
+        ];
+        assert_eq!(
+            got.map(|h| format!("{h:#018x}")),
+            want.map(|h| format!("{h:#018x}"))
+        );
+    }
+
+    /// A fleet large enough for the worker hand-off, with kills in the
+    /// middle of racks on both sites, stepped under several thread
+    /// budgets: every budget must give the serial run's bytes.
+    #[test]
+    fn worker_hand_off_is_thread_invariant() {
+        let servers = (40_000, 30_001);
+        // Budgets 2, 3 and 8 split the fleet 2, 3 and 8 ways.
+        assert!((servers.0 + servers.1) / FLEET_GRAIN >= 8);
+        let run = |threads: usize| {
+            tts_exec::with_thread_budget(threads, || {
+                let overloaded =
+                    TimeSeries::new(Seconds::new(120.0), vec![1.1, 0.9, 1.2, 1.0, 1.15]);
+                let mut sim = FleetConfig::new(overloaded)
+                    .datacenter(DatacenterSpec::new("a", servers.0))
+                    .datacenter(DatacenterSpec::new("b", servers.1).utc_offset_h(1.0))
+                    .cores_per_server(4)
+                    .shards(13)
+                    .seed(77)
+                    .build();
+                sim.set_fault_hook(Box::new(Scheduled {
+                    faults: vec![
+                        (60.0, FaultAction::KillServer(100)),
+                        (60.0, FaultAction::KillServer(40_010)),
+                        (180.0, FaultAction::KillServer(101)),
+                        (300.0, FaultAction::ReviveServer(100)),
+                    ],
+                    cursor: 0,
+                }));
+                let m = sim.run();
+                assert!(m.rescheduled_core_s > 0.0);
+                (fingerprint(&sim, &m), m.to_json_string())
+            })
+        };
+        let serial = run(1);
+        assert_eq!(
+            serial.0, 0x8f42_4111_0e26_0e36,
+            "recorded before the hand-off"
+        );
+        for threads in [2, 3, 8] {
+            assert_eq!(run(threads), serial, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        let mut sim = FleetConfig::new(diurnal(1))
+            .datacenter(DatacenterSpec::new("a", 2 * FLEET_GRAIN))
+            .shards(4)
+            .build();
+        // The last chunk, a worker's, now fails its first slice cut.
+        sim.shards[3].down.clear();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            tts_exec::with_thread_budget(2, || sim.run())
+        }));
+        assert!(
+            caught.is_err(),
+            "the worker's panic must reach run's caller"
+        );
     }
 
     #[test]

@@ -22,6 +22,13 @@
 //! a slow item does not stall the queue behind a fixed chunking), and each
 //! worker tags results with their input index, so reassembly is exact.
 //!
+//! Every call spawns its workers afresh, which pays only for coarse items
+//! (a class, a seed, a scenario cell). [`par_map_mut`], the in-place
+//! sibling, has one caller left: the frozen `legacy` engine's per-server
+//! accounting. The fleet engine steps its shards on workers it spawns
+//! once per run instead, because a spawn per 60-s epoch cost more than
+//! the epoch's work.
+//!
 //! # Thread-count resolution
 //!
 //! 1. a *thread-local* budget installed by [`with_thread_budget`] (used by
@@ -271,8 +278,7 @@ fn record_worker_stats(sink: &MetricsSink, loads: &[u64]) {
 /// sibling of [`par_map`]: each element is visited exactly once through a
 /// disjoint `&mut`, so for a pure-per-element `f` the mutations *and* the
 /// returned `Vec` are byte-identical to the serial loop at any thread
-/// count. Used by the fleet engine to step shards while collecting their
-/// per-rack partial sums for an ordered merge.
+/// count. Used only by the `legacy` engine, for its per-server accounting.
 pub fn par_map_mut<T, U, F>(items: &mut [T], f: F) -> Vec<U>
 where
     T: Send,

@@ -278,14 +278,8 @@ proptest! {
 
 /// FNV-1a over the IEEE-754 bits of every value, in order.
 fn fnv_bits(xs: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for x in xs {
-        for byte in x.to_bits().to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect();
+    tts_units::fnv1a64(&bytes)
 }
 
 /// `(iterations, objective bits, FNV of the x bits)` of an optimal solve.

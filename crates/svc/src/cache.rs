@@ -213,7 +213,7 @@ impl ResultCache {
         } else {
             name
         };
-        format!("{name}-{:016x}", fnv1a64(key.as_bytes()))
+        format!("{name}-{:016x}", tts_units::fnv1a64(key.as_bytes()))
     }
 
     /// Writes `key`'s body as `{stem}.summary.json` plus a `{stem}.key`
@@ -293,18 +293,6 @@ impl ResultCache {
         self.entries.set(state.map.len() as f64);
         self.bytes_gauge.set(state.bytes as f64);
     }
-}
-
-/// FNV-1a 64-bit — a tiny, dependency-free, stable hash for file stems.
-/// Stability across runs matters (reload must recompute the same stem);
-/// collision resistance beyond 64 bits does not.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -38,6 +38,16 @@ mod macros;
 
 pub mod json;
 
+/// FNV-1a 64-bit (Fowler–Noll–Vo) of `bytes`: the workspace's one stable,
+/// non-cryptographic digest, used where a hash must be the same across
+/// runs and platforms (cache file stems, result fingerprints); collision
+/// resistance beyond 64 bits does not matter there.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
 mod energy;
 mod flow;
 mod fraction;
@@ -82,6 +92,14 @@ mod tests {
         let f = CubicMetersPerSecond::new(0.05);
         let g = air_heat_capacity_flow(f);
         assert!((g.value() - 0.05 * AIR_DENSITY_KG_M3 * AIR_SPECIFIC_HEAT_J_KG_K).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fnv1a64_reference_vectors() {
+        // Published test vectors of the 64-bit FNV-1a hash.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]
