@@ -187,6 +187,15 @@ for kind in EconomizerDamperStuck PumpDerate ReuseDropout; do
     echo "chaos gate: $kind never injected across the batch"; exit 1; }
 done
 echo "chaos gate: all three cooling-backend fault kinds injected"
+# A sampled plan may never overlap two windows of one kind, so nothing
+# above pins the order faults fold in. The hand-written overlap plan
+# stacks two or three windows of every windowed kind; its report must
+# stay the recorded bytes at 1 and 4 threads.
+for T in 1 4; do
+  TTS_THREADS=$T "$REPRO" chaos --plan tests/golden/chaos_overlap.plan.json \
+    | grep -v '^chaos: ' > "$TMPDIR_CI/chaos_overlap.t$T.json"
+  cmp tests/golden/chaos_overlap.report.json "$TMPDIR_CI/chaos_overlap.t$T.json"
+done
 
 echo "==> fleet gate (100k servers, 6 h horizon, byte-identical at 1, 2 and 4 threads and at 7 shards)"
 # The epoch-sharded fleet engine must not let the worker count or the

@@ -86,7 +86,8 @@ fn bench_schedule(c: &mut Criterion) {
                 black_box(run_schedule_on(
                     &cfg,
                     &trace,
-                    &tts_opt::Disturbances::default(),
+                    |_| 1.0,
+                    |_| 1.0,
                     &MetricsSink::disabled(),
                 ))
             },

@@ -588,7 +588,7 @@ fn chaos(args: &[String]) -> i32 {
                 .and_then(|text| {
                     tts_units::json::parse(&text).map_err(|e| format!("invalid JSON: {e:?}"))
                 })
-                .and_then(|json| FaultPlan::from_json(&json).map_err(|e| format!("{e:?}")));
+                .and_then(|json| FaultPlan::from_json(&json).map_err(|e| e.to_string()));
             match doc {
                 Ok(plan) => Some(plan),
                 Err(msg) => {

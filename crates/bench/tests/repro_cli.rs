@@ -104,6 +104,55 @@ fn failed_writes_exit_nonzero_and_name_the_path() {
     assert!(stderr.contains("cannot write results/"), "{stderr}");
 }
 
+/// Runs `repro chaos --plan` on a plan file written from `faults`.
+fn chaos_plan(name: &str, faults: &str) -> Output {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.plan.json"));
+    std::fs::write(&path, format!(r#"{{"faults": [{faults}]}}"#)).expect("plan file");
+    repro(&["chaos", "--plan", path.to_str().expect("UTF-8 path")])
+}
+
+#[test]
+fn chaos_plan_with_a_bad_fraction_exits_2_naming_the_field() {
+    let out = chaos_plan(
+        "bad_fraction",
+        r#"{"kind": "CoolingDerating", "at_s": 60, "duration_s": 600, "capacity_frac": -0.5}"#,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("CoolingDerating.capacity_frac must be in [0, 1], got -0.5"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn chaos_plan_out_of_onset_order_exits_2_naming_the_index() {
+    let out = chaos_plan(
+        "out_of_order",
+        r#"{"kind": "ServerKill", "at_s": 900, "server": 0},
+           {"kind": "ServerKill", "at_s": 300, "server": 1}"#,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("FaultPlan.faults[1]"), "{stderr}");
+}
+
+#[test]
+fn chaos_overlap_plan_replays_its_golden_report() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let plan = golden.join("chaos_overlap.plan.json");
+    let out = repro(&["chaos", "--plan", plan.to_str().expect("UTF-8 path")]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+    let report: String = stdout
+        .lines()
+        .filter(|line| !line.starts_with("chaos: "))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let want = std::fs::read_to_string(golden.join("chaos_overlap.report.json")).expect("golden");
+    assert_eq!(report, want);
+}
+
 /// The sections of an `EXPERIMENTS.md`: everything after the serving
 /// endpoints preamble, without the trailing timing line.
 fn filed_sections(md: &str) -> &str {

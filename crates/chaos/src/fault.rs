@@ -10,6 +10,7 @@
 
 use tts_rng::{Rng, SeedableRng, Xoshiro256pp};
 use tts_units::json::{FromJson, Json, JsonError, ToJson};
+use tts_units::Seconds;
 
 /// One typed, scheduled fault. Simulation-level faults carry an onset
 /// time (seconds into the scenario window); connection-level faults
@@ -210,6 +211,116 @@ impl Fault {
             | Fault::NestedBody { .. } => None,
         }
     }
+
+    /// The half-open window `[from_s, to_s)` a fault is active over and
+    /// the value it imposes there; `None` for faults without a duration.
+    /// The value is the fault's own field, except the two dropouts:
+    /// a workload dropout multiplies offered load by 0.05, and a reuse
+    /// dropout leaves 0.0 of the heat demand.
+    pub fn window(&self) -> Option<(f64, f64, f64)> {
+        let (at_s, duration_s, value) = match *self {
+            Fault::CoolingDerating {
+                at_s,
+                duration_s,
+                capacity_frac: v,
+            }
+            | Fault::FanFailure {
+                at_s,
+                duration_s,
+                airflow_frac: v,
+            }
+            | Fault::BlockageSpike {
+                at_s,
+                duration_s,
+                inlet_delta_k: v,
+            }
+            | Fault::SensorNoise {
+                at_s,
+                duration_s,
+                sigma_k: v,
+            }
+            | Fault::SensorStuck {
+                at_s,
+                duration_s,
+                reading_c: v,
+            }
+            | Fault::WorkloadBurst {
+                at_s,
+                duration_s,
+                multiplier: v,
+            }
+            | Fault::EconomizerDamperStuck {
+                at_s,
+                duration_s,
+                stuck_frac: v,
+            }
+            | Fault::PumpDerate {
+                at_s,
+                duration_s,
+                flow_frac: v,
+            } => (at_s, duration_s, v),
+            Fault::WorkloadDropout { at_s, duration_s } => (at_s, duration_s, 0.05),
+            Fault::ReuseDropout { at_s, duration_s } => (at_s, duration_s, 0.0),
+            _ => return None,
+        };
+        Some((at_s, at_s + duration_s, value))
+    }
+}
+
+/// The windows of one set of fault kinds, in plan order, and the rules
+/// that combine the ones active at a time `t` (half-open: a window
+/// `[from, to)` covers `from` but not `to`). Each seam reads its fault
+/// through one rule as a `Fn(Seconds) -> f64`.
+#[derive(Debug)]
+pub struct Timeline {
+    windows: Vec<(f64, f64, f64)>,
+}
+
+impl Timeline {
+    /// The windows of the faults in `plan` that `kinds` selects, in plan
+    /// order.
+    pub fn of(plan: &FaultPlan, kinds: impl Fn(&Fault) -> bool) -> Self {
+        Self {
+            windows: plan
+                .faults
+                .iter()
+                .filter(|f| kinds(f))
+                .filter_map(Fault::window)
+                .collect(),
+        }
+    }
+
+    /// The `(from_s, to_s, value)` windows, in plan order.
+    pub fn windows(&self) -> &[(f64, f64, f64)] {
+        &self.windows
+    }
+
+    fn active(&self, t: Seconds) -> impl Iterator<Item = f64> + '_ {
+        let t = t.value();
+        self.windows
+            .iter()
+            .filter(move |(from, to, _)| (*from..*to).contains(&t))
+            .map(|w| w.2)
+    }
+
+    /// The value of the first window active at `t`, in plan order: the
+    /// thermal seams, where one fan failure or sensor fault governs.
+    pub fn first(&self, t: Seconds) -> Option<f64> {
+        self.active(t).next()
+    }
+
+    /// The most severe fraction active at `t`, 1.0 when none is:
+    /// deratings, damper jams, pump derates and reuse dropouts.
+    pub fn min(&self, t: Seconds) -> f64 {
+        self.active(t).fold(1.0, f64::min)
+    }
+
+    /// The product of the multipliers active at `t`, taken in plan order
+    /// (the rounding depends on it) and clamped to `[0, 4]`: the load
+    /// the schedule controller's plant sees.
+    pub fn product(&self, t: Seconds) -> f64 {
+        self.active(t).fold(1.0, |acc, m| acc * m).clamp(0.0, 4.0)
+    }
 }
 
 fn num(fields: &mut Vec<(String, Json)>, key: &str, v: f64) {
@@ -221,6 +332,28 @@ fn get_f64(v: &Json, ty: &str, key: &str) -> Result<f64, JsonError> {
         .ok_or_else(|| JsonError::missing_field(ty, key))?
         .as_f64()
         .ok_or_else(|| JsonError::new(format!("{ty}.{key} must be a number")))
+}
+
+/// The range a field's doc comment states: its test and its text.
+type Bound = (fn(f64) -> bool, &'static str);
+const UNIT: Bound = (|x| (0.0..=1.0).contains(&x), "in [0, 1]");
+const POSITIVE_UNIT: Bound = (|x| x > 0.0 && x <= 1.0, "in (0, 1]");
+const BELOW_ONE: Bound = (|x| (0.0..1.0).contains(&x), "in [0, 1)");
+const AT_LEAST_ONE: Bound = (|x| x >= 1.0, "≥ 1");
+const NON_NEGATIVE: Bound = (|x| x >= 0.0, "≥ 0");
+
+/// [`get_f64`], rejecting a value outside the field's stated range (a
+/// negative `capacity_frac` would feed a negative plant capacity to the
+/// ride-through integrator).
+fn get_bounded(v: &Json, ty: &str, key: &str, (ok, range): Bound) -> Result<f64, JsonError> {
+    let x = get_f64(v, ty, key)?;
+    if ok(x) {
+        Ok(x)
+    } else {
+        Err(JsonError::new(format!(
+            "{ty}.{key} must be {range}, got {x}"
+        )))
+    }
 }
 
 fn get_usize(v: &Json, ty: &str, key: &str) -> Result<usize, JsonError> {
@@ -361,37 +494,37 @@ impl FromJson for Fault {
             }),
             "CoolingDerating" => Ok(Fault::CoolingDerating {
                 at_s: get_f64(v, kind, "at_s")?,
-                duration_s: get_f64(v, kind, "duration_s")?,
-                capacity_frac: get_f64(v, kind, "capacity_frac")?,
+                duration_s: get_bounded(v, kind, "duration_s", NON_NEGATIVE)?,
+                capacity_frac: get_bounded(v, kind, "capacity_frac", UNIT)?,
             }),
             "FanFailure" => Ok(Fault::FanFailure {
                 at_s: get_f64(v, kind, "at_s")?,
-                duration_s: get_f64(v, kind, "duration_s")?,
-                airflow_frac: get_f64(v, kind, "airflow_frac")?,
+                duration_s: get_bounded(v, kind, "duration_s", NON_NEGATIVE)?,
+                airflow_frac: get_bounded(v, kind, "airflow_frac", POSITIVE_UNIT)?,
             }),
             "BlockageSpike" => Ok(Fault::BlockageSpike {
                 at_s: get_f64(v, kind, "at_s")?,
-                duration_s: get_f64(v, kind, "duration_s")?,
+                duration_s: get_bounded(v, kind, "duration_s", NON_NEGATIVE)?,
                 inlet_delta_k: get_f64(v, kind, "inlet_delta_k")?,
             }),
             "SensorNoise" => Ok(Fault::SensorNoise {
                 at_s: get_f64(v, kind, "at_s")?,
-                duration_s: get_f64(v, kind, "duration_s")?,
+                duration_s: get_bounded(v, kind, "duration_s", NON_NEGATIVE)?,
                 sigma_k: get_f64(v, kind, "sigma_k")?,
             }),
             "SensorStuck" => Ok(Fault::SensorStuck {
                 at_s: get_f64(v, kind, "at_s")?,
-                duration_s: get_f64(v, kind, "duration_s")?,
+                duration_s: get_bounded(v, kind, "duration_s", NON_NEGATIVE)?,
                 reading_c: get_f64(v, kind, "reading_c")?,
             }),
             "WorkloadBurst" => Ok(Fault::WorkloadBurst {
                 at_s: get_f64(v, kind, "at_s")?,
-                duration_s: get_f64(v, kind, "duration_s")?,
-                multiplier: get_f64(v, kind, "multiplier")?,
+                duration_s: get_bounded(v, kind, "duration_s", NON_NEGATIVE)?,
+                multiplier: get_bounded(v, kind, "multiplier", AT_LEAST_ONE)?,
             }),
             "WorkloadDropout" => Ok(Fault::WorkloadDropout {
                 at_s: get_f64(v, kind, "at_s")?,
-                duration_s: get_f64(v, kind, "duration_s")?,
+                duration_s: get_bounded(v, kind, "duration_s", NON_NEGATIVE)?,
             }),
             "SlowLoris" => Ok(Fault::SlowLoris {
                 clients: get_usize(v, kind, "clients")?,
@@ -399,7 +532,7 @@ impl FromJson for Fault {
             }),
             "MidBodyDisconnect" => Ok(Fault::MidBodyDisconnect {
                 clients: get_usize(v, kind, "clients")?,
-                body_frac: get_f64(v, kind, "body_frac")?,
+                body_frac: get_bounded(v, kind, "body_frac", BELOW_ONE)?,
             }),
             "QueueStorm" => Ok(Fault::QueueStorm {
                 clients: get_usize(v, kind, "clients")?,
@@ -409,17 +542,17 @@ impl FromJson for Fault {
             }),
             "EconomizerDamperStuck" => Ok(Fault::EconomizerDamperStuck {
                 at_s: get_f64(v, kind, "at_s")?,
-                duration_s: get_f64(v, kind, "duration_s")?,
-                stuck_frac: get_f64(v, kind, "stuck_frac")?,
+                duration_s: get_bounded(v, kind, "duration_s", NON_NEGATIVE)?,
+                stuck_frac: get_bounded(v, kind, "stuck_frac", UNIT)?,
             }),
             "PumpDerate" => Ok(Fault::PumpDerate {
                 at_s: get_f64(v, kind, "at_s")?,
-                duration_s: get_f64(v, kind, "duration_s")?,
-                flow_frac: get_f64(v, kind, "flow_frac")?,
+                duration_s: get_bounded(v, kind, "duration_s", NON_NEGATIVE)?,
+                flow_frac: get_bounded(v, kind, "flow_frac", POSITIVE_UNIT)?,
             }),
             "ReuseDropout" => Ok(Fault::ReuseDropout {
                 at_s: get_f64(v, kind, "at_s")?,
-                duration_s: get_f64(v, kind, "duration_s")?,
+                duration_s: get_bounded(v, kind, "duration_s", NON_NEGATIVE)?,
             }),
             other => Err(JsonError::new(format!("unknown Fault kind `{other}`"))),
         }
@@ -452,12 +585,42 @@ tts_units::derive_json! { struct PlanConfig { window_s, servers, max_faults } }
 /// A deterministic, replayable schedule of faults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// Scheduled faults, sorted by onset; connection-level faults (no
-    /// onset) follow at the end.
+    /// Scheduled faults, sorted by onset (parsing rejects any other
+    /// order); sampled plans put connection-level faults (no onset) at
+    /// the end.
     pub faults: Vec<Fault>,
 }
 
-tts_units::derive_json! { struct FaultPlan { faults } }
+impl ToJson for FaultPlan {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![("faults".to_string(), self.faults.to_json())])
+    }
+}
+
+impl FromJson for FaultPlan {
+    /// Also rejects scheduled faults out of onset order: the dcsim hook
+    /// ([`crate::PlanFaultHook`]) walks them as a sorted queue, so an
+    /// early kill listed after a late one would fire late, silently.
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let faults = Vec::<Fault>::from_json(
+            v.get("faults")
+                .ok_or_else(|| JsonError::missing_field("FaultPlan", "faults"))?,
+        )?;
+        let mut last = f64::NEG_INFINITY;
+        for (i, f) in faults.iter().enumerate() {
+            let Some(at) = f.at() else { continue };
+            if at < last {
+                return Err(JsonError::new(format!(
+                    "FaultPlan.faults[{i}] ({} at {at} s) is out of onset order: \
+                     an earlier entry starts at {last} s",
+                    f.kind()
+                )));
+            }
+            last = at;
+        }
+        Ok(Self { faults })
+    }
+}
 
 impl FaultPlan {
     /// Samples a plan from the in-repo PRNG. The same `(seed, config)`
@@ -671,5 +834,180 @@ mod tests {
         assert_eq!(counts.len(), 16);
         let total: u64 = counts.iter().map(|(_, c)| c).sum();
         assert_eq!(total, plan.faults.len() as u64);
+    }
+
+    fn derating(at_s: f64, duration_s: f64, capacity_frac: f64) -> Fault {
+        Fault::CoolingDerating {
+            at_s,
+            duration_s,
+            capacity_frac,
+        }
+    }
+
+    fn burst(at_s: f64, duration_s: f64, multiplier: f64) -> Fault {
+        Fault::WorkloadBurst {
+            at_s,
+            duration_s,
+            multiplier,
+        }
+    }
+
+    fn timeline(faults: Vec<Fault>) -> Timeline {
+        Timeline::of(&FaultPlan { faults }, |f| f.window().is_some())
+    }
+
+    #[test]
+    fn windows_carry_the_dropout_values() {
+        let dropout = Fault::WorkloadDropout {
+            at_s: 10.0,
+            duration_s: 5.0,
+        };
+        assert_eq!(dropout.window(), Some((10.0, 15.0, 0.05)));
+        let reuse = Fault::ReuseDropout {
+            at_s: 10.0,
+            duration_s: 5.0,
+        };
+        assert_eq!(reuse.window(), Some((10.0, 15.0, 0.0)));
+        assert_eq!(derating(1.0, 2.0, 0.5).window(), Some((1.0, 3.0, 0.5)));
+        let kill = Fault::ServerKill {
+            at_s: 1.0,
+            server: 0,
+        };
+        assert_eq!(kill.window(), None);
+        assert_eq!(Fault::QueueStorm { clients: 3 }.window(), None);
+    }
+
+    #[test]
+    fn empty_timeline_is_the_identity() {
+        let empty = timeline(vec![Fault::ServerKill {
+            at_s: 0.0,
+            server: 1,
+        }]);
+        assert!(empty.windows().is_empty());
+        for t in [0.0, 1e3, -5.0] {
+            let t = Seconds::new(t);
+            assert_eq!(empty.first(t), None);
+            assert_eq!(empty.min(t), 1.0);
+            assert_eq!(empty.product(t), 1.0);
+        }
+    }
+
+    #[test]
+    fn overlapping_windows_fold_by_rule() {
+        // [0, 10) at 0.6 and [5, 15) at 0.3.
+        let tl = timeline(vec![derating(0.0, 10.0, 0.6), derating(5.0, 10.0, 0.3)]);
+        let at = |t: f64| {
+            let t = Seconds::new(t);
+            (tl.first(t), tl.min(t), tl.product(t))
+        };
+        assert_eq!(at(2.0), (Some(0.6), 0.6, 0.6));
+        assert_eq!(at(7.0), (Some(0.6), 0.3, 0.18));
+        assert_eq!(at(12.0), (Some(0.3), 0.3, 0.3));
+        assert_eq!(at(15.0), (None, 1.0, 1.0));
+        // The product is capped at 4.
+        let stack = timeline(vec![
+            burst(0.0, 10.0, 1.9),
+            burst(0.0, 10.0, 1.8),
+            burst(0.0, 10.0, 1.5),
+        ]);
+        assert_eq!(stack.product(Seconds::new(1.0)), 4.0);
+    }
+
+    #[test]
+    fn adjacent_windows_are_half_open() {
+        // [0, 10) at 0.5 and [10, 20) at 0.25: at 10 s only the second.
+        let tl = timeline(vec![derating(0.0, 10.0, 0.5), derating(10.0, 10.0, 0.25)]);
+        let at = |t: f64| {
+            let t = Seconds::new(t);
+            (tl.first(t), tl.min(t), tl.product(t))
+        };
+        assert_eq!(at(0.0), (Some(0.5), 0.5, 0.5));
+        assert_eq!(at(9.5), (Some(0.5), 0.5, 0.5));
+        assert_eq!(at(10.0), (Some(0.25), 0.25, 0.25));
+        assert_eq!(at(20.0), (None, 1.0, 1.0));
+    }
+
+    #[test]
+    fn the_product_keeps_plan_order() {
+        let dropout = Fault::WorkloadDropout {
+            at_s: 0.0,
+            duration_s: 10.0,
+        };
+        let t = Seconds::new(5.0);
+        // (1.2 × 1.5) × 0.05 and (0.05 × 1.5) × 1.2 round differently.
+        let forward = timeline(vec![burst(0.0, 10.0, 1.2), burst(0.0, 10.0, 1.5), dropout]);
+        assert_eq!(forward.product(t), 0.09);
+        let backward = timeline(vec![dropout, burst(0.0, 10.0, 1.5), burst(0.0, 10.0, 1.2)]);
+        assert_eq!(backward.product(t), 0.09000000000000001);
+    }
+
+    fn parse_plan(text: &str) -> Result<FaultPlan, String> {
+        let v = tts_units::json::parse(text).expect("valid JSON");
+        FaultPlan::from_json(&v).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn out_of_range_values_are_rejected() {
+        for (fault, field) in [
+            (
+                r#"{"kind":"CoolingDerating","at_s":0,"duration_s":9,"capacity_frac":-0.5}"#,
+                "CoolingDerating.capacity_frac",
+            ),
+            (
+                r#"{"kind":"CoolingDerating","at_s":0,"duration_s":-1,"capacity_frac":0.5}"#,
+                "CoolingDerating.duration_s",
+            ),
+            (
+                r#"{"kind":"EconomizerDamperStuck","at_s":0,"duration_s":9,"stuck_frac":1.5}"#,
+                "EconomizerDamperStuck.stuck_frac",
+            ),
+            (
+                r#"{"kind":"FanFailure","at_s":0,"duration_s":9,"airflow_frac":0}"#,
+                "FanFailure.airflow_frac",
+            ),
+            (
+                r#"{"kind":"PumpDerate","at_s":0,"duration_s":9,"flow_frac":1.01}"#,
+                "PumpDerate.flow_frac",
+            ),
+            (
+                r#"{"kind":"WorkloadBurst","at_s":0,"duration_s":9,"multiplier":0.5}"#,
+                "WorkloadBurst.multiplier",
+            ),
+            (
+                r#"{"kind":"MidBodyDisconnect","clients":1,"body_frac":1}"#,
+                "MidBodyDisconnect.body_frac",
+            ),
+        ] {
+            let err = parse_plan(&format!(r#"{{"faults":[{fault}]}}"#)).expect_err(fault);
+            assert!(err.starts_with(field), "{err}");
+        }
+        // The edges of each range are accepted.
+        let edges = r#"{"faults":[
+            {"kind":"CoolingDerating","at_s":0,"duration_s":0,"capacity_frac":0},
+            {"kind":"CoolingDerating","at_s":0,"duration_s":0,"capacity_frac":1},
+            {"kind":"FanFailure","at_s":0,"duration_s":0,"airflow_frac":1},
+            {"kind":"WorkloadBurst","at_s":0,"duration_s":0,"multiplier":1},
+            {"kind":"MidBodyDisconnect","clients":1,"body_frac":0}]}"#;
+        assert_eq!(parse_plan(edges).map(|p| p.faults.len()), Ok(5));
+    }
+
+    #[test]
+    fn out_of_order_onsets_are_rejected() {
+        let err = parse_plan(
+            r#"{"faults":[
+                {"kind":"QueueStorm","clients":3},
+                {"kind":"ServerKill","at_s":900,"server":0},
+                {"kind":"ServerKill","at_s":300,"server":1}]}"#,
+        )
+        .expect_err("300 s after 900 s");
+        assert!(err.starts_with("FaultPlan.faults[2]"), "{err}");
+        // Ties and connection-level faults anywhere are in order.
+        let ok = parse_plan(
+            r#"{"faults":[
+                {"kind":"ServerKill","at_s":300,"server":0},
+                {"kind":"QueueStorm","clients":3},
+                {"kind":"ServerRevive","at_s":300,"server":0}]}"#,
+        );
+        assert_eq!(ok.map(|p| p.faults.len()), Ok(3));
     }
 }

@@ -31,7 +31,7 @@ pub mod harness;
 pub mod invariant;
 pub mod scenario;
 
-pub use fault::{Fault, FaultPlan, PlanConfig};
+pub use fault::{Fault, FaultPlan, PlanConfig, Timeline};
 pub use harness::{run_batch, seed_chain, summarize, BatchConfig, ChaosSummary};
 pub use invariant::{Checker, Violation};
 pub use scenario::{

@@ -26,7 +26,7 @@
 //! byte-deterministic, which is what makes `repro chaos --seed 0x…`
 //! replays exact.
 
-use crate::fault::{Fault, FaultPlan, PlanConfig};
+use crate::fault::{Fault, FaultPlan, PlanConfig, Timeline};
 use crate::invariant::{Checker, Violation};
 use tts_cooling::emergency::{ride_through, DegradedCooling, RoomModel};
 use tts_dcsim::balancer::LeastLoaded;
@@ -223,11 +223,18 @@ pub fn run_scenario(seed: u64, cfg: &ScenarioConfig) -> ScenarioReport {
 /// path; `seed` still drives the workload and sensor-noise draws).
 pub fn run_plan(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan) -> ScenarioReport {
     let mut checker = Checker::new();
-    let cluster = cluster_phase(seed, cfg, plan, &mut checker);
+    let workload = Timeline::of(plan, |f| {
+        matches!(
+            f,
+            Fault::WorkloadBurst { .. } | Fault::WorkloadDropout { .. }
+        )
+    });
+    let deratings = Timeline::of(plan, |f| matches!(f, Fault::CoolingDerating { .. }));
+    let cluster = cluster_phase(seed, cfg, plan, &workload, &mut checker);
     thermal_phase(seed, cfg, plan, &mut checker);
-    cooling_phase(cfg, plan, &mut checker);
+    cooling_phase(cfg, &deratings, &mut checker);
     workload_phase(seed, &mut checker);
-    let plan_digest = schedule_phase(cfg, plan, &mut checker);
+    let plan_digest = schedule_phase(cfg, &deratings, &workload, &mut checker);
     backend_phase(seed, cfg, plan, &mut checker);
     let (checks, violations) = checker.into_parts();
     ScenarioReport {
@@ -250,23 +257,15 @@ fn fnv1a_hex(text: &str) -> String {
     format!("{:016x}", tts_units::fnv1a64(text.as_bytes()))
 }
 
-/// Multiplies trace buckets covered by workload faults.
-fn faulted_trace(cfg: &ScenarioConfig, plan: &FaultPlan) -> TimeSeries {
+/// Multiplies the trace buckets each workload window touches, in plan
+/// order, clamping to `[0, 0.95]` after every window.
+fn faulted_trace(cfg: &ScenarioConfig, workload: &Timeline) -> TimeSeries {
     let dt = 60.0;
     let buckets = (cfg.window_s / dt).ceil() as usize;
     let mut vals = vec![cfg.base_util; buckets.max(1)];
-    for f in &plan.faults {
-        let (at, dur, mult) = match *f {
-            Fault::WorkloadBurst {
-                at_s,
-                duration_s,
-                multiplier,
-            } => (at_s, duration_s, multiplier),
-            Fault::WorkloadDropout { at_s, duration_s } => (at_s, duration_s, 0.05),
-            _ => continue,
-        };
-        let first = (at / dt).floor() as usize;
-        let last = ((at + dur) / dt).ceil() as usize;
+    for &(from, to, mult) in workload.windows() {
+        let first = (from / dt).floor() as usize;
+        let last = (to / dt).ceil() as usize;
         for v in vals
             .iter_mut()
             .take(last.min(buckets.max(1)))
@@ -285,9 +284,10 @@ fn cluster_phase(
     seed: u64,
     cfg: &ScenarioConfig,
     plan: &FaultPlan,
+    workload: &Timeline,
     checker: &mut Checker,
 ) -> (u64, u64, u64, u64, String) {
-    let trace = faulted_trace(cfg, plan);
+    let trace = faulted_trace(cfg, workload);
     let fleet_digest = fleet_cross_check(seed, cfg, plan, &trace, checker);
     let jobs = JobStream::new(trace, JobType::SocialNetworking, cfg.servers, seed).collect_all();
     let offered = jobs.len() as u64;
@@ -438,76 +438,24 @@ fn thermal_phase(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mu
     );
     let pcm = net.attach_pcm(air, wax, WattsPerKelvin::new(1.5));
 
-    // Collect the thermal faults once; evaluate per step.
-    let fan: Vec<(f64, f64, f64)> = plan
-        .faults
-        .iter()
-        .filter_map(|f| match *f {
-            Fault::FanFailure {
-                at_s,
-                duration_s,
-                airflow_frac,
-            } => Some((at_s, at_s + duration_s, airflow_frac)),
-            _ => None,
-        })
-        .collect();
-    let spikes: Vec<(f64, f64, f64)> = plan
-        .faults
-        .iter()
-        .filter_map(|f| match *f {
-            Fault::BlockageSpike {
-                at_s,
-                duration_s,
-                inlet_delta_k,
-            } => Some((at_s, at_s + duration_s, inlet_delta_k)),
-            _ => None,
-        })
-        .collect();
-    let noise: Vec<(f64, f64, f64)> = plan
-        .faults
-        .iter()
-        .filter_map(|f| match *f {
-            Fault::SensorNoise {
-                at_s,
-                duration_s,
-                sigma_k,
-            } => Some((at_s, at_s + duration_s, sigma_k)),
-            _ => None,
-        })
-        .collect();
-    let stuck: Vec<(f64, f64, f64)> = plan
-        .faults
-        .iter()
-        .filter_map(|f| match *f {
-            Fault::SensorStuck {
-                at_s,
-                duration_s,
-                reading_c,
-            } => Some((at_s, at_s + duration_s, reading_c)),
-            _ => None,
-        })
-        .collect();
+    let fan = Timeline::of(plan, |f| matches!(f, Fault::FanFailure { .. }));
+    let spikes = Timeline::of(plan, |f| matches!(f, Fault::BlockageSpike { .. }));
+    let noise = Timeline::of(plan, |f| matches!(f, Fault::SensorNoise { .. }));
+    let stuck = Timeline::of(plan, |f| matches!(f, Fault::SensorStuck { .. }));
 
     let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x74e2_4a17);
     let unit_noise = Normal::new(0.0, 1.0);
-    let active = |set: &[(f64, f64, f64)], t: f64| -> Option<f64> {
-        set.iter()
-            .filter(|(a, b, _)| (*a..*b).contains(&t))
-            .map(|(_, _, v)| *v)
-            .next()
-    };
     // A naive proportional fan controller closes the loop through the
     // (possibly faulty) sensor, so sensor faults have real consequences.
     let mut fault = |now: Seconds, ctl: &mut BoundaryControls<'_>| {
-        let t = now.value();
-        let airflow_frac = active(&fan, t).unwrap_or(1.0);
-        let delta = active(&spikes, t).unwrap_or(0.0);
+        let airflow_frac = fan.first(now).unwrap_or(1.0);
+        let delta = spikes.first(now).unwrap_or(0.0);
         ctl.set_boundary_temp(inlet, Celsius::new(25.0 + delta));
         let mut reading = ctl.temperature(air).value();
-        if let Some(sigma) = active(&noise, t) {
+        if let Some(sigma) = noise.first(now) {
             reading += sigma * unit_noise.sample(&mut rng);
         }
-        if let Some(frozen) = active(&stuck, t) {
+        if let Some(frozen) = stuck.first(now) {
             reading = frozen;
         }
         let command = (0.4 + 0.08 * (reading - 28.0)).clamp(0.3, 1.2) * airflow_frac;
@@ -576,7 +524,7 @@ fn thermal_phase(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mu
 }
 
 /// Phase 3: room ride-through under the plan's plant deratings.
-fn cooling_phase(cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mut Checker) {
+fn cooling_phase(cfg: &ScenarioConfig, deratings: &Timeline, checker: &mut Checker) {
     let room = RoomModel::cluster_room();
     let it_power = Watts::new(120_000.0);
     let plant = Watts::new(140_000.0);
@@ -585,25 +533,7 @@ fn cooling_phase(cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mut Checker) 
     let melt = Celsius::new(28.0);
     let window = Seconds::new(cfg.window_s.max(1_800.0));
 
-    let deratings: Vec<(f64, f64, f64)> = plan
-        .faults
-        .iter()
-        .filter_map(|f| match *f {
-            Fault::CoolingDerating {
-                at_s,
-                duration_s,
-                capacity_frac,
-            } => Some((at_s, at_s + duration_s, capacity_frac)),
-            _ => None,
-        })
-        .collect();
-    let profile = |t: Seconds| -> f64 {
-        deratings
-            .iter()
-            .filter(|(a, b, _)| (*a..*b).contains(&t.value()))
-            .map(|(_, _, frac)| *frac)
-            .fold(1.0, f64::min)
-    };
+    let profile = |t: Seconds| deratings.min(t);
 
     let run = |budget: Joules, plant: Watts| {
         ride_through(
@@ -704,38 +634,21 @@ fn workload_phase(seed: u64, checker: &mut Checker) {
 }
 
 /// Phase 5: the receding-horizon co-optimizer (`tts_opt`) driven through
-/// the plan's plant-level faults. Cooling deratings and workload
-/// bursts/dropouts are translated into [`tts_opt::Disturbances`], which
-/// perturb the *actual* plant between re-plans while the controller's
-/// forecast stays nominal — exactly the mismatch chaos is meant to
-/// probe. Feasible-or-graceful means: every arrived joule is executed
-/// (conservation), no deadline is missed, the wax stays inside its
-/// physical state of charge, and the bill stays finite. Returns the
-/// digest of the outcome's JSON.
-fn schedule_phase(cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mut Checker) -> String {
-    use tts_opt::{run_schedule_on, Disturbances, ScheduleConfig};
-
-    let mut faults = Disturbances::default();
-    for f in &plan.faults {
-        match *f {
-            Fault::CoolingDerating {
-                at_s,
-                duration_s,
-                capacity_frac,
-            } => faults
-                .capacity
-                .push((at_s, at_s + duration_s, capacity_frac)),
-            Fault::WorkloadBurst {
-                at_s,
-                duration_s,
-                multiplier,
-            } => faults.load.push((at_s, at_s + duration_s, multiplier)),
-            Fault::WorkloadDropout { at_s, duration_s } => {
-                faults.load.push((at_s, at_s + duration_s, 0.05))
-            }
-            _ => continue,
-        }
-    }
+/// the plan's plant-level faults. The cooling deratings (most severe
+/// active fraction) and the workload bursts and dropouts (product of the
+/// active multipliers) perturb the *actual* plant's capacity and load
+/// between re-plans while the controller's forecast stays nominal —
+/// exactly the mismatch chaos is meant to probe. Feasible-or-graceful
+/// means: every arrived joule is executed (conservation), no deadline is
+/// missed, the wax stays inside its physical state of charge, and the
+/// bill stays finite. Returns the digest of the outcome's JSON.
+fn schedule_phase(
+    cfg: &ScenarioConfig,
+    deratings: &Timeline,
+    workload: &Timeline,
+    checker: &mut Checker,
+) -> String {
+    use tts_opt::{run_schedule_on, ScheduleConfig};
 
     // A small plant on a gently diurnal trace over the scenario window:
     // 5-minute slots keep the LPs tiny while still giving the deferral
@@ -758,7 +671,13 @@ fn schedule_phase(cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mut Checker)
         replan_every: 1,
         ..ScheduleConfig::default()
     };
-    let out = run_schedule_on(&schedule_cfg, &trace, &faults, &MetricsSink::disabled());
+    let out = run_schedule_on(
+        &schedule_cfg,
+        &trace,
+        |t| deratings.min(t),
+        |t| workload.product(t),
+        &MetricsSink::disabled(),
+    );
 
     checker.check(
         "schedule.soc_bounds",
@@ -847,24 +766,8 @@ fn backend_phase(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mu
     });
 
     // --- Economizer under damper jams -------------------------------
-    let jams: Vec<(f64, f64, f64)> = plan
-        .faults
-        .iter()
-        .filter_map(|f| match *f {
-            Fault::EconomizerDamperStuck {
-                at_s,
-                duration_s,
-                stuck_frac,
-            } => Some((at_s, at_s + duration_s, stuck_frac)),
-            _ => None,
-        })
-        .collect();
-    let damper = |t: Seconds| -> f64 {
-        jams.iter()
-            .filter(|(a, b, _)| (*a..*b).contains(&t.value()))
-            .map(|(_, _, frac)| *frac)
-            .fold(1.0, f64::min)
-    };
+    let jams = Timeline::of(plan, |f| matches!(f, Fault::EconomizerDamperStuck { .. }));
+    let damper = |t: Seconds| jams.min(t);
     let econ = Economizer::around(CoolingSystem::new(KiloWatts::new(200.0), 4.0));
     let nominal = cooling_electricity_cost(&loads_w, dt, &econ, &tariff, &weather, |_| 1.0);
     let faulted = cooling_electricity_cost(&loads_w, dt, &econ, &tariff, &weather, damper);
@@ -899,21 +802,9 @@ fn backend_phase(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mu
     );
 
     // --- Hot-water loop: reuse dropouts -----------------------------
-    let dropouts: Vec<(f64, f64)> = plan
-        .faults
-        .iter()
-        .filter_map(|f| match *f {
-            Fault::ReuseDropout { at_s, duration_s } => Some((at_s, at_s + duration_s)),
-            _ => None,
-        })
-        .collect();
-    let demand = |t: Seconds| -> f64 {
-        if dropouts.iter().any(|(a, b)| (*a..*b).contains(&t.value())) {
-            0.0
-        } else {
-            1.0
-        }
-    };
+    let dropouts = Timeline::of(plan, |f| matches!(f, Fault::ReuseDropout { .. }));
+    // Each dropout's window holds 0.0: no demand while any is active.
+    let demand = |t: Seconds| dropouts.min(t);
     let water = HotWaterLoop::idatacool();
     let bill_nominal = hot_water_bill(&loads_w, dt, &water, &tariff, &weather, |_| 1.0);
     let bill_faulted = hot_water_bill(&loads_w, dt, &water, &tariff, &weather, demand);
@@ -957,25 +848,8 @@ fn backend_phase(seed: u64, cfg: &ScenarioConfig, plan: &FaultPlan, checker: &mu
     );
 
     // --- Hot-water loop: pump derates through ride-through ----------
-    let derates: Vec<(f64, f64, f64)> = plan
-        .faults
-        .iter()
-        .filter_map(|f| match *f {
-            Fault::PumpDerate {
-                at_s,
-                duration_s,
-                flow_frac,
-            } => Some((at_s, at_s + duration_s, flow_frac)),
-            _ => None,
-        })
-        .collect();
-    let flow = |t: Seconds| -> f64 {
-        derates
-            .iter()
-            .filter(|(a, b, _)| (*a..*b).contains(&t.value()))
-            .map(|(_, _, frac)| *frac)
-            .fold(1.0, f64::min)
-    };
+    let derates = Timeline::of(plan, |f| matches!(f, Fault::PumpDerate { .. }));
+    let flow = |t: Seconds| derates.min(t);
     let room = RoomModel::cluster_room();
     let window = Seconds::new(cfg.window_s.max(1_800.0));
     let run = |profile: &dyn Fn(Seconds) -> f64| {

@@ -85,37 +85,6 @@ impl Default for ScheduleConfig {
     }
 }
 
-/// Exogenous perturbations applied to the *actual* plant (never to the
-/// forecast): the bridge from `chaos` fault plans into the controller.
-#[derive(Debug, Clone, Default)]
-pub struct Disturbances {
-    /// `(from_s, to_s, capacity_frac)` cooling deratings; overlapping
-    /// windows take the most severe fraction.
-    pub capacity: Vec<(f64, f64, f64)>,
-    /// `(from_s, to_s, multiplier)` workload multipliers (bursts > 1,
-    /// dropouts < 1); overlapping windows multiply.
-    pub load: Vec<(f64, f64, f64)>,
-}
-
-impl Disturbances {
-    /// Effective cooling-capacity fraction at time `t`.
-    pub fn capacity_frac(&self, t: f64) -> f64 {
-        self.capacity
-            .iter()
-            .filter(|(from, to, _)| t >= *from && t < *to)
-            .fold(1.0, |acc, (_, _, f)| acc.min(f.clamp(0.0, 1.0)))
-    }
-
-    /// Effective workload multiplier at time `t`.
-    pub fn load_mult(&self, t: f64) -> f64 {
-        self.load
-            .iter()
-            .filter(|(from, to, _)| t >= *from && t < *to)
-            .fold(1.0, |acc, (_, _, m)| acc * m.max(0.0))
-            .clamp(0.0, 4.0)
-    }
-}
-
 /// Result of a schedule run: the optimized controller and the passive
 /// baseline over the identical trace and faults.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,17 +198,20 @@ pub fn run_schedule(cfg: &ScheduleConfig, sink: &MetricsSink) -> ScheduleOutcome
         seed: cfg.seed,
         ..GoogleTraceConfig::default()
     });
-    run_schedule_on(cfg, trace.total(), &Disturbances::default(), sink)
+    run_schedule_on(cfg, trace.total(), |_| 1.0, |_| 1.0, sink)
 }
 
 /// Runs optimizer and baseline over an explicit utilization trace and
-/// fault schedule. The trace is consumed once (no wrap) for actuals;
-/// forecasts wrap modulo its duration so the horizon can look past the
-/// end of the simulation.
+/// perturbations of the *actual* plant (never of the forecast):
+/// `capacity(t)` is the fraction of nominal cooling capacity left at
+/// `t`, `load(t)` the multiplier on the offered load. The trace is
+/// consumed once (no wrap) for actuals; forecasts wrap modulo its
+/// duration so the horizon can look past the end of the simulation.
 pub fn run_schedule_on(
     cfg: &ScheduleConfig,
     trace: &TimeSeries,
-    faults: &Disturbances,
+    capacity: impl Fn(Seconds) -> f64,
+    load: impl Fn(Seconds) -> f64,
     sink: &MetricsSink,
 ) -> ScheduleOutcome {
     let dt_s = cfg.slot_min * 60.0;
@@ -288,7 +260,7 @@ pub fn run_schedule_on(
 
         if s % replan_every == 0 {
             let model = build_model(
-                cfg, trace, &plant, &pcm, &backlog, faults, s, plan_slots, tranches, &windows,
+                cfg, trace, &plant, &pcm, &backlog, &capacity, s, plan_slots, tranches, &windows,
                 dt_s, dt_h,
             );
             let started = std::time::Instant::now();
@@ -311,7 +283,7 @@ pub fn run_schedule_on(
         }
 
         // Offered load, with faults applied to the actual plant only.
-        let util = (trace.at(Seconds::new(t_mid)) * faults.load_mult(t_mid)).clamp(0.0, 1.0);
+        let util = (trace.at(Seconds::new(t_mid)) * load(Seconds::new(t_mid))).clamp(0.0, 1.0);
         let offered_kw = fleet_peak_kw * util;
         let firm_kw = offered_kw * (1.0 - cfg.deferrable_frac);
         let per_class_kw = offered_kw * cfg.deferrable_frac / tranches as f64;
@@ -387,7 +359,7 @@ pub fn run_schedule_on(
 
         let (slot_cost, load_kw, overloaded) = settle_slot(
             &plant,
-            faults,
+            &capacity,
             p_it_kw,
             q_w.value() / 1000.0,
             t_mid,
@@ -409,13 +381,13 @@ pub fn run_schedule_on(
     let mut load_passive_kw = Vec::with_capacity(sim_slots);
     for s in 0..sim_slots {
         let t_mid = (s as f64 + 0.5) * dt_s;
-        let util = (trace.at(Seconds::new(t_mid)) * faults.load_mult(t_mid)).clamp(0.0, 1.0);
+        let util = (trace.at(Seconds::new(t_mid)) * load(Seconds::new(t_mid))).clamp(0.0, 1.0);
         let p_it_kw = fleet_peak_kw * util;
         let air = plant.air_temp(p_it_kw * 1000.0);
         let q_w = pcm_base.step(air, plant.coupling, Seconds::new(dt_s));
         let (slot_cost, load_kw, overloaded) = settle_slot(
             &plant,
-            faults,
+            &capacity,
             p_it_kw,
             q_w.value() / 1000.0,
             t_mid,
@@ -456,7 +428,7 @@ pub fn run_schedule_on(
 /// and the energy bill for IT plus (capacity-limited) cooling.
 fn settle_slot(
     plant: &Plant,
-    faults: &Disturbances,
+    capacity: &dyn Fn(Seconds) -> f64,
     p_it_kw: f64,
     q_kw: f64,
     t_mid: f64,
@@ -464,7 +436,7 @@ fn settle_slot(
     cop: f64,
 ) -> (f64, f64, bool) {
     let load_kw = (p_it_kw - q_kw).max(0.0);
-    let cap_kw = plant.cooling.peak_capacity().value() * faults.capacity_frac(t_mid);
+    let cap_kw = plant.cooling.peak_capacity().value() * capacity(Seconds::new(t_mid));
     let removed_kw = load_kw.min(cap_kw);
     let overloaded = load_kw > cap_kw + 1e-9;
     let elec_kwh = (p_it_kw + removed_kw / cop) * dt_h;
@@ -483,7 +455,7 @@ fn build_model(
     plant: &Plant,
     pcm: &PcmState,
     backlog: &[Vec<Pending>],
-    faults: &Disturbances,
+    capacity: &dyn Fn(Seconds) -> f64,
     s0: usize,
     plan_slots: usize,
     tranches: usize,
@@ -494,7 +466,7 @@ fn build_model(
     let fleet_peak_kw = plant.fleet_peak_w / 1000.0;
     let duration = trace.duration().value();
     let sensed_cap_kw =
-        plant.cooling.peak_capacity().value() * faults.capacity_frac((s0 as f64 + 0.5) * dt_s);
+        plant.cooling.peak_capacity().value() * capacity(Seconds::new((s0 as f64 + 0.5) * dt_s));
     let rates = plant.tariff.rates_over(
         Seconds::new(s0 as f64 * dt_s),
         Seconds::new(dt_s),
@@ -578,7 +550,8 @@ mod tests {
         let out = run_schedule_on(
             &quick_cfg(),
             &square_trace(),
-            &Disturbances::default(),
+            |_| 1.0,
+            |_| 1.0,
             &MetricsSink::disabled(),
         );
         assert!(out.plans > 0, "at least one plan must solve");
@@ -612,14 +585,21 @@ mod tests {
 
     #[test]
     fn controller_degrades_gracefully_under_faults() {
-        let faults = Disturbances {
-            capacity: vec![(6.0 * 3600.0, 12.0 * 3600.0, 0.4)],
-            load: vec![(10.0 * 3600.0, 14.0 * 3600.0, 1.6)],
+        // A 0.4 derating over hours 6–12 and a 1.6× burst over 10–14.
+        let during = |from_h: f64, to_h: f64, v: f64| {
+            move |t: Seconds| {
+                if (from_h * 3600.0..to_h * 3600.0).contains(&t.value()) {
+                    v
+                } else {
+                    1.0
+                }
+            }
         };
         let out = run_schedule_on(
             &quick_cfg(),
             &square_trace(),
-            &faults,
+            during(6.0, 12.0, 0.4),
+            during(10.0, 14.0, 1.6),
             &MetricsSink::disabled(),
         );
         assert_eq!(out.deadline_misses, 0, "deadlines hold even under faults");

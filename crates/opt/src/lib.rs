@@ -47,8 +47,6 @@ pub mod controller;
 pub mod model;
 pub mod simplex;
 
-pub use controller::{
-    run_schedule, run_schedule_on, Disturbances, ScheduleConfig, ScheduleOutcome,
-};
+pub use controller::{run_schedule, run_schedule_on, ScheduleConfig, ScheduleOutcome};
 pub use model::{HorizonModel, Plan, SlotForecast};
 pub use simplex::{Lp, Outcome, Solution};
