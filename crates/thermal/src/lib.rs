@@ -18,15 +18,14 @@
 //!   quasi-steady air nodes solved algebraically each step (removing the
 //!   stiffness of tiny air heat capacities), fixed-temperature boundary
 //!   nodes, conductance edges, directional advection (ṁ·cp) edges along the
-//!   air path, and attached PCM elements.
+//!   air path, and attached PCM elements. Solids advance by exponential
+//!   Euler; boundary conditions (inlet temperature, flows, powers,
+//!   couplings) change through the network's setters between steps.
 //! * [`linalg`] — the small dense LU solver behind the air solve.
 //! * [`airflow`] — fan P–Q curves vs. system impedance: computes the
 //!   operating point as blockage (wax boxes, grilles) is inserted, and the
 //!   local air velocity through the constriction.
 //! * [`convection`] — forced-convection film coefficients h(v).
-//! * [`integrator`] — exponential-Euler (default), RK4 and explicit-Euler
-//!   integrators for the capacitive nodes (the ablation bench compares
-//!   them).
 //! * [`trace`] — time-series comparison (RMSE, mean difference) used by
 //!   the model-validation experiment (Figure 4).
 //! * [`reference`](mod@reference) — parameter perturbation and sensor-noise utilities for
@@ -67,7 +66,6 @@
 pub mod airflow;
 pub mod audit;
 pub mod convection;
-pub mod integrator;
 pub mod linalg;
 pub mod network;
 pub mod reference;
@@ -76,9 +74,6 @@ pub mod trace;
 
 pub use airflow::{FanCurve, FlowPath, OperatingPoint};
 pub use audit::{audit, AuditFinding};
-pub use integrator::Integrator;
-pub use network::{
-    AdvectionId, BoundaryControls, BoundaryFault, EdgeId, NodeId, PcmId, ThermalNetwork,
-};
+pub use network::{AdvectionId, EdgeId, NodeId, PcmId, ThermalNetwork};
 pub use steady::{solve_steady_state, SteadyState};
 pub use trace::{compare, TraceComparison};

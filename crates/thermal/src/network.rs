@@ -1,6 +1,5 @@
 //! The RC thermal network with quasi-steady air nodes and PCM elements.
 
-use crate::integrator::{rk4_step_with, Integrator, Rk4Scratch};
 use crate::linalg::Matrix;
 use tts_obs::{Counter, Histogram, MetricsSink};
 use tts_pcm::PcmState;
@@ -103,7 +102,7 @@ struct PcmElement {
 /// The structure half (node classification, dense column maps, per-node
 /// incidence lists) turns the per-step `solve_air` from O(edges ×
 /// air_nodes) full scans with a fresh `HashMap` into direct indexed
-/// walks. The scratch half (matrix, RHS, integrator buffers) is what
+/// walks. The scratch half (matrix, RHS, solid buffer) is what
 /// makes a warm stepping loop allocation-free: every buffer is grown once
 /// at rebuild and recycled thereafter.
 ///
@@ -127,16 +126,12 @@ struct SolverCache {
     solid_ids: Vec<usize>,
     /// Capacitance per solid, aligned with `solid_ids`.
     solid_caps: Vec<f64>,
-    /// node index → solid column, [`NO_COL`] for non-solid nodes.
-    solid_col: Vec<usize>,
     /// Air-balance matrix, refilled in place each step.
     matrix: Matrix,
     /// Air-balance RHS; holds the solved temperatures after the solve.
     rhs: Vec<f64>,
-    /// Per-solid scratch (new temperatures / deltas / RK4 state).
+    /// Per-solid scratch: the step's new temperatures.
     solid_scratch: Vec<f64>,
-    /// RK4 stage buffers.
-    rk4: Rk4Scratch,
     /// Previous temperatures for the steady-state convergence check.
     settle_prev: Vec<f64>,
 }
@@ -153,7 +148,6 @@ pub struct ThermalNetwork {
     edges: Vec<Edge>,
     advections: Vec<Advection>,
     pcm: Vec<PcmElement>,
-    integrator: Integrator,
     time: f64,
     /// node index → adjacent (edge index) list, rebuilt lazily.
     adjacency: Vec<Vec<usize>>,
@@ -172,14 +166,13 @@ impl Default for ThermalNetwork {
 }
 
 impl ThermalNetwork {
-    /// An empty network using the default (exponential-Euler) integrator.
+    /// An empty network.
     pub fn new() -> Self {
         Self {
             nodes: Vec::new(),
             edges: Vec::new(),
             advections: Vec::new(),
             pcm: Vec::new(),
-            integrator: Integrator::default(),
             time: 0.0,
             adjacency: Vec::new(),
             adjacency_dirty: true,
@@ -199,11 +192,6 @@ impl ThermalNetwork {
             rebuilds: sink.counter("thermal.cache_rebuilds"),
             settle_iterations: sink.histogram("thermal.settle_iterations", &SETTLE_EDGES),
         };
-    }
-
-    /// Selects the integrator for capacitive nodes.
-    pub fn set_integrator(&mut self, integrator: Integrator) {
-        self.integrator = integrator;
     }
 
     /// Adds a solid node with heat capacity `capacitance` at `initial`.
@@ -380,19 +368,6 @@ impl ThermalNetwork {
         Seconds::new(self.time)
     }
 
-    /// Advances one step with a boundary-condition fault hook applied
-    /// first: the hook sees the current time and a [`BoundaryControls`]
-    /// view (boundary temperatures, advection flows, injected powers,
-    /// PCM couplings — not topology) and mutates whatever its fault
-    /// schedule dictates. Equivalent to calling the setters by hand
-    /// before [`Self::step`], but gives fault engines a typed seam that
-    /// cannot touch the network structure mid-run.
-    pub fn step_with(&mut self, dt: Seconds, fault: &mut dyn BoundaryFault) {
-        let now = self.time();
-        fault.apply(now, &mut BoundaryControls { net: self });
-        self.step(dt);
-    }
-
     fn rebuild_caches(&mut self) {
         if !self.adjacency_dirty {
             return;
@@ -413,8 +388,6 @@ impl ThermalNetwork {
         c.solid_caps.clear();
         c.col_of.clear();
         c.col_of.resize(n_nodes, NO_COL);
-        c.solid_col.clear();
-        c.solid_col.resize(n_nodes, NO_COL);
         for (i, node) in self.nodes.iter().enumerate() {
             match node.kind {
                 NodeKind::Air => {
@@ -422,7 +395,6 @@ impl ThermalNetwork {
                     c.air_nodes.push(i);
                 }
                 NodeKind::Capacitive { capacitance } => {
-                    c.solid_col[i] = c.solid_ids.len();
                     c.solid_ids.push(i);
                     c.solid_caps.push(capacitance);
                 }
@@ -459,7 +431,6 @@ impl ThermalNetwork {
         c.rhs.resize(n_air, 0.0);
         c.solid_scratch.clear();
         c.solid_scratch.reserve(c.solid_ids.len());
-        c.rk4.resize(c.solid_ids.len());
         c.settle_prev.clear();
         c.settle_prev.reserve(n_nodes);
 
@@ -534,41 +505,15 @@ impl ThermalNetwork {
         }
     }
 
-    /// Net conducted + PCM heat into solid node `i` at the current
-    /// temperatures, W.
-    ///
-    /// `solid_col`/`node_pcm` come from the [`SolverCache`] (passed in
-    /// because RK4 moves the cache out of `self`); `temps`, when present,
-    /// overrides solid temperatures by solid column (RK4 stage states).
-    fn solid_inflow(
-        &self,
-        i: usize,
-        solid_col: &[usize],
-        node_pcm: &[Vec<usize>],
-        temps: Option<&[f64]>,
-    ) -> f64 {
-        let t_of = |node: usize| match temps {
-            Some(temps) if solid_col[node] != NO_COL => temps[solid_col[node]],
-            _ => self.nodes[node].temp,
-        };
-        let t_i = t_of(i);
-        let mut q = self.nodes[i].power;
-        for &ei in &self.adjacency[i] {
-            let e = self.edges[ei];
-            let other = if e.a == i { e.b } else { e.a };
-            q += e.g * (t_of(other) - t_i);
-        }
-        for &pi in &node_pcm[i] {
-            let p = &self.pcm[pi];
-            q += p.coupling * (p.state.temperature().value() - t_i);
-        }
-        q
-    }
-
     /// Advances the network by `dt`.
     ///
     /// Sequence: (1) solve air quasi-steadily, (2) integrate solid nodes,
     /// (3) step PCM elements against their node's solved temperature.
+    ///
+    /// Solids advance by exponential Euler: each relaxes toward its local
+    /// equilibrium temperature with the other nodes held at their values
+    /// from step (1). That is exact for an isolated RC node and stable
+    /// at any `dt`.
     pub fn step(&mut self, dt: Seconds) {
         let dt_s = dt.value();
         assert!(dt_s > 0.0, "step requires a positive dt");
@@ -581,80 +526,33 @@ impl ThermalNetwork {
         self.adjacency_dirty = true;
         self.solve_air(&mut cache);
 
-        match self.integrator {
-            Integrator::ExponentialEuler => {
-                cache.solid_scratch.clear();
-                for (k, &i) in cache.solid_ids.iter().enumerate() {
-                    let cap = cache.solid_caps[k];
-                    let mut g_tot = 0.0;
-                    let mut g_t_sum = 0.0;
-                    for &ei in &self.adjacency[i] {
-                        let e = self.edges[ei];
-                        let other = if e.a == i { e.b } else { e.a };
-                        g_tot += e.g;
-                        g_t_sum += e.g * self.nodes[other].temp;
-                    }
-                    for &pi in &cache.node_pcm[i] {
-                        let p = &self.pcm[pi];
-                        g_tot += p.coupling;
-                        g_t_sum += p.coupling * p.state.temperature().value();
-                    }
-                    let t = self.nodes[i].temp;
-                    let t_new = if g_tot <= 0.0 {
-                        t + self.nodes[i].power * dt_s / cap
-                    } else {
-                        let t_eq = (g_t_sum + self.nodes[i].power) / g_tot;
-                        t_eq + (t - t_eq) * (-g_tot * dt_s / cap).exp()
-                    };
-                    cache.solid_scratch.push(t_new);
-                }
-                for (k, &i) in cache.solid_ids.iter().enumerate() {
-                    self.nodes[i].temp = cache.solid_scratch[k];
-                }
+        cache.solid_scratch.clear();
+        for (k, &i) in cache.solid_ids.iter().enumerate() {
+            let cap = cache.solid_caps[k];
+            let mut g_tot = 0.0;
+            let mut g_t_sum = 0.0;
+            for &ei in &self.adjacency[i] {
+                let e = self.edges[ei];
+                let other = if e.a == i { e.b } else { e.a };
+                g_tot += e.g;
+                g_t_sum += e.g * self.nodes[other].temp;
             }
-            Integrator::Rk4 => {
-                let SolverCache {
-                    solid_ids,
-                    solid_caps,
-                    solid_col,
-                    node_pcm,
-                    solid_scratch: y,
-                    rk4,
-                    ..
-                } = &mut cache;
-                let (solid_ids, solid_caps, solid_col, node_pcm) =
-                    (&*solid_ids, &*solid_caps, &*solid_col, &*node_pcm);
-                y.clear();
-                y.extend(solid_ids.iter().map(|&i| self.nodes[i].temp));
-                let this = &*self;
-                rk4_step_with(
-                    |_, y, dydt| {
-                        for (k, &i) in solid_ids.iter().enumerate() {
-                            dydt[k] =
-                                this.solid_inflow(i, solid_col, node_pcm, Some(y)) / solid_caps[k];
-                        }
-                    },
-                    y,
-                    self.time,
-                    dt_s,
-                    rk4,
-                );
-                for (k, &i) in solid_ids.iter().enumerate() {
-                    self.nodes[i].temp = y[k];
-                }
+            for &pi in &cache.node_pcm[i] {
+                let p = &self.pcm[pi];
+                g_tot += p.coupling;
+                g_t_sum += p.coupling * p.state.temperature().value();
             }
-            Integrator::ExplicitEuler => {
-                cache.solid_scratch.clear();
-                for (k, &i) in cache.solid_ids.iter().enumerate() {
-                    let delta = self.solid_inflow(i, &cache.solid_col, &cache.node_pcm, None)
-                        / cache.solid_caps[k]
-                        * dt_s;
-                    cache.solid_scratch.push(delta);
-                }
-                for (k, &i) in cache.solid_ids.iter().enumerate() {
-                    self.nodes[i].temp += cache.solid_scratch[k];
-                }
-            }
+            let t = self.nodes[i].temp;
+            let t_new = if g_tot <= 0.0 {
+                t + self.nodes[i].power * dt_s / cap
+            } else {
+                let t_eq = (g_t_sum + self.nodes[i].power) / g_tot;
+                t_eq + (t - t_eq) * (-g_tot * dt_s / cap).exp()
+            };
+            cache.solid_scratch.push(t_new);
+        }
+        for (k, &i) in cache.solid_ids.iter().enumerate() {
+            self.nodes[i].temp = cache.solid_scratch[k];
         }
 
         self.cache = cache;
@@ -789,61 +687,6 @@ impl ThermalNetwork {
     }
 }
 
-/// Restricted mutable view of a network's boundary conditions, handed
-/// to [`BoundaryFault`] hooks between steps. Exposes exactly the knobs
-/// a physical fault can turn — inlet temperatures, fan/airflow rates,
-/// injected powers, air-to-wax couplings — and none of the topology.
-pub struct BoundaryControls<'a> {
-    net: &'a mut ThermalNetwork,
-}
-
-impl BoundaryControls<'_> {
-    /// Overrides a boundary node's fixed temperature (inlet spikes,
-    /// hot-aisle recirculation).
-    ///
-    /// # Panics
-    /// Panics if the node is not a boundary.
-    pub fn set_boundary_temp(&mut self, node: NodeId, temperature: Celsius) {
-        self.net.set_boundary_temp(node, temperature);
-    }
-
-    /// Overrides the heat-capacity flow on an advection edge (fan
-    /// failure, airflow blockage).
-    pub fn set_advection_flow(&mut self, id: AdvectionId, mcp: WattsPerKelvin) {
-        self.net.set_advection_flow(id, mcp);
-    }
-
-    /// Overrides the heat dissipated into a node (load surge, throttle).
-    pub fn set_power(&mut self, node: NodeId, power: Watts) {
-        self.net.set_power(node, power);
-    }
-
-    /// Overrides a PCM element's air-to-wax coupling (convection drops
-    /// with airflow).
-    pub fn set_pcm_coupling(&mut self, id: PcmId, coupling: WattsPerKelvin) {
-        self.net.set_pcm_coupling(id, coupling);
-    }
-
-    /// Current temperature of a node (what a — possibly faulty — sensor
-    /// would sample).
-    pub fn temperature(&self, node: NodeId) -> Celsius {
-        self.net.temperature(node)
-    }
-}
-
-/// A boundary-condition fault hook applied before each
-/// [`ThermalNetwork::step_with`] step. Closures implement it directly.
-pub trait BoundaryFault: Send {
-    /// Mutates boundary conditions for the step starting at `now`.
-    fn apply(&mut self, now: Seconds, ctl: &mut BoundaryControls<'_>);
-}
-
-impl<F: FnMut(Seconds, &mut BoundaryControls<'_>) + Send> BoundaryFault for F {
-    fn apply(&mut self, now: Seconds, ctl: &mut BoundaryControls<'_>) {
-        self(now, ctl)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -876,66 +719,6 @@ mod tests {
         assert!((net.temperature(cpu).value() - (t_air_expected + 23.0)).abs() < 1e-3);
         // All injected heat leaves through the exhaust.
         assert!((net.exhaust_heat(inlet).value() - 46.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn boundary_fault_hook_equals_manual_setters() {
-        // Driving the inlet and power through step_with must be
-        // byte-identical to calling the setters by hand.
-        let spike = |t: f64| {
-            if (600.0..1200.0).contains(&t) {
-                45.0
-            } else {
-                25.0
-            }
-        };
-        let hooked = {
-            let (mut net, inlet, _, cpu) = heater_rig(46.0, 0.02);
-            let mut fault = |now: Seconds, ctl: &mut BoundaryControls<'_>| {
-                ctl.set_boundary_temp(inlet, Celsius::new(spike(now.value())));
-            };
-            for _ in 0..1800 {
-                net.step_with(Seconds::new(1.0), &mut fault);
-            }
-            net.temperature(cpu).value()
-        };
-        let manual = {
-            let (mut net, inlet, _, cpu) = heater_rig(46.0, 0.02);
-            for i in 0..1800 {
-                net.set_boundary_temp(inlet, Celsius::new(spike(i as f64)));
-                net.step(Seconds::new(1.0));
-            }
-            net.temperature(cpu).value()
-        };
-        assert_eq!(hooked, manual);
-        // And the spike actually propagated (CPU hotter than the calm rig).
-        let calm = {
-            let (mut net, _, _, cpu) = heater_rig(46.0, 0.02);
-            for _ in 0..1800 {
-                net.step(Seconds::new(1.0));
-            }
-            net.temperature(cpu).value()
-        };
-        assert!(hooked > calm + 1.0, "hooked {hooked} vs calm {calm}");
-    }
-
-    #[test]
-    fn all_integrators_agree_at_steady_state() {
-        let mut results = Vec::new();
-        for integ in [
-            Integrator::ExponentialEuler,
-            Integrator::Rk4,
-            Integrator::ExplicitEuler,
-        ] {
-            let (mut net, _, _, cpu) = heater_rig(46.0, 0.02);
-            net.set_integrator(integ);
-            for _ in 0..20_000 {
-                net.step(Seconds::new(1.0));
-            }
-            results.push(net.temperature(cpu).value());
-        }
-        assert!((results[0] - results[1]).abs() < 0.01, "{results:?}");
-        assert!((results[0] - results[2]).abs() < 0.01, "{results:?}");
     }
 
     #[test]

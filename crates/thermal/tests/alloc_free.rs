@@ -10,7 +10,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tts_thermal::network::ThermalNetwork;
-use tts_thermal::Integrator;
 use tts_units::{
     air_heat_capacity_flow, Celsius, CubicMetersPerSecond, Grams, JoulesPerKelvin, Seconds, Watts,
     WattsPerKelvin,
@@ -95,25 +94,15 @@ fn rig() -> (ThermalNetwork, tts_thermal::network::NodeId) {
 
 #[test]
 fn warm_stepping_loop_is_allocation_free() {
-    for integrator in [
-        Integrator::ExponentialEuler,
-        Integrator::Rk4,
-        Integrator::ExplicitEuler,
-    ] {
-        let (mut net, _cpu) = rig();
-        net.set_integrator(integrator);
-        // Warmup: builds the solver cache and sizes all scratch buffers.
-        net.step(Seconds::new(1.0));
-        let allocs = count_allocations(|| {
-            for _ in 0..500 {
-                net.step(Seconds::new(1.0));
-            }
-        });
-        assert_eq!(
-            allocs, 0,
-            "{integrator:?}: warm step loop must not touch the allocator"
-        );
-    }
+    let (mut net, _cpu) = rig();
+    // Warmup: builds the solver cache and sizes all scratch buffers.
+    net.step(Seconds::new(1.0));
+    let allocs = count_allocations(|| {
+        for _ in 0..500 {
+            net.step(Seconds::new(1.0));
+        }
+    });
+    assert_eq!(allocs, 0, "warm step loop must not touch the allocator");
 }
 
 #[test]
