@@ -1,7 +1,7 @@
 //! Event throughput of the discrete cluster simulator.
 
 use std::hint::black_box;
-use tts_bench::harness::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use tts_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use tts_dcsim::balancer::RoundRobin;
 use tts_dcsim::discrete::ClusterConfig;
 use tts_units::Seconds;
@@ -28,7 +28,6 @@ fn bench_discrete(c: &mut Criterion) {
                         .build(RoundRobin::new())
                 },
                 |mut sim| black_box(sim.run(&jobs, Seconds::new(3600.0))),
-                BatchSize::SmallInput,
             )
         });
     }

@@ -7,7 +7,7 @@
 
 use std::hint::black_box;
 use thermal_time_shifting::design::{self, SearchConfig};
-use tts_bench::harness::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use tts_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use tts_dcsim::ClusterConfig;
 use tts_design::{minimize, DesignSpace, Dim, Objective};
 use tts_obs::MetricsSink;
@@ -56,7 +56,6 @@ fn bench_design(c: &mut Criterion) {
         b.iter_batched(
             || (),
             |()| black_box(minimize(&space, &Sphere, &cfg, &MetricsSink::disabled())),
-            BatchSize::SmallInput,
         )
     });
 
@@ -76,19 +75,15 @@ fn bench_design(c: &mut Criterion) {
     };
     group.throughput(Throughput::Elements(paper_cfg.budget as u64));
     group.bench_function("paper_space_budget_7", |b| {
-        b.iter_batched(
-            design::EvalCache::new,
-            |mut cache| {
-                black_box(design::search_melting_point(
-                    &config,
-                    &trace,
-                    &paper_cfg,
-                    &MetricsSink::disabled(),
-                    &mut cache,
-                ))
-            },
-            BatchSize::SmallInput,
-        )
+        b.iter_batched(design::EvalCache::new, |mut cache| {
+            black_box(design::search_melting_point(
+                &config,
+                &trace,
+                &paper_cfg,
+                &MetricsSink::disabled(),
+                &mut cache,
+            ))
+        })
     });
 
     group.finish();

@@ -8,7 +8,7 @@
 //! comparable across engines.
 
 use std::hint::black_box;
-use tts_bench::harness::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use tts_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use tts_dcsim::fleet::{DatacenterSpec, FleetConfig, FleetSim};
 use tts_units::Seconds;
 use tts_workload::series::TimeSeries;
@@ -45,11 +45,7 @@ fn bench_fleet(c: &mut Criterion) {
         servers as u64 * (horizon_h * 60.0) as u64,
     ));
     group.bench_function("100k_servers_6h", |b| {
-        b.iter_batched(
-            || fleet(servers, horizon_h),
-            |mut sim| black_box(sim.run()),
-            BatchSize::SmallInput,
-        )
+        b.iter_batched(|| fleet(servers, horizon_h), |mut sim| black_box(sim.run()))
     });
 
     // The paper's cluster scale, for the head-to-head ratio below.
@@ -58,11 +54,7 @@ fn bench_fleet(c: &mut Criterion) {
         servers as u64 * (horizon_h * 60.0) as u64,
     ));
     group.bench_function("1008_servers_30min", |b| {
-        b.iter_batched(
-            || fleet(servers, horizon_h),
-            |mut sim| black_box(sim.run()),
-            BatchSize::SmallInput,
-        )
+        b.iter_batched(|| fleet(servers, horizon_h), |mut sim| black_box(sim.run()))
     });
 
     // The old engine at the same scale: 1008 servers replaying 30 minutes
@@ -84,7 +76,6 @@ fn bench_fleet(c: &mut Criterion) {
                 )
             },
             |mut sim| black_box(sim.run(&jobs, Seconds::new(1800.0))),
-            BatchSize::SmallInput,
         )
     });
 

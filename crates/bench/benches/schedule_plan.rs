@@ -6,7 +6,7 @@
 //! slot".
 
 use std::hint::black_box;
-use tts_bench::harness::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use tts_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use tts_obs::MetricsSink;
 use tts_opt::{run_schedule_on, HorizonModel, ScheduleConfig, SlotForecast};
 use tts_units::Seconds;
@@ -62,7 +62,6 @@ fn bench_schedule(c: &mut Criterion) {
         b.iter_batched(
             || model.clone(),
             |m| black_box(m.solve().expect("default-shaped plan is feasible")),
-            BatchSize::SmallInput,
         )
     });
 
@@ -91,7 +90,6 @@ fn bench_schedule(c: &mut Criterion) {
                     &MetricsSink::disabled(),
                 ))
             },
-            BatchSize::SmallInput,
         )
     });
 

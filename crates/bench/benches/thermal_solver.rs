@@ -1,7 +1,7 @@
 //! Performance of the RC thermal-network solver (the Icepak substitute).
 
 use std::hint::black_box;
-use tts_bench::harness::{criterion_group, criterion_main, BatchSize, Criterion};
+use tts_bench::harness::{criterion_group, criterion_main, Criterion};
 use tts_server::{ServerClass, ServerThermalModel};
 use tts_thermal::network::ThermalNetwork;
 use tts_units::{Celsius, Fraction, JoulesPerKelvin, Seconds, Watts, WattsPerKelvin};
@@ -41,7 +41,6 @@ fn bench_network_step(c: &mut Criterion) {
                     }
                     black_box(net.time())
                 },
-                BatchSize::SmallInput,
             )
         });
     }
@@ -63,7 +62,6 @@ fn bench_server_model(c: &mut Criterion) {
                     m.run_to_steady_state(Seconds::new(30.0), 1e-5, Seconds::new(1e6));
                     black_box(m.outlet_temp())
                 },
-                BatchSize::SmallInput,
             )
         });
     }

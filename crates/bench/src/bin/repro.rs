@@ -517,7 +517,7 @@ fn bench_check(args: &[String]) -> i32 {
 /// Exit codes: `0` all invariants held, `1` violations (each with its
 /// replay line), `2` usage error.
 fn chaos(args: &[String]) -> i32 {
-    use tts_chaos::{run_batch, run_plan, run_scenario, BatchConfig, FaultPlan, ScenarioConfig};
+    use tts_chaos::{run_batch, run_plan, run_scenario, BatchConfig, FaultPlan};
     use tts_units::json::{FromJson, Json, ToJson};
 
     let mut seeds: usize = 16;
@@ -580,7 +580,10 @@ fn chaos(args: &[String]) -> i32 {
         }
     }
 
-    let scenario_cfg = ScenarioConfig::default();
+    let cfg = BatchConfig {
+        seeds,
+        ..BatchConfig::default()
+    };
     let plan = match &plan_path {
         Some(path) => {
             let doc = std::fs::read_to_string(path)
@@ -604,8 +607,8 @@ fn chaos(args: &[String]) -> i32 {
     if seed.is_some() || plan.is_some() {
         let seed = seed.unwrap_or(0);
         let report = match &plan {
-            Some(plan) => run_plan(seed, &scenario_cfg, plan),
-            None => run_scenario(seed, &scenario_cfg),
+            Some(plan) => run_plan(seed, cfg.servers, plan),
+            None => run_scenario(seed, cfg.servers),
         };
         println!("{}", report.to_json().to_string_pretty());
         if report.all_green() {
@@ -625,10 +628,6 @@ fn chaos(args: &[String]) -> i32 {
     }
 
     // Batch mode: the CI gate.
-    let cfg = BatchConfig {
-        seeds,
-        ..BatchConfig::default()
-    };
     let summary = run_batch(&cfg);
     println!(
         "chaos: {} scenarios from base seed {:#x}: {} checks, {} violation(s)",

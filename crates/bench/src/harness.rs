@@ -2,9 +2,9 @@
 //!
 //! Exposes the slice of the criterion API the `benches/*.rs` targets use —
 //! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`]/[`iter_batched`](Bencher::iter_batched),
-//! [`BatchSize`], [`Throughput`] and the [`criterion_group!`]/
-//! [`criterion_main!`] macros — so every pre-existing bench target compiles
-//! and runs unchanged, hermetically.
+//! [`Throughput`] and the [`criterion_group!`]/[`criterion_main!`] macros
+//! — hermetically. Unlike criterion's, `iter_batched` takes no batch-size
+//! hint: it re-runs the setup closure for every timed call.
 //!
 //! Each benchmark is measured as `sample_size` wall-clock samples (default
 //! 10, `TTS_BENCH_SAMPLES` overrides); fast routines are auto-batched so a
@@ -33,21 +33,6 @@ const MAX_ITERS: u64 = 100_000;
 pub enum Throughput {
     /// The routine processes this many logical elements per call.
     Elements(u64),
-    /// The routine processes this many bytes per call.
-    Bytes(u64),
-}
-
-/// Batch-size hint for [`Bencher::iter_batched`]; accepted for criterion
-/// compatibility. This harness re-runs the setup closure for every timed
-/// call regardless, excluding it from the measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Setup output is cheap to hold many of.
-    SmallInput,
-    /// Setup output is expensive to hold many of.
-    LargeInput,
-    /// One setup output per iteration.
-    PerIteration,
 }
 
 /// One benchmark's measured statistics, in nanoseconds per iteration.
@@ -255,13 +240,12 @@ impl Bencher {
         self.run(|| (), |()| routine());
     }
 
-    /// Times `routine` on fresh input from `setup`; the setup cost is
-    /// excluded from the measurement.
+    /// Times `routine` on fresh input from `setup`, called before every
+    /// timed call; the setup cost is excluded from the measurement.
     pub fn iter_batched<I, O>(
         &mut self,
         mut setup: impl FnMut() -> I,
         mut routine: impl FnMut(I) -> O,
-        _size: BatchSize,
     ) {
         self.run(&mut setup, &mut routine);
     }
@@ -332,10 +316,7 @@ fn measure(
         min_ns: per_iter[0],
         max_ns: per_iter[n - 1],
         median_ns: median,
-        throughput_per_iter: throughput.map(|t| match t {
-            Throughput::Elements(e) => e as f64,
-            Throughput::Bytes(b) => b as f64,
-        }),
+        throughput_per_iter: throughput.map(|Throughput::Elements(e)| e as f64),
     }
 }
 
@@ -384,13 +365,7 @@ mod tests {
             "t/batched".to_string(),
             2,
             Some(Throughput::Elements(10)),
-            |b| {
-                b.iter_batched(
-                    || vec![1.0f64; 64],
-                    |v| v.iter().sum::<f64>(),
-                    BatchSize::SmallInput,
-                )
-            },
+            |b| b.iter_batched(|| vec![1.0f64; 64], |v| v.iter().sum::<f64>()),
         );
         assert_eq!(r.samples, 2);
         assert_eq!(r.throughput_per_iter, Some(10.0));

@@ -8,7 +8,7 @@
 //! count, or position in the batch.
 
 use crate::invariant::Violation;
-use crate::scenario::{replay_command, run_scenario, ScenarioConfig, ScenarioReport};
+use crate::scenario::{replay_command, run_scenario, ScenarioReport};
 use tts_rng::{RngCore, SplitMix64};
 use tts_units::json::{Json, ToJson};
 
@@ -19,8 +19,8 @@ pub struct BatchConfig {
     pub base_seed: u64,
     /// Number of scenarios to run.
     pub seeds: usize,
-    /// Per-scenario shape.
-    pub scenario: ScenarioConfig,
+    /// Cluster size of every scenario.
+    pub servers: usize,
 }
 
 impl Default for BatchConfig {
@@ -28,7 +28,7 @@ impl Default for BatchConfig {
         Self {
             base_seed: 0x7473_7473, // "tsts"
             seeds: 16,
-            scenario: ScenarioConfig::default(),
+            servers: 4,
         }
     }
 }
@@ -120,9 +120,9 @@ impl ToJson for ChaosSummary {
 /// any `TTS_THREADS`).
 pub fn run_batch(cfg: &BatchConfig) -> ChaosSummary {
     let seeds = seed_chain(cfg.base_seed, cfg.seeds);
-    let scenario = cfg.scenario;
+    let servers = cfg.servers;
     let reports: Vec<ScenarioReport> =
-        tts_exec::par_map(&seeds, move |seed| run_scenario(*seed, &scenario));
+        tts_exec::par_map(&seeds, move |seed| run_scenario(*seed, servers));
     summarize(cfg.base_seed, reports)
 }
 
@@ -190,9 +190,8 @@ mod tests {
 
     #[test]
     fn summarize_flags_failing_seeds_in_chain_order() {
-        let cfg = ScenarioConfig::default();
-        let mut r1 = run_scenario(1, &cfg);
-        let mut r2 = run_scenario(2, &cfg);
+        let mut r1 = run_scenario(1, 4);
+        let mut r2 = run_scenario(2, 4);
         r1.violations.push(crate::invariant::Violation {
             invariant: "fake".to_string(),
             detail: "forced".to_string(),

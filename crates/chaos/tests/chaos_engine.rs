@@ -5,7 +5,6 @@
 
 use tts_chaos::{
     run_batch, run_scenario, seed_chain, BatchConfig, FaultPlan, PlanConfig, PlanFaultHook,
-    ScenarioConfig,
 };
 use tts_dcsim::discrete::FaultHook;
 use tts_rng::prop::prelude::*;
@@ -15,7 +14,7 @@ proptest! {
     #![cases(16)]
     #[test]
     fn any_seed_scenario_holds_every_invariant(seed in 0u64..(1 << 53)) {
-        let report = run_scenario(seed, &ScenarioConfig::default());
+        let report = run_scenario(seed, 4);
         prop_assert!(
             report.all_green(),
             "seed {seed:#x} violated {} invariant(s): {:?}\nreplay with: {}",
@@ -91,7 +90,7 @@ fn the_seed_chain_is_independent_of_batch_size() {
 
 #[test]
 fn a_violation_report_carries_its_replay_line() {
-    let report = run_scenario(42, &ScenarioConfig::default());
+    let report = run_scenario(42, 4);
     assert_eq!(report.replay_command(), "repro chaos --seed 0x2a");
     assert_eq!(report.seed, 42);
 }

@@ -5,8 +5,7 @@
 //!      [--budget N] [--max-jobs N] [--cache-mb N] [--cache-dir PATH]
 //!      [--port-file PATH] [--metrics-out PATH] [--debug] [--no-stdin-watch]
 //! ttsd req <HOST:PORT> <METHOD> <PATH> [--body JSON] [<METHOD> <PATH> [--body JSON]]…
-//! ttsd loadgen [--duration-ms N] [--clients N] [--pipeline N] [--out PATH]
-//!              [--min-speedup X] [--max-p99-ms X]
+//! ttsd loadgen [--duration-ms N] [--out PATH]
 //! ```
 //!
 //! The daemon binds (port `0` picks an ephemeral port, written to
@@ -51,8 +50,7 @@ fn usage_error(message: &str) -> ! {
          \x20            [--budget N] [--max-jobs N] [--cache-mb N] [--cache-dir PATH]\n\
          \x20            [--port-file PATH] [--metrics-out PATH] [--debug] [--no-stdin-watch]\n\
          \x20      ttsd req <HOST:PORT> <METHOD> <PATH> [--body JSON] [<METHOD> <PATH> …]\n\
-         \x20      ttsd loadgen [--duration-ms N] [--clients N] [--pipeline N] [--out PATH]\n\
-         \x20                   [--min-speedup X] [--max-p99-ms X]"
+         \x20      ttsd loadgen [--duration-ms N] [--out PATH]"
     );
     std::process::exit(2);
 }
@@ -241,7 +239,7 @@ fn client(args: &[String]) -> i32 {
     i32::from(!all_ok)
 }
 
-/// `ttsd loadgen [--duration-ms N] [--clients N] [--pipeline N] [--out PATH] […]`.
+/// `ttsd loadgen [--duration-ms N] [--out PATH]`.
 fn loadgen(args: &[String]) -> i32 {
     let mut cfg = LoadgenConfig::default();
     let mut out: Option<String> = None;
@@ -259,19 +257,7 @@ fn loadgen(args: &[String]) -> i32 {
                     &value("--duration-ms"),
                 ) as u64);
             }
-            "--clients" => cfg.clients = parse_count("--clients", &value("--clients")),
-            "--pipeline" => cfg.pipeline_depth = parse_count("--pipeline", &value("--pipeline")),
             "--out" => out = Some(value("--out")),
-            "--min-speedup" => {
-                cfg.min_speedup = value("--min-speedup")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--min-speedup requires a number"));
-            }
-            "--max-p99-ms" => {
-                cfg.max_cached_p99_ms = value("--max-p99-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--max-p99-ms requires a number"));
-            }
             other => usage_error(&format!("unknown loadgen flag {other:?}")),
         }
     }

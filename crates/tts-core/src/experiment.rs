@@ -628,7 +628,7 @@ impl Experiment for ChaosBatch {
             cfg.seeds = seeds;
         }
         if let Some(servers) = params.servers {
-            cfg.scenario.servers = servers;
+            cfg.servers = servers;
         }
         let summary = tts_chaos::run_batch(&cfg);
         ctx.sink()
