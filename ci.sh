@@ -17,6 +17,19 @@ echo "==> rustdoc (deny warnings)"
 # link in the published docs; clippy does not check them.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 
+echo "==> test oracle stays dev-only (no normal dependency edge reaches tts-dcsim-oracle)"
+# The frozen heap engine is a dev-dependency of the tests and benches
+# that compare against it. The inverted normal-edge tree of a crate that
+# nothing ships with is the crate alone; any further line names a
+# production crate that links the oracle.
+oracle_tree="$(cargo tree --offline --workspace -e normal -i tts-dcsim-oracle)"
+if [ "$(printf '%s\n' "$oracle_tree" | head -n 1 | cut -d' ' -f1)" != tts-dcsim-oracle ] \
+  || [ "$(printf '%s\n' "$oracle_tree" | wc -l)" -ne 1 ]; then
+  echo "oracle guard: a normal dependency edge reaches tts-dcsim-oracle:"
+  printf '%s\n' "$oracle_tree"
+  exit 1
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
@@ -221,7 +234,7 @@ echo "==> fleet bench gate (server-step throughput within 20% of BENCH_fleet.jso
 # Same degradation contract as the thermal gate above: exit 3 (missing or
 # malformed baseline) warns instead of failing. The tolerance is wide
 # because the quantity being protected is architectural — the fleet
-# engine clears the legacy engine by ~3,000x, so a 20% drift is noise
+# engine clears the legacy engine by ~7,000x, so a 20% drift is noise
 # while any real regression (say, falling back to per-job events)
 # overshoots it by orders of magnitude.
 TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/fleet_engine.json" \

@@ -9,7 +9,9 @@
 
 use std::hint::black_box;
 use tts_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
+use tts_dcsim::balancer::RoundRobin;
 use tts_dcsim::fleet::{DatacenterSpec, FleetConfig, FleetSim};
+use tts_dcsim_oracle::LegacySim;
 use tts_units::Seconds;
 use tts_workload::series::TimeSeries;
 use tts_workload::{JobStream, JobType};
@@ -67,14 +69,7 @@ fn bench_fleet(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1008 * 30));
     group.bench_function("legacy_1008_servers_30min", |b| {
         b.iter_batched(
-            || {
-                tts_dcsim::legacy::LegacySim::new(
-                    1008,
-                    16,
-                    48,
-                    tts_dcsim::balancer::RoundRobin::new(),
-                )
-            },
+            || LegacySim::new(1008, 16, 48, RoundRobin::new()),
             |mut sim| black_box(sim.run(&jobs, Seconds::new(1800.0))),
         )
     });

@@ -18,7 +18,7 @@ pub type BenchEntry = (String, f64);
 /// are skipped (forward compatibility with richer reports); the envelope
 /// itself is mandatory.
 pub fn parse_report(origin: &str, text: &str) -> Result<Vec<BenchEntry>, String> {
-    let doc = parse(text).map_err(|e| format!("{origin} is not valid JSON: {e:?}"))?;
+    let doc = parse(text).map_err(|e| format!("{origin} is not valid JSON: {e}"))?;
     let Some(Json::Arr(benches)) = doc.get("benchmarks") else {
         return Err(format!("{origin} has no \"benchmarks\" array"));
     };
@@ -70,6 +70,9 @@ mod tests {
         let not_json = parse_report("b.json", "{truncated").unwrap_err();
         assert!(not_json.contains("b.json"), "{not_json}");
         assert!(not_json.contains("not valid JSON"), "{not_json}");
+        let parser_text = parse("{truncated").unwrap_err().to_string();
+        assert!(not_json.contains(&parser_text), "{not_json}");
+        assert!(!not_json.contains("JsonError {"), "{not_json}");
 
         for envelope in ["{}", "[]", r#"{"benchmarks": 3}"#, "null"] {
             let err = parse_report("b.json", envelope).unwrap_err();

@@ -6,13 +6,12 @@
 //! occupancy rebuild per dispatch — frozen verbatim (minus telemetry and
 //! the flush hook, which do not affect any metric) so
 //! `tests/engine_equivalence.rs` can prove the calendar-queue/SoA engine
-//! byte-identical before this path is retired. Not part of the public
-//! API: reach it only from tests and benchmarks.
+//! byte-identical. Reach it only from tests and benchmarks.
 
-use crate::balancer::Balancer;
-use crate::discrete::{DiscreteMetrics, FaultAction, FaultHook, TypeQos};
 use crate::event::EventQueue;
 use std::collections::VecDeque;
+use tts_dcsim::balancer::Balancer;
+use tts_dcsim::discrete::{DiscreteMetrics, FaultAction, FaultHook, TypeQos};
 use tts_units::Seconds;
 use tts_workload::{Job, JobType};
 
@@ -80,7 +79,8 @@ impl UtilRecorder {
     }
 }
 
-/// The legacy heap-based cluster simulator (oracle only; see module docs).
+/// The legacy heap-based cluster simulator, frozen as the equivalence
+/// oracle for `tts_dcsim::discrete`.
 #[derive(Debug)]
 pub struct LegacySim<B: Balancer> {
     servers: Vec<ServerState>,
@@ -124,13 +124,13 @@ impl<B: Balancer> LegacySim<B> {
     }
 
     /// Installs an event-level fault hook (see
-    /// [`crate::discrete::DiscreteClusterSim::set_fault_hook`]).
+    /// [`tts_dcsim::discrete::DiscreteClusterSim::set_fault_hook`]).
     pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
         self.fault_hook = Some(hook);
     }
 
     /// Enables utilization recording (see
-    /// [`crate::discrete::ClusterConfig::record_utilization`]).
+    /// [`tts_dcsim::discrete::ClusterConfig::record_utilization`]).
     pub fn record_utilization(&mut self, interval: Seconds) {
         assert!(interval.value() > 0.0, "interval must be positive");
         self.util_recording = Some(UtilRecorder::new(self.servers.len(), interval.value()));
@@ -251,7 +251,7 @@ impl<B: Balancer> LegacySim<B> {
     }
 
     /// Runs the job list (see
-    /// [`crate::discrete::DiscreteClusterSim::run`]).
+    /// [`tts_dcsim::discrete::DiscreteClusterSim::run`]).
     ///
     /// # Panics
     /// Panics if jobs are not sorted by arrival time.
@@ -362,7 +362,7 @@ impl<B: Balancer> LegacySim<B> {
             }
         }
         let cores = self.cores_per_server;
-        tts_exec::par_map_mut(&mut self.servers, |s| s.account(end, cores));
+        self.servers.iter_mut().for_each(|s| s.account(end, cores));
         self.metrics(end)
     }
 
@@ -395,29 +395,29 @@ impl<B: Balancer> LegacySim<B> {
             .collect();
         let cluster_utilization =
             server_utilization.iter().sum::<f64>() / server_utilization.len() as f64;
-        let response_by_type = &self.response_by_type;
-        let per_type: Vec<TypeQos> = tts_exec::par_map(&JobType::ALL, |&jt| {
-            let mut times: Vec<f64> = response_by_type
-                .iter()
-                .filter(|(t, _)| *t == jt)
-                .map(|(_, r)| *r)
-                .collect();
-            if times.is_empty() {
-                return None;
-            }
-            times.sort_by(|a, b| a.total_cmp(b));
-            let mean = times.iter().sum::<f64>() / times.len() as f64;
-            let p95 = times[((times.len() as f64 * 0.95) as usize).min(times.len() - 1)];
-            Some(TypeQos {
-                job_type: jt,
-                completed: times.len() as u64,
-                mean_response_s: mean,
-                p95_response_s: p95,
+        let per_type: Vec<TypeQos> = JobType::ALL
+            .iter()
+            .filter_map(|&jt| {
+                let mut times: Vec<f64> = self
+                    .response_by_type
+                    .iter()
+                    .filter(|(t, _)| *t == jt)
+                    .map(|(_, r)| *r)
+                    .collect();
+                if times.is_empty() {
+                    return None;
+                }
+                times.sort_by(|a, b| a.total_cmp(b));
+                let mean = times.iter().sum::<f64>() / times.len() as f64;
+                let p95 = times[((times.len() as f64 * 0.95) as usize).min(times.len() - 1)];
+                Some(TypeQos {
+                    job_type: jt,
+                    completed: times.len() as u64,
+                    mean_response_s: mean,
+                    p95_response_s: p95,
+                })
             })
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+            .collect();
         DiscreteMetrics {
             completed,
             in_flight: in_service + queued,

@@ -1,19 +1,20 @@
 //! A bucketed calendar queue with deterministic ordering.
 //!
-//! Drop-in replacement for the binary-heap [`crate::event::EventQueue`] on
-//! the discrete engine's hot path. Events are hashed by time into a ring
-//! of buckets (one "day" per bucket, the ring is a "year"); a cursor
-//! sweeps the ring one day at a time, so with a well-chosen bucket width
-//! both enqueue and dequeue are O(1) amortized (R. Brown, CACM 1988).
+//! The discrete engine's event queue. Events are hashed by time into a
+//! ring of buckets (one "day" per bucket, the ring is a "year"); a
+//! cursor sweeps the ring one day at a time, so with a well-chosen
+//! bucket width both enqueue and dequeue are O(1) amortized (R. Brown,
+//! CACM 1988).
 //!
 //! # Determinism contract
 //!
-//! The queue realises **exactly** the same total order as the heap queue:
-//! ascending `(time, insertion sequence)`. Within the cursor's current day
-//! the next event is selected by a full `(time, seq)` scan — never by
-//! storage position — so bucket layout, resize history, and float-boundary
-//! quirks cannot leak into pop order. The property suite in
-//! `tests/calendar_props.rs` drives this against the heap as an oracle.
+//! The queue realises **exactly** the same total order as a binary heap
+//! keyed on `(time, insertion sequence)`: ascending time, FIFO on ties.
+//! Within the cursor's current day the next event is selected by a full
+//! `(time, seq)` scan — never by storage position — so bucket layout,
+//! resize history, and float-boundary quirks cannot leak into pop order.
+//! The property suite in `tests/calendar_props.rs` drives this against
+//! the frozen heap queue of the dev-only `tts-dcsim-oracle` crate.
 //!
 //! # Parameters
 //!
@@ -32,9 +33,9 @@ struct Entry<E> {
 }
 
 /// A time-ordered event queue with FIFO tie-breaking, backed by a bucket
-/// ring instead of a heap. Same observable contract as
-/// [`crate::event::EventQueue`]; `peek_time` takes `&mut self` because it
-/// may advance the cursor past empty days (it never skips an event).
+/// ring instead of a heap. Same observable contract as a binary heap;
+/// `peek_time` takes `&mut self` because it may advance the cursor past
+/// empty days (it never skips an event).
 #[derive(Debug)]
 pub struct CalendarQueue<E> {
     /// The ring. `buckets[w.rem_euclid(n)]` holds every pending event
@@ -274,30 +275,6 @@ mod tests {
         assert_eq!(q.pop(), Some((0.5, 0)));
         assert_eq!(q.pop(), Some((5.0, 5)));
         assert_eq!(q.pop(), Some((10.0, 10)));
-    }
-
-    #[test]
-    fn matches_heap_through_grow_and_shrink() {
-        // Push far past the grow threshold, drain past the shrink
-        // threshold, and check the full drain against the heap oracle.
-        let mut cal = CalendarQueue::new();
-        let mut heap = crate::event::EventQueue::new();
-        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut times = Vec::new();
-        for _ in 0..500 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            times.push((x % 100_000) as f64 / 10.0);
-        }
-        for (i, &t) in times.iter().enumerate() {
-            cal.push(t, i);
-            heap.push(t, i);
-        }
-        while let Some(expected) = heap.pop() {
-            assert_eq!(cal.pop(), Some(expected));
-        }
-        assert!(cal.is_empty());
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! event queue is the bucketed [`CalendarQueue`] (O(1) amortized) rather
 //! than a binary heap. Both changes preserve the exact event order and
 //! float-operation order of the original engine — the old heap engine is
-//! frozen in [`crate::legacy`] and `tests/engine_equivalence.rs` proves
-//! the two byte-identical. For epoch-sharded fleet scale (1M+ servers)
-//! see [`crate::fleet`].
+//! frozen in the dev-only `tts-dcsim-oracle` crate and
+//! `tests/engine_equivalence.rs` proves the two byte-identical. For
+//! epoch-sharded fleet scale (1M+ servers) see [`crate::fleet`].
 
 use crate::balancer::Balancer;
 use crate::calendar::CalendarQueue;
@@ -1211,35 +1211,6 @@ mod tests {
         assert!(
             second_hour > 2.5 * first_hour,
             "step not visible: {first_hour} vs {second_hour}"
-        );
-    }
-
-    #[test]
-    fn matches_legacy_engine_on_a_faulted_run() {
-        // Spot check (the full matrix lives in tests/engine_equivalence.rs):
-        // same jobs + same fault plan through both engines, byte-equal
-        // metrics.
-        let jobs = flat_jobs(0.6, 8, 1.0, 23);
-        let faults = vec![
-            (500.0, FaultAction::KillServer(2)),
-            (700.0, FaultAction::KillServer(5)),
-            (1500.0, FaultAction::ReviveServer(2)),
-        ];
-        let mut new_sim = ClusterConfig::new(8)
-            .cores_per_server(2)
-            .rack_size(4)
-            .record_utilization(Seconds::new(300.0))
-            .build(LeastLoaded::new());
-        new_sim.set_fault_hook(Box::new(Scheduled::new(faults.clone())));
-        let new_m = new_sim.run(&jobs, Seconds::new(3600.0));
-        let mut old_sim = crate::legacy::LegacySim::new(8, 2, 4, LeastLoaded::new());
-        old_sim.set_fault_hook(Box::new(Scheduled::new(faults)));
-        old_sim.record_utilization(Seconds::new(300.0));
-        let old_m = old_sim.run(&jobs, Seconds::new(3600.0));
-        assert_eq!(new_m, old_m);
-        assert_eq!(
-            format!("{:?}", new_sim.utilization_trace()),
-            format!("{:?}", old_sim.utilization_trace())
         );
     }
 }

@@ -9,9 +9,8 @@
 //! server". DCSim was never released; this crate implements that
 //! description:
 //!
-//! * [`event`] — the deterministic event queue;
 //! * [`calendar`] — the bucketed calendar queue behind the discrete
-//!   engine's hot path (same total order, O(1) amortized);
+//!   engine (deterministic `(time, insertion)` order, O(1) amortized);
 //! * [`fleet`] — the epoch-sharded fleet engine: struct-of-arrays fluid
 //!   state for 1M+ servers across multiple datacenters, byte-identical
 //!   across thread *and* shard counts;
@@ -41,10 +40,7 @@ pub mod balancer;
 pub mod calendar;
 pub mod cluster;
 pub mod discrete;
-pub mod event;
 pub mod fleet;
-#[doc(hidden)]
-pub mod legacy;
 pub mod relocation;
 pub mod throttle;
 

@@ -1,5 +1,6 @@
 //! Property tests for the calendar queue, driven by the in-repo `tts_rng::prop`
-//! harness. The frozen heap `EventQueue` is the ordering oracle: both queues
+//! harness. The frozen heap `EventQueue` (from the dev-only
+//! `tts-dcsim-oracle` crate) is the ordering oracle: both queues
 //! promise the same total order — ascending time, insertion sequence breaking
 //! ties — so any divergence is a calendar bug.
 //!
@@ -7,8 +8,8 @@
 //! `reproduce first with: TTS_PROP_SEED=0x…` line, so every red run is
 //! replayable.
 
-use tts_dcsim::event::EventQueue;
 use tts_dcsim::CalendarQueue;
+use tts_dcsim_oracle::EventQueue;
 use tts_rng::prop::prelude::*;
 
 /// Quantizes raw ticks onto a coarse grid so generated schedules carry many
@@ -127,4 +128,29 @@ proptest! {
         prop_assert!(calendar.is_empty());
         prop_assert!(heap.is_empty());
     }
+}
+
+/// Push far past the grow threshold, drain past the shrink threshold, and
+/// check the full drain against the heap oracle: a fixed xorshift schedule
+/// that needs no harness to replay.
+#[test]
+fn matches_heap_through_grow_and_shrink() {
+    let mut cal = CalendarQueue::new();
+    let mut heap = EventQueue::new();
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut times = Vec::new();
+    for _ in 0..500 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        times.push((x % 100_000) as f64 / 10.0);
+    }
+    for (i, &t) in times.iter().enumerate() {
+        cal.push(t, i);
+        heap.push(t, i);
+    }
+    while let Some(expected) = heap.pop() {
+        assert_eq!(cal.pop(), Some(expected));
+    }
+    assert!(cal.is_empty());
 }

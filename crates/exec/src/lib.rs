@@ -23,11 +23,9 @@
 //! worker tags results with their input index, so reassembly is exact.
 //!
 //! Every call spawns its workers afresh, which pays only for coarse items
-//! (a class, a seed, a scenario cell). [`par_map_mut`], the in-place
-//! sibling, has one caller left: the frozen `legacy` engine's per-server
-//! accounting. The fleet engine steps its shards on workers it spawns
-//! once per run instead, because a spawn per 60-s epoch cost more than
-//! the epoch's work.
+//! (a class, a seed, a scenario cell). The fleet engine steps its shards
+//! on workers it spawns once per run instead, because a spawn per 60-s
+//! epoch cost more than the epoch's work.
 //!
 //! # Thread-count resolution
 //!
@@ -144,7 +142,7 @@ pub fn thread_budget() -> Option<usize> {
     }
 }
 
-/// The thread count used by [`par_map`] / [`par_map_mut`]: the calling
+/// The thread count used by [`par_map`]: the calling
 /// thread's [`with_thread_budget`] lease if inside one, else the
 /// [`set_thread_override`] value if set, else `TTS_THREADS`, else the
 /// machine's available parallelism. Always at least 1.
@@ -182,7 +180,7 @@ where
 
 /// [`par_map`] with an explicit worker count (1 = guaranteed serial
 /// execution on the calling thread).
-pub fn par_map_with<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
+fn par_map_with<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -271,54 +269,6 @@ fn record_worker_stats(sink: &MetricsSink, loads: &[u64]) {
     let max = loads.iter().max().copied().unwrap_or(0) as f64;
     sink.gauge_tagged("exec.imbalance", Determinism::BestEffort)
         .set(if mean > 0.0 { max / mean } else { 0.0 });
-}
-
-/// Applies `f` to every element of a mutable slice in parallel and
-/// returns the per-element results **in input order**. The in-place
-/// sibling of [`par_map`]: each element is visited exactly once through a
-/// disjoint `&mut`, so for a pure-per-element `f` the mutations *and* the
-/// returned `Vec` are byte-identical to the serial loop at any thread
-/// count. Used only by the `legacy` engine, for its per-server accounting.
-pub fn par_map_mut<T, U, F>(items: &mut [T], f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(&mut T) -> U + Sync,
-{
-    par_map_mut_with(thread_count(), items, f)
-}
-
-/// [`par_map_mut`] with an explicit worker count (1 = guaranteed serial
-/// execution on the calling thread).
-pub fn par_map_mut_with<T, U, F>(threads: usize, items: &mut [T], f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(&mut T) -> U + Sync,
-{
-    let workers = threads.max(1).min(items.len());
-    if workers <= 1 {
-        return items.iter_mut().map(f).collect();
-    }
-    // Static chunking: contiguous chunks keep the borrow checker happy
-    // with plain safe code, and chunk order equals input order, so
-    // concatenating per-chunk results reassembles the serial output
-    // exactly.
-    let chunk = items.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|part| scope.spawn(|| part.iter_mut().map(&f).collect::<Vec<U>>()))
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    out
 }
 
 #[cfg(test)]
@@ -457,42 +407,5 @@ mod tests {
                 .to_string_pretty();
             assert!(!rendered.contains("exec."), "{section}: {rendered}");
         }
-    }
-
-    #[test]
-    fn map_mut_mutates_and_returns_in_input_order() {
-        // Includes a unit-result map: the in-place per-element update the
-        // legacy engine runs through `par_map_mut`.
-        for threads in [1, 2, 5, 16] {
-            let mut data: Vec<u64> = (0..83).collect();
-            let out = par_map_mut_with(threads, &mut data, |v| {
-                *v += 1000;
-                *v * 2
-            });
-            let mutated: Vec<u64> = (0..83).map(|v| v + 1000).collect();
-            let expected: Vec<u64> = mutated.iter().map(|v| v * 2).collect();
-            assert_eq!(data, mutated, "threads={threads}");
-            assert_eq!(out, expected, "threads={threads}");
-
-            let mut data: Vec<u64> = (0..83).collect();
-            let unit = par_map_mut_with(threads, &mut data, |v| *v += 1000);
-            assert_eq!(unit.len(), 83, "threads={threads}");
-            assert_eq!(data, mutated, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_mut_matches_serial_bitwise_on_floats() {
-        let base: Vec<f64> = (0..250).map(|i| 0.3 * i as f64).collect();
-        let f = |x: &mut f64| {
-            *x = (x.cos() * 1e3).abs().sqrt();
-            *x / 7.0
-        };
-        let (mut a, mut b) = (base.clone(), base);
-        let serial = par_map_mut_with(1, &mut a, f);
-        let parallel = par_map_mut_with(7, &mut b, f);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b));
-        assert_eq!(bits(&serial), bits(&parallel));
     }
 }

@@ -45,11 +45,6 @@ impl WaxCapEx {
     pub fn per_month(&self) -> Dollars {
         self.total() / SERVER_LIFETIME_MONTHS
     }
-
-    /// Sanity ratio against the server's own CapEx (should be < 0.1 %).
-    pub fn fraction_of_server_capex(&self, server_price: Dollars) -> f64 {
-        self.total() / server_price
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +78,7 @@ mod tests {
     fn negligible_fraction_of_server_capex() {
         let c = WaxCapEx::price(&one_u_bank(), &PcmMaterial::validation_wax());
         // $2,000 1U server (§4.1).
-        let frac = c.fraction_of_server_capex(Dollars::new(2000.0));
+        let frac = c.total() / Dollars::new(2000.0);
         assert!(frac < 0.0025, "wax is {:.3}% of server CapEx", frac * 100.0);
     }
 

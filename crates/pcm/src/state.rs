@@ -228,11 +228,6 @@ impl PcmState {
         let dt = (air_temp - self.temperature()).value().max(0.0);
         Watts::new(coupling.value() * dt)
     }
-
-    /// Resets the wax to thermal equilibrium at `temperature`.
-    pub fn reset_to(&mut self, temperature: Celsius) {
-        self.enthalpy = self.curve.enthalpy_at(temperature);
-    }
 }
 
 /// One step's state-only coefficients: the start-of-step wax temperature,
@@ -438,18 +433,6 @@ mod tests {
         );
         assert_eq!(qa, qb);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reset_restores_equilibrium() {
-        let mut s = state(25.0);
-        s.step(
-            Celsius::new(60.0),
-            WattsPerKelvin::new(5.0),
-            Seconds::new(3600.0),
-        );
-        s.reset_to(Celsius::new(25.0));
-        assert!((s.temperature().value() - 25.0).abs() < 1e-9);
     }
 
     #[test]

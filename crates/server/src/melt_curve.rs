@@ -174,16 +174,6 @@ impl ServerWaxCharacteristics {
         self.air_temp_model.power_for(self.material.solidus())
     }
 
-    /// Maximum refreeze (heat-rejection) rate with the server at idle:
-    /// `G_eff · (T_solidus − T_idle_air)`, clamped at zero if the idle air
-    /// cannot refreeze this wax.
-    pub fn max_refreeze_rate(&self) -> Watts {
-        let dt = (self.material.solidus() - self.idle_air_temp)
-            .value()
-            .max(0.0);
-        Watts::new(self.effective_coupling().value() * dt)
-    }
-
     /// Maximum absorption rate with the server fully loaded and the wax
     /// mid-melt: `G_eff · (T_loaded_air − T_melt)`.
     pub fn max_absorption_rate(&self) -> Watts {
@@ -277,7 +267,6 @@ mod tests {
             spec.idle_wall.value(),
             spec.peak_wall.value()
         );
-        assert!(c.max_refreeze_rate().value() > 0.0);
         assert!(c.max_absorption_rate().value() > 0.0);
     }
 

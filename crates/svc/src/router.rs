@@ -330,7 +330,7 @@ fn parse_body(body: &[u8]) -> Result<Json, Response> {
     } else {
         std::str::from_utf8(body).map_err(|_| Response::error(400, "request body is not UTF-8"))?
     };
-    parse(text).map_err(|e| Response::error(400, &format!("request body is not valid JSON: {e:?}")))
+    parse(text).map_err(|e| Response::error(400, &format!("request body is not valid JSON: {e}")))
 }
 
 /// Renders the figure for `scenario` under a scheduler lease and caches
@@ -601,6 +601,16 @@ mod tests {
             assert_eq!(resp.status, 400, "body {body:?} should be rejected");
         }
         assert!(app.cache().is_empty(), "rejected requests must not cache");
+        // The malformed body's 400 carries the parser's message, not the
+        // error's Debug form.
+        let resp = answer(&app, &post("/v1/experiments/fig7", "{not json"));
+        let doc = parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let Some(Json::Str(message)) = doc.get("error") else {
+            panic!("400 body has no error message: {doc:?}");
+        };
+        let parser_text = parse("{not json").unwrap_err().to_string();
+        assert!(message.contains(&parser_text), "{message}");
+        assert!(!message.contains("JsonError {"), "{message}");
     }
 
     #[test]

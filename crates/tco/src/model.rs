@@ -101,23 +101,6 @@ impl MonthlyTco {
             + self.server_interest
             + self.opex
     }
-
-    /// Total yearly cost.
-    pub fn total_per_year(&self) -> Dollars {
-        self.total() * 12.0
-    }
-
-    /// Fraction of the total that scales with server count (server CapEx +
-    /// server interest + UPS; the quantity behind the §5.2 TCO-efficiency
-    /// argument that extra throughput normally costs extra machines).
-    pub fn server_scaling_share(&self) -> f64 {
-        (self.server_capex + self.server_interest) / self.total()
-    }
-
-    /// Fraction of the total that is operating expense.
-    pub fn opex_share(&self) -> f64 {
-        self.opex / self.total()
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +148,7 @@ mod tests {
         // cost era (server-dominated).
         for class in ServerClass::ALL {
             let tco = MonthlyTco::compute(&TcoInput::paper_10mw(class, false), &Table2::paper());
-            let yearly = tco.total_per_year().value();
+            let yearly = tco.total().value() * 12.0;
             assert!(
                 (2.0e7..1.5e8).contains(&yearly),
                 "{class}: {yearly:.3e} $/yr"
@@ -198,11 +181,8 @@ mod tests {
             &TcoInput::paper_10mw(ServerClass::HighThroughput2U, false),
             &Table2::paper(),
         );
-        assert!(
-            tco.server_scaling_share() > 0.35,
-            "server share {}",
-            tco.server_scaling_share()
-        );
+        let share = (tco.server_capex + tco.server_interest) / tco.total();
+        assert!(share > 0.35, "server share {share}");
     }
 
     #[test]
@@ -217,7 +197,8 @@ mod tests {
             + tco.server_interest
             + tco.opex;
         assert!((sum.value() - tco.total().value()).abs() < 1e-9);
-        assert!(tco.opex_share() > 0.0 && tco.opex_share() < 1.0);
+        let opex_share = tco.opex / tco.total();
+        assert!(opex_share > 0.0 && opex_share < 1.0);
     }
 
     #[test]

@@ -39,12 +39,6 @@ impl Fraction {
         }
     }
 
-    /// Creates from a percentage (`75.0` → `0.75`), clamping into range.
-    #[inline]
-    pub fn from_percent(pct: f64) -> Self {
-        Self::new(pct / 100.0)
-    }
-
     /// The raw value in `[0, 1]`.
     #[inline]
     pub const fn value(self) -> f64 {
@@ -73,12 +67,6 @@ impl Fraction {
     #[inline]
     pub fn saturating_sub(self, other: Self) -> Self {
         Self::new(self.0 - other.0)
-    }
-
-    /// Linear interpolation between `a` and `b` by this fraction.
-    #[inline]
-    pub fn lerp(self, a: f64, b: f64) -> f64 {
-        a + (b - a) * self.0
     }
 }
 
@@ -127,7 +115,6 @@ mod tests {
         assert_eq!(Fraction::new(2.0), Fraction::ONE);
         assert_eq!(Fraction::new(-2.0), Fraction::ZERO);
         assert_eq!(Fraction::new(f64::NAN), Fraction::ZERO);
-        assert_eq!(Fraction::from_percent(150.0), Fraction::ONE);
     }
 
     #[test]
@@ -136,13 +123,6 @@ mod tests {
         assert!((f.complement().value() - 0.3).abs() < 1e-12);
         assert!((f.percent() - 70.0).abs() < 1e-12);
         assert_eq!(format!("{:.1}", f), "70.0%");
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        assert_eq!(Fraction::ZERO.lerp(90.0, 185.0), 90.0);
-        assert_eq!(Fraction::ONE.lerp(90.0, 185.0), 185.0);
-        assert!((Fraction::new(0.5).lerp(90.0, 185.0) - 137.5).abs() < 1e-12);
     }
 
     #[test]

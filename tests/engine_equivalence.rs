@@ -1,17 +1,17 @@
 //! The engine-equivalence lockdown: the rebuilt discrete engine
 //! (struct-of-arrays state + calendar queue) must produce *byte-identical*
 //! metrics and utilization traces to the frozen legacy heap engine
-//! (`tts_dcsim::legacy`) on every seeded (workload, cluster-size,
-//! fault-plan) combination, at every thread count.
+//! (`tts_dcsim_oracle::LegacySim`) on every seeded (workload,
+//! cluster-size, fault-plan) combination, at every thread count.
 //!
 //! Everything lives in ONE `#[test]` because `tts_exec::set_thread_override`
 //! is process-global: parallel test threads in the same binary would race
 //! on it. This binary is its own process, so the override is safe here.
 
-use tts_chaos::{FaultPlan, PlanConfig, PlanFaultHook};
+use tts_chaos::{Fault, FaultPlan, PlanConfig, PlanFaultHook};
 use tts_dcsim::balancer::{Balancer, LeastLoaded, RandomBalancer, RoundRobin};
 use tts_dcsim::discrete::ClusterConfig;
-use tts_dcsim::legacy::LegacySim;
+use tts_dcsim_oracle::LegacySim;
 use tts_units::Seconds;
 use tts_workload::series::TimeSeries;
 use tts_workload::{Job, JobStream, JobType};
@@ -25,7 +25,15 @@ struct Combo {
     seed: u64,
     util: f64,
     job_type: JobType,
-    max_faults: usize,
+    faults: Faults,
+}
+
+/// Where a combo's kill/revive schedule comes from.
+enum Faults {
+    /// `FaultPlan::sample` with at most this many faults.
+    Sampled(usize),
+    /// A fixed schedule, sorted by onset.
+    Scheduled(&'static [Fault]),
 }
 
 fn jobs_for(c: &Combo) -> Vec<Job> {
@@ -34,14 +42,19 @@ fn jobs_for(c: &Combo) -> Vec<Job> {
 }
 
 fn plan_for(c: &Combo) -> FaultPlan {
-    FaultPlan::sample(
-        c.seed ^ 0xfa17,
-        &PlanConfig {
-            window_s: 3_600.0,
-            servers: c.servers,
-            max_faults: c.max_faults,
+    match c.faults {
+        Faults::Sampled(max_faults) => FaultPlan::sample(
+            c.seed ^ 0xfa17,
+            &PlanConfig {
+                window_s: 3_600.0,
+                servers: c.servers,
+                max_faults,
+            },
+        ),
+        Faults::Scheduled(faults) => FaultPlan {
+            faults: faults.to_vec(),
         },
-    )
+    }
 }
 
 /// Runs the combo through both engines with identical inputs and asserts
@@ -89,8 +102,9 @@ fn assert_engines_agree<B: Balancer + 'static>(c: &Combo, mk_balancer: impl Fn()
     );
 }
 
-/// ONE test on purpose — see the module docs. Ten combos × two thread
-/// counts, all three balancer families, faulted and fault-free.
+/// ONE test on purpose — see the module docs. Eleven combos × two thread
+/// counts, all three balancer families, sampled and scheduled fault
+/// plans.
 #[test]
 fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
     let combos = [
@@ -102,7 +116,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             seed: 1,
             util: 0.3,
             job_type: JobType::WebSearch,
-            max_faults: 0,
+            faults: Faults::Sampled(0),
         },
         Combo {
             label: "small-faulted",
@@ -112,7 +126,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             seed: 2,
             util: 0.55,
             job_type: JobType::SocialNetworking,
-            max_faults: 10,
+            faults: Faults::Sampled(10),
         },
         Combo {
             label: "rack-misaligned",
@@ -122,7 +136,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             seed: 3,
             util: 0.6,
             job_type: JobType::SocialNetworking,
-            max_faults: 6,
+            faults: Faults::Sampled(6),
         },
         Combo {
             label: "mapreduce-heavy",
@@ -132,7 +146,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             seed: 4,
             util: 0.8,
             job_type: JobType::MapReduce,
-            max_faults: 4,
+            faults: Faults::Sampled(4),
         },
         Combo {
             label: "overloaded",
@@ -142,7 +156,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             seed: 5,
             util: 0.95,
             job_type: JobType::WebSearch,
-            max_faults: 8,
+            faults: Faults::Sampled(8),
         },
         Combo {
             label: "mid-cluster",
@@ -152,7 +166,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             seed: 6,
             util: 0.5,
             job_type: JobType::SocialNetworking,
-            max_faults: 10,
+            faults: Faults::Sampled(10),
         },
         Combo {
             label: "wide-cluster",
@@ -162,7 +176,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             seed: 7,
             util: 0.45,
             job_type: JobType::WebSearch,
-            max_faults: 12,
+            faults: Faults::Sampled(12),
         },
         Combo {
             label: "single-server",
@@ -172,7 +186,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             seed: 8,
             util: 0.7,
             job_type: JobType::MapReduce,
-            max_faults: 3,
+            faults: Faults::Sampled(3),
         },
         Combo {
             label: "idle-trickle",
@@ -182,7 +196,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             seed: 9,
             util: 0.05,
             job_type: JobType::WebSearch,
-            max_faults: 10,
+            faults: Faults::Sampled(10),
         },
         Combo {
             label: "kill-happy",
@@ -192,7 +206,32 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             seed: 10,
             util: 0.65,
             job_type: JobType::SocialNetworking,
-            max_faults: 16,
+            faults: Faults::Sampled(16),
+        },
+        // A fixed schedule beside the sampled ones: two kills, then the
+        // first server revives while the second stays down.
+        Combo {
+            label: "scheduled-kill-kill-revive",
+            servers: 8,
+            cores: 2,
+            rack_size: 4,
+            seed: 23,
+            util: 0.6,
+            job_type: JobType::SocialNetworking,
+            faults: Faults::Scheduled(&[
+                Fault::ServerKill {
+                    at_s: 500.0,
+                    server: 2,
+                },
+                Fault::ServerKill {
+                    at_s: 700.0,
+                    server: 5,
+                },
+                Fault::ServerRevive {
+                    at_s: 1500.0,
+                    server: 2,
+                },
+            ]),
         },
     ];
 
