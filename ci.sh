@@ -284,7 +284,9 @@ echo "==> design gate (surrogate search matches the grid optimum in <= 1/10 eval
 # most a tenth of the exhaustive grid's simulator evaluations, the joint
 # class x melt x mass x tariff x ambient search must end with a finite,
 # strictly improved best-objective trace, and — like every result
-# surface — the summary bytes must not depend on the worker count.
+# surface — the summary bytes must not depend on the worker count. The
+# grid it is checked against is fig11's own sweep, so its `grid_melt_c`
+# must be the 1U wax that results/fig11a.json ships.
 for T in 1 4 8; do
   (cd "$TMPDIR_CI" && TTS_THREADS=$T "$REPRO_ABS" design --write > /dev/null)
   cp "$TMPDIR_CI/results/design.summary.json" "$TMPDIR_CI/design.t$T.summary.json"
@@ -297,9 +299,13 @@ d_evals=$(dkey design_evals)
 g_evals=$(dkey grid_evals)
 j_finite=$(dkey joint_trace_finite)
 j_delta=$(dkey joint_trace_delta_usd)
+g_melt=$(dkey grid_melt_c)
+f_melt=$(grep -o '"melting_point": *[0-9.eE+-]*' results/fig11a.json | head -1 | awk '{print $2}')
 [ -n "$d_match" ] && [ -n "$d_evals" ] && [ -n "$g_evals" ] \
-  && [ -n "$j_finite" ] && [ -n "$j_delta" ] \
+  && [ -n "$j_finite" ] && [ -n "$j_delta" ] && [ -n "$g_melt" ] && [ -n "$f_melt" ] \
   || { echo "design summary lacks gate fields"; exit 1; }
+awk -v g="$g_melt" -v f="$f_melt" 'BEGIN { exit !(g == f) }' || {
+  echo "design gate: grid_melt_c $g_melt is not fig11a's melting point $f_melt"; exit 1; }
 awk -v m="$d_match" 'BEGIN { exit !(m == 1) }' || {
   echo "design gate: search did not match the grid optimum"; exit 1; }
 awk -v d="$d_evals" -v g="$g_evals" 'BEGIN { exit !(d * 10 <= g) }' || {

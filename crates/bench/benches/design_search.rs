@@ -75,13 +75,12 @@ fn bench_design(c: &mut Criterion) {
     };
     group.throughput(Throughput::Elements(paper_cfg.budget as u64));
     group.bench_function("paper_space_budget_7", |b| {
-        b.iter_batched(design::EvalCache::new, |mut cache| {
+        b.iter(|| {
             black_box(design::search_melting_point(
                 &config,
                 &trace,
                 &paper_cfg,
                 &MetricsSink::disabled(),
-                &mut cache,
             ))
         })
     });

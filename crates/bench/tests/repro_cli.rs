@@ -138,6 +138,24 @@ fn chaos_plan_out_of_onset_order_exits_2_naming_the_index() {
 }
 
 #[test]
+fn chaos_plan_with_truncated_json_exits_2_with_the_parser_message() {
+    let text = r#"{"faults": [{"kind": "ServerKill", "at_s": 300"#;
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("truncated.plan.json");
+    std::fs::write(&path, text).expect("plan file");
+    let out = repro(&["chaos", "--plan", path.to_str().expect("UTF-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let message = tts_units::json::parse(text)
+        .expect_err("truncated JSON must not parse")
+        .to_string();
+    assert!(
+        stderr.contains(&format!("invalid JSON: {message}")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("JsonError {"), "{stderr}");
+}
+
+#[test]
 fn chaos_overlap_plan_replays_its_golden_report() {
     let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
     let plan = golden.join("chaos_overlap.plan.json");

@@ -325,17 +325,31 @@ pub fn select_melting_point(
     best
 }
 
-/// The default candidate range: the paraffin catalogue in half-degree
-/// steps. The paper quotes commercial blends at 40–60 °C; we extend
-/// slightly below (the §3 retail wax melted at 39 °C) and above (C30+
-/// paraffin grades melt up to ~68 °C — needed for the pre-heated air of
-/// the Open Compute chassis, whose wax zone idles near 50 °C).
+/// Lowest melting point of the paraffin catalogue, °C. The paper quotes
+/// commercial blends at 40–60 °C; the catalogue extends slightly below
+/// (the §3 retail wax melted at 39 °C) and above (see
+/// [`PARAFFIN_MELT_MAX_C`]).
+pub const PARAFFIN_MELT_MIN_C: f64 = 30.0;
+
+/// Highest melting point of the paraffin catalogue, °C: C30+ grades melt
+/// up to ~68 °C, needed for the pre-heated air of the Open Compute
+/// chassis, whose wax zone idles near 50 °C.
+pub const PARAFFIN_MELT_MAX_C: f64 = 68.0;
+
+/// Spacing of the paraffin catalogue, °C. A power of two, so the
+/// accumulated grid `min + 0.5 + 0.5 + …` and a snapped lattice
+/// `min + k · step` hold the same bits.
+pub const PARAFFIN_MELT_STEP_C: f64 = 0.5;
+
+/// The default candidate range: the paraffin catalogue, from
+/// [`PARAFFIN_MELT_MIN_C`] to [`PARAFFIN_MELT_MAX_C`] in
+/// [`PARAFFIN_MELT_STEP_C`] steps.
 pub fn default_melting_candidates() -> Vec<f64> {
     let mut v = Vec::new();
-    let mut c = 30.0;
-    while c <= 68.0 + 1e-9 {
+    let mut c = PARAFFIN_MELT_MIN_C;
+    while c <= PARAFFIN_MELT_MAX_C + 1e-9 {
         v.push(c);
-        c += 0.5;
+        c += PARAFFIN_MELT_STEP_C;
     }
     v
 }

@@ -1,4 +1,4 @@
-//! The search driver: objective seam, evaluation memo, strategies.
+//! The search driver: objective seam, evaluation memo, CMA-ES run.
 //!
 //! # Determinism contract
 //!
@@ -27,12 +27,18 @@ pub const INFEASIBLE: f64 = f64::INFINITY;
 /// Latency buckets (milliseconds per simulator evaluation).
 const EVAL_MS_EDGES: [f64; 10] = [0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0];
 
+/// Space-filling design size seeding the surrogate before CMA-ES.
+const DOE_POINTS: usize = 3;
+
+/// Initial CMA-ES step size in the unit cube.
+const SIGMA0: f64 = 0.3;
+
 /// A black-box objective over a [`DesignSpace`]. `evaluate` runs the (maybe
 /// expensive) simulator and returns its full output; `value` extracts the
-/// scalar to minimize — keeping the two separate lets callers re-apply
-/// richer selection rules (e.g. fig12's two-stage gain/delay rule) over the
-/// archive of full outputs. Return [`INFEASIBLE`] from `value` for hard
-/// constraint violations, or fold soft constraints in as penalties.
+/// scalar to minimize, so a search returns the full output of its best
+/// point and of every point in its archive. Return [`INFEASIBLE`] from
+/// `value` for hard constraint violations, or fold soft constraints in as
+/// penalties.
 pub trait Objective: Sync {
     /// Full simulator output for one design point.
     type Out: Clone + Send;
@@ -42,48 +48,10 @@ pub trait Objective: Sync {
     fn value(&self, out: &Self::Out) -> f64;
 }
 
-/// Byte-keyed evaluation memo: snapped point bits → simulator output.
-/// Shareable across searches so e.g. a grid cross-check re-uses every
-/// point the CMA-ES run already paid for.
-#[derive(Debug, Clone, Default)]
-pub struct EvalCache<Out> {
-    map: BTreeMap<Vec<u8>, Out>,
-}
-
-impl<Out> EvalCache<Out> {
-    /// An empty memo.
-    pub fn new() -> Self {
-        EvalCache {
-            map: BTreeMap::new(),
-        }
-    }
-
-    /// Number of memoized evaluations.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// How to explore the space.
-#[derive(Debug, Clone)]
-pub enum Strategy {
-    /// Exhaustively evaluate an explicit candidate list, in order, keeping
-    /// the first strictly-best point — the paper's sweep semantics.
-    Grid(Vec<Vec<f64>>),
-    /// Surrogate-screened (μ/μ_w, λ)-CMA-ES with a lattice-polish phase.
-    Cmaes,
-}
-
-/// Tunables for one search run.
+/// Tunables for one surrogate-screened (μ/μ_w, λ)-CMA-ES run with a
+/// lattice-polish phase.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
-    /// Exploration strategy.
-    pub strategy: Strategy,
     /// Seed for every random decision in the run.
     pub seed: u64,
     /// Hard cap on *paid* simulator evaluations (memo hits are free).
@@ -93,22 +61,15 @@ pub struct SearchConfig {
     /// Paid evaluations per generation: the surrogate ranks the population
     /// by expected improvement and only the top `screen` are simulated.
     pub screen: usize,
-    /// Space-filling design size seeding the surrogate before CMA-ES.
-    pub doe: usize,
-    /// Initial CMA-ES step size in the unit cube.
-    pub sigma0: f64,
 }
 
 impl Default for SearchConfig {
     fn default() -> Self {
         SearchConfig {
-            strategy: Strategy::Cmaes,
             seed: 42,
             budget: 64,
             max_generations: 64,
             screen: 1,
-            doe: 3,
-            sigma0: 0.3,
         }
     }
 }
@@ -126,7 +87,7 @@ pub struct SearchResult<Out> {
     pub evals: usize,
     /// Requests served from the memo instead of the simulator.
     pub memo_hits: usize,
-    /// CMA-ES generations run (0 for grid).
+    /// CMA-ES generations run.
     pub generations: usize,
     /// Surrogate model fits performed.
     pub surrogate_fits: usize,
@@ -142,7 +103,8 @@ struct Search<'a, O: Objective> {
     space: &'a DesignSpace,
     obj: &'a O,
     sink: &'a MetricsSink,
-    cache: &'a mut EvalCache<O::Out>,
+    /// Byte-keyed evaluation memo: snapped point bits → simulator output.
+    cache: BTreeMap<Vec<u8>, O::Out>,
     budget: usize,
     evals: usize,
     memo_hits: usize,
@@ -157,18 +119,12 @@ struct Search<'a, O: Objective> {
 }
 
 impl<'a, O: Objective> Search<'a, O> {
-    fn new(
-        space: &'a DesignSpace,
-        obj: &'a O,
-        sink: &'a MetricsSink,
-        cache: &'a mut EvalCache<O::Out>,
-        budget: usize,
-    ) -> Self {
+    fn new(space: &'a DesignSpace, obj: &'a O, sink: &'a MetricsSink, budget: usize) -> Self {
         Search {
             space,
             obj,
             sink,
-            cache,
+            cache: BTreeMap::new(),
             budget,
             evals: 0,
             memo_hits: 0,
@@ -189,8 +145,7 @@ impl<'a, O: Objective> Search<'a, O> {
 
     /// Fold a point with known true output into the search state. Archive
     /// order follows request order; the incumbent moves only on a strict
-    /// improvement, so among ties the earliest-requested point wins —
-    /// matching the grid sweep's first-best rule.
+    /// improvement, so among ties the earliest-requested point wins.
     fn observe(&mut self, x: &[f64], out: O::Out, key: Vec<u8>) {
         if !self.known.insert(key) {
             return;
@@ -216,7 +171,7 @@ impl<'a, O: Objective> Search<'a, O> {
         let mut to_eval: Vec<Vec<f64>> = Vec::new();
         for x in points {
             let k = self.space.key(x);
-            if self.cache.map.contains_key(&k) || fresh.contains(&k) {
+            if self.cache.contains_key(&k) || fresh.contains(&k) {
                 continue;
             }
             if self.evals + to_eval.len() >= self.budget {
@@ -242,12 +197,12 @@ impl<'a, O: Objective> Search<'a, O> {
             self.evals += to_eval.len();
             for (x, out) in to_eval.into_iter().zip(outs) {
                 let k = self.space.key(&x);
-                self.cache.map.insert(k, out);
+                self.cache.insert(k, out);
             }
         }
         for x in points {
             let k = self.space.key(x);
-            if let Some(out) = self.cache.map.get(&k) {
+            if let Some(out) = self.cache.get(&k) {
                 if !fresh.contains(&k) {
                     self.memo_hits += 1;
                 }
@@ -307,24 +262,13 @@ impl<'a, O: Objective> Search<'a, O> {
         }
     }
 
-    fn run_grid(mut self, candidates: &[Vec<f64>]) -> SearchResult<O::Out> {
-        assert!(!candidates.is_empty(), "grid strategy needs candidates");
-        let pts: Vec<Vec<f64>> = candidates.iter().map(|c| self.space.snap(c)).collect();
-        self.request(&pts);
-        let v = self.best_value();
-        if v.is_finite() {
-            self.trace.push(v);
-        }
-        self.finish()
-    }
-
     fn run_cmaes(mut self, cfg: &SearchConfig) -> SearchResult<O::Out> {
         let d = self.space.dim();
 
         // Deterministic Latin-hypercube design of experiments: one stratum
         // per point and dimension, strata shuffled by a seeded stream.
         let mut doe_rng = Xoshiro256pp::seed_from_u64(cfg.seed ^ 0x5eed_d0e5_5eed_d0e5);
-        let n0 = cfg.doe.min(self.budget).max(1);
+        let n0 = DOE_POINTS.min(self.budget).max(1);
         let mut strata: Vec<Vec<usize>> = vec![(0..n0).collect(); d];
         for col in strata.iter_mut() {
             for i in (1..col.len()).rev() {
@@ -350,7 +294,7 @@ impl<'a, O: Objective> Search<'a, O> {
             Some((bx, _, _)) => self.space.unit_of(bx),
             None => vec![0.5; d],
         };
-        let mut es = CmaEs::new(d, cfg.seed, cfg.sigma0, mean0);
+        let mut es = CmaEs::new(d, cfg.seed, SIGMA0, mean0);
 
         // Leftover budget certifies lattice-local optimality.
         let reserve = self.polish_reserve().min(self.budget / 3);
@@ -369,7 +313,7 @@ impl<'a, O: Objective> Search<'a, O> {
             let mut seen_in_gen: BTreeSet<Vec<u8>> = BTreeSet::new();
             for (i, x) in real.iter().enumerate() {
                 let k = self.space.key(x);
-                if !self.cache.map.contains_key(&k) && seen_in_gen.insert(k) {
+                if !self.cache.contains_key(&k) && seen_in_gen.insert(k) {
                     unknown.push(i);
                 }
             }
@@ -401,7 +345,7 @@ impl<'a, O: Objective> Search<'a, O> {
                 .enumerate()
                 .map(|(i, x)| {
                     let k = self.space.key(x);
-                    if let Some(out) = self.cache.map.get(&k) {
+                    if let Some(out) = self.cache.get(&k) {
                         let v = self.obj.value(out);
                         if v.is_finite() {
                             v
@@ -469,7 +413,7 @@ impl<'a, O: Objective> Search<'a, O> {
             let ns = self.space.neighbors(&bx);
             let unknown: Vec<Vec<f64>> = ns
                 .iter()
-                .filter(|n| !self.cache.map.contains_key(&self.space.key(n)))
+                .filter(|n| !self.cache.contains_key(&self.space.key(n)))
                 .cloned()
                 .collect();
             if !unknown.is_empty() && self.evals < self.budget {
@@ -477,7 +421,7 @@ impl<'a, O: Objective> Search<'a, O> {
             }
             let mut step_best: Option<(Vec<f64>, f64)> = None;
             for n in &ns {
-                if let Some(out) = self.cache.map.get(&self.space.key(n)) {
+                if let Some(out) = self.cache.get(&self.space.key(n)) {
                     let v = self.obj.value(out);
                     if v.is_finite() && v < step_best.as_ref().map_or(INFEASIBLE, |(_, sv)| *sv) {
                         step_best = Some((n.clone(), v));
@@ -488,7 +432,6 @@ impl<'a, O: Objective> Search<'a, O> {
                 Some((nx, nv)) if nv < bv => {
                     let out = self
                         .cache
-                        .map
                         .get(&self.space.key(&nx))
                         .expect("polish winner must be memoized")
                         .clone();
@@ -504,9 +447,7 @@ impl<'a, O: Objective> Search<'a, O> {
         let (best_x, best_out, best_value) = match self.best {
             Some((x, o, v)) => (x, o, v),
             None => {
-                let (x, o) = self
-                    .fallback
-                    .expect("design search evaluated no points (budget 0 or empty grid?)");
+                let (x, o) = self.fallback.expect("design search evaluated no points");
                 (x, o, INFEASIBLE)
             }
         };
@@ -527,35 +468,16 @@ impl<'a, O: Objective> Search<'a, O> {
     }
 }
 
-/// Minimize `obj` over `space` with a private evaluation memo.
+/// Minimize `obj` over `space` with a private evaluation memo, so no
+/// point is simulated twice within the run.
 pub fn minimize<O: Objective>(
     space: &DesignSpace,
     obj: &O,
     cfg: &SearchConfig,
     sink: &MetricsSink,
 ) -> SearchResult<O::Out> {
-    let mut cache = EvalCache::new();
-    minimize_with_cache(space, obj, cfg, sink, &mut cache)
-}
-
-/// Minimize `obj` over `space`, sharing `cache` with previous and future
-/// searches — points already memoized cost nothing.
-pub fn minimize_with_cache<O: Objective>(
-    space: &DesignSpace,
-    obj: &O,
-    cfg: &SearchConfig,
-    sink: &MetricsSink,
-    cache: &mut EvalCache<O::Out>,
-) -> SearchResult<O::Out> {
-    assert!(
-        cfg.budget > 0 || !cache.is_empty(),
-        "search budget must be positive"
-    );
-    let search = Search::new(space, obj, sink, cache, cfg.budget);
-    match &cfg.strategy {
-        Strategy::Grid(candidates) => search.run_grid(candidates),
-        Strategy::Cmaes => search.run_cmaes(cfg),
-    }
+    assert!(cfg.budget > 0, "search budget must be positive");
+    Search::new(space, obj, sink, cfg.budget).run_cmaes(cfg)
 }
 
 #[cfg(test)]
@@ -609,62 +531,6 @@ mod tests {
         let r = minimize(&space, &obj, &cfg, &sink);
         assert!(r.best_value < 1e-3, "sphere best {} too poor", r.best_value);
         assert!(r.evals <= 400);
-    }
-
-    #[test]
-    fn grid_keeps_first_best_on_ties() {
-        let space = DesignSpace::new(vec![Dim::Continuous {
-            name: "x",
-            lo: 0.0,
-            hi: 4.0,
-            step: 1.0,
-        }]);
-        struct Flat;
-        impl Objective for Flat {
-            type Out = f64;
-            fn evaluate(&self, _x: &[f64]) -> f64 {
-                1.0
-            }
-            fn value(&self, out: &f64) -> f64 {
-                *out
-            }
-        }
-        let candidates: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64]).collect();
-        let cfg = SearchConfig {
-            strategy: Strategy::Grid(candidates),
-            budget: 100,
-            ..SearchConfig::default()
-        };
-        let sink = MetricsSink::disabled();
-        let r = minimize(&space, &Flat, &cfg, &sink);
-        assert_eq!(r.best_x, vec![0.0], "ties must keep the earliest candidate");
-        assert_eq!(r.evals, 5);
-        assert_eq!(r.archive.len(), 5);
-    }
-
-    #[test]
-    fn memo_is_shared_between_searches() {
-        let space = DesignSpace::new(vec![Dim::Continuous {
-            name: "x",
-            lo: 0.0,
-            hi: 4.0,
-            step: 1.0,
-        }]);
-        let obj = Sphere { center: vec![2.0] };
-        let sink = MetricsSink::disabled();
-        let mut cache = EvalCache::new();
-        let candidates: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64]).collect();
-        let cfg = SearchConfig {
-            strategy: Strategy::Grid(candidates.clone()),
-            budget: 100,
-            ..SearchConfig::default()
-        };
-        let first = minimize_with_cache(&space, &obj, &cfg, &sink, &mut cache);
-        assert_eq!(first.evals, 5);
-        let second = minimize_with_cache(&space, &obj, &cfg, &sink, &mut cache);
-        assert_eq!(second.evals, 0, "second sweep must be all memo hits");
-        assert_eq!(second.memo_hits, 5);
-        assert_eq!(second.best_x, first.best_x);
     }
 
     #[test]
@@ -725,9 +591,9 @@ mod tests {
                 }
             }
         }
-        let candidates: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
+        // A budget that covers the whole 10-point lattice: whatever order
+        // CMA-ES visits it in, the infeasible half must never be reported.
         let cfg = SearchConfig {
-            strategy: Strategy::Grid(candidates),
             budget: 100,
             ..SearchConfig::default()
         };
@@ -735,5 +601,6 @@ mod tests {
         let r = minimize(&space, &HalfFeasible, &cfg, &sink);
         assert_eq!(r.best_x, vec![5.0]);
         assert!(r.best_value.is_finite());
+        assert!(r.archive.iter().any(|(x, _)| x[0] < 5.0));
     }
 }

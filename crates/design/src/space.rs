@@ -246,8 +246,8 @@ mod tests {
     #[test]
     fn snapped_grid_matches_accumulated_grid_bitwise() {
         // `default_melting_candidates` in dcsim accumulates `c += 0.5`; the
-        // snap lattice must reproduce those exact bit patterns for the memo
-        // to be shared between grid and CMA-ES paths.
+        // snap lattice must reproduce those exact bit patterns so a search
+        // optimum compares bitwise with the grid sweep's pick.
         let d = melt_dim();
         let mut c = 30.0f64;
         while c <= 68.0 {

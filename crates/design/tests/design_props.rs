@@ -109,7 +109,7 @@ proptest! {
     ) {
         let obj = sphere(vec![cx, cy]);
         let space = obj.space(2);
-        let cfg = SearchConfig { seed, budget: 150, max_generations: 100, screen: 2, ..SearchConfig::default() };
+        let cfg = SearchConfig { seed, budget: 150, max_generations: 100, screen: 2 };
         let r = minimize(&space, &obj, &cfg, &MetricsSink::disabled());
         prop_assert!(r.best_value < 1e-2, "sphere best {} at center ({cx},{cy})", r.best_value);
         prop_assert!(r.evals <= 150);
@@ -122,7 +122,7 @@ proptest! {
     fn rosenbrock_converges_and_respects_bounds(seed in 0u64..1 << 48) {
         let obj = rosenbrock();
         let space = obj.space(2);
-        let cfg = SearchConfig { seed, budget: 300, max_generations: 200, screen: 3, ..SearchConfig::default() };
+        let cfg = SearchConfig { seed, budget: 300, max_generations: 200, screen: 3 };
         let r = minimize(&space, &obj, &cfg, &MetricsSink::disabled());
         // The optimum is 0 at (1,1); anywhere in the banana valley is far
         // below the ~10³ plateau values.
@@ -139,10 +139,9 @@ proptest! {
     fn rastrigin_reaches_a_deep_minimum(seed in 0u64..1 << 48) {
         let obj = rastrigin();
         let space = obj.space(2);
-        // Multi-modal: seed the surrogate with a wide space-filling design
-        // and a large initial step so CMA-ES starts in a good basin
-        // instead of descending the first one it sees.
-        let cfg = SearchConfig { seed, budget: 400, max_generations: 250, screen: 4, doe: 16, sigma0: 0.5, ..SearchConfig::default() };
+        // Multi-modal: the default space-filling design and initial step
+        // must still keep CMA-ES from settling in the first basin it sees.
+        let cfg = SearchConfig { seed, budget: 400, max_generations: 250, screen: 4 };
         let r = minimize(&space, &obj, &cfg, &MetricsSink::disabled());
         // Global minimum 0 at the origin; on this domain the local minima
         // range from ~1 (first ring) to 8 (the corner basins), while the
@@ -159,7 +158,7 @@ proptest! {
     fn staircase_finds_the_lowest_plateau(seed in 0u64..1 << 48) {
         let obj = staircase();
         let space = obj.space(2);
-        let cfg = SearchConfig { seed, budget: 200, max_generations: 150, screen: 2, ..SearchConfig::default() };
+        let cfg = SearchConfig { seed, budget: 200, max_generations: 150, screen: 2 };
         let r = minimize(&space, &obj, &cfg, &MetricsSink::disabled());
         // The lowest plateau (value 0) covers the lower-left ninth of the
         // square; a derivative-free search must land there despite zero

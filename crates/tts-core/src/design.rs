@@ -2,12 +2,10 @@
 //!
 //! The `design` experiment's surrogate-assisted searches express the
 //! simulator as an [`Objective`] over a typed [`DesignSpace`] and go
-//! through [`tts_design::minimize_with_cache`], so a CMA-ES run and its
-//! grid cross-check against the same configuration share one byte-keyed
-//! memo: every point the cheap search pays for is free to the
-//! cross-check. (fig11 and fig12 pick their wax with the plain dcsim grid
-//! sweeps, [`select_melting_point`] and
-//! [`select_melting_point_constrained`].)
+//! through [`tts_design::minimize`]. The melting-point grid stays in dcsim:
+//! fig11 picks its wax with [`select_melting_point`], and the `design`
+//! experiment checks its CMA-ES optimum against that same call (fig12
+//! picks with [`select_melting_point_constrained`]).
 //!
 //! Two spaces are bound here:
 //!
@@ -21,18 +19,20 @@
 //!
 //! Determinism: the snap lattice `lo + k·step` with `step = 0.5` is
 //! bit-identical to the accumulated `c += 0.5` grid in
-//! [`default_melting_candidates`] (0.5 is a power of two), so a seam grid
-//! search visits exactly the points the dcsim sweep does.
+//! [`default_melting_candidates`] (0.5 is a power of two), so a search
+//! optimum and the grid's pick compare bit for bit.
 //!
 //! [`select_melting_point`]: tts_dcsim::cluster::select_melting_point
 //! [`select_melting_point_constrained`]: tts_dcsim::throttle::select_melting_point_constrained
 //! [`default_melting_candidates`]: tts_dcsim::cluster::default_melting_candidates
 
 use tts_cooling::Tariff;
-use tts_dcsim::cluster::{run_cooling_load, ClusterConfig, CoolingLoadRun};
+use tts_dcsim::cluster::{
+    run_cooling_load, ClusterConfig, CoolingLoadRun, PARAFFIN_MELT_MAX_C, PARAFFIN_MELT_MIN_C,
+    PARAFFIN_MELT_STEP_C,
+};
 pub use tts_design::{
-    minimize, minimize_with_cache, DesignSpace, Dim, EvalCache, Objective, SearchConfig,
-    SearchResult, Strategy, INFEASIBLE,
+    minimize, DesignSpace, Dim, Objective, SearchConfig, SearchResult, INFEASIBLE,
 };
 use tts_obs::MetricsSink;
 use tts_pcm::PcmMaterial;
@@ -45,12 +45,17 @@ use tts_workload::{GoogleTrace, TimeSeries};
 ///
 /// [`default_melting_candidates`]: tts_dcsim::cluster::default_melting_candidates
 pub fn melting_point_space() -> DesignSpace {
-    DesignSpace::new(vec![Dim::Continuous {
+    DesignSpace::new(vec![melt_dim()])
+}
+
+/// The paraffin catalogue as the `melt_c` dimension of both spaces.
+fn melt_dim() -> Dim {
+    Dim::Continuous {
         name: "melt_c",
-        lo: 30.0,
-        hi: 68.0,
-        step: 0.5,
-    }])
+        lo: PARAFFIN_MELT_MIN_C,
+        hi: PARAFFIN_MELT_MAX_C,
+        step: PARAFFIN_MELT_STEP_C,
+    }
 }
 
 /// The fig11 oracle as an objective: peak with-wax cooling load, with the
@@ -83,20 +88,18 @@ impl Objective for CoolingLoadObjective<'_> {
     }
 }
 
-/// Searches the melting-point space for `config` with an explicit
-/// [`SearchConfig`] and a caller-owned memo — the entry point the `design`
-/// experiment uses to run a CMA-ES search and a grid cross-check against
-/// one shared cache.
+/// Searches the melting-point space for `config` with CMA-ES under an
+/// explicit [`SearchConfig`] — the `design` experiment's paper-space
+/// search.
 pub fn search_melting_point(
     config: &ClusterConfig,
     trace: &TimeSeries,
     search: &SearchConfig,
     sink: &MetricsSink,
-    cache: &mut EvalCache<CoolingLoadRun>,
 ) -> SearchResult<CoolingLoadRun> {
     let space = melting_point_space();
     let obj = CoolingLoadObjective { config, trace };
-    minimize_with_cache(&space, &obj, search, sink, cache)
+    minimize(&space, &obj, search, sink)
 }
 
 /// Coefficient of performance of the cooling plant in the joint cost
@@ -134,12 +137,7 @@ pub fn joint_space() -> DesignSpace {
             name: "class",
             choices: ServerClass::ALL.len(),
         },
-        Dim::Continuous {
-            name: "melt_c",
-            lo: 30.0,
-            hi: 68.0,
-            step: 0.5,
-        },
+        melt_dim(),
         Dim::Continuous {
             name: "mass_mult",
             lo: 0.5,
@@ -304,25 +302,14 @@ impl Objective for JointObjective {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tts_dcsim::cluster::{default_melting_candidates, select_melting_point};
+    use tts_dcsim::cluster::default_melting_candidates;
     use tts_server::ServerClass;
-
-    fn one_u_config() -> (ClusterConfig, TimeSeries) {
-        let spec = ServerClass::LowPower1U.spec();
-        let chars = ServerWaxCharacteristics::extract(
-            &spec,
-            &PcmMaterial::commercial_paraffin(Celsius::new(45.0)),
-        );
-        (
-            ClusterConfig::paper_cluster(spec, chars),
-            GoogleTrace::default_two_day().total().clone(),
-        )
-    }
 
     #[test]
     fn snapped_lattice_matches_accumulated_grid_bitwise() {
-        // The seam's snap lattice and the legacy accumulated grid must
-        // produce bit-identical coordinates, or the shared memo is a lie.
+        // The seam's snap lattice and fig11's accumulated grid must produce
+        // bit-identical coordinates, or the `design` experiment's bitwise
+        // comparison of the CMA-ES optimum with fig11's pick is a lie.
         let space = melting_point_space();
         for (i, c) in default_melting_candidates().into_iter().enumerate() {
             let snapped = space.snap(&[c]);
@@ -332,30 +319,6 @@ mod tests {
                 "candidate {i} ({c}) moved under snapping"
             );
         }
-    }
-
-    #[test]
-    fn seam_grid_matches_legacy_select() {
-        // The seam's grid search over the paraffin catalogue must pick the
-        // wax (and reproduce the run) the dcsim sweep behind fig11 picks.
-        let (config, trace) = one_u_config();
-        let candidates = default_melting_candidates();
-        let grid = SearchConfig {
-            strategy: Strategy::Grid(candidates.iter().map(|&c| vec![c]).collect()),
-            budget: candidates.len(),
-            ..SearchConfig::default()
-        };
-        let sink = MetricsSink::fresh();
-        let r = search_melting_point(&config, &trace, &grid, &sink, &mut EvalCache::new());
-        let (legacy_material, legacy_run) =
-            select_melting_point(&config, &trace, candidates, &MetricsSink::disabled());
-        assert_eq!(r.best_x[0], legacy_material.melting_point().value());
-        assert_eq!(r.best_out, legacy_run);
-        assert_eq!(r.best_value, legacy_run.peak_with_wax.value());
-        assert_eq!(
-            sink.counter("design.evals").value(),
-            default_melting_candidates().len() as u64
-        );
     }
 
     #[test]

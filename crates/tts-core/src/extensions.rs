@@ -1,75 +1,20 @@
 //! Beyond-the-paper studies built from the extension substrates.
 //!
 //! Each function here answers a question the paper raises but does not
-//! evaluate: the off-peak tariff/free-cooling advantage of Figure 1, the
-//! relocation alternative of §5.2, partial (rack-by-rack) deployment,
-//! flash-crowd response, and the wax's multi-year degradation outlook.
+//! evaluate: the relocation alternative of §5.2, partial (rack-by-rack)
+//! deployment, flash-crowd response, and the wax's multi-year degradation
+//! outlook. Figure 1's off-peak tariff/free-cooling advantage is the
+//! scenario matrix's (temperate, economizer, diurnal) cell
+//! ([`crate::scenarios`]).
 
-use tts_cooling::freecooling::{cooling_electricity_cost, Economizer};
-use tts_cooling::{CoolingSystem, Site, Tariff, WeatherConfig, WeatherSeries};
 use tts_dcsim::relocation::{wax_vs_relocation, yearly_saving};
 use tts_dcsim::{deployment_sweep, DeploymentPoint};
 use tts_pcm::degradation::DegradationModel;
 use tts_server::ServerClass;
-use tts_units::{Dollars, Fraction, Seconds, Watts};
+use tts_units::{Dollars, Fraction, Seconds};
 use tts_workload::{FlashCrowd, GoogleTrace};
 
 use crate::scenario::Scenario;
-
-/// The weather seed [`cooling_opex_study`] bills against: one fixed
-/// temperate year so the study (and its golden artifacts) stay
-/// deterministic.
-pub const OPEX_WEATHER_SEED: u64 = 42;
-
-/// The Figure 1 "additional advantages", quantified: yearly cooling
-/// electricity bill for one cluster with and without PCM, under the
-/// paper's tariff and a temperate-climate economizer driven by a seeded
-/// weather year (diurnal + seasonal + stochastic fronts).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoolingOpexStudy {
-    /// Bill without wax, $/yr.
-    pub without_pcm_per_year: Dollars,
-    /// Bill with wax, $/yr.
-    pub with_pcm_per_year: Dollars,
-    /// Relative saving.
-    pub saving: Fraction,
-}
-
-tts_units::derive_json! { struct CoolingOpexStudy { without_pcm_per_year, with_pcm_per_year, saving } }
-
-/// Computes the cooling-electricity comparison for one server class.
-pub fn cooling_opex_study(class: ServerClass) -> CoolingOpexStudy {
-    let study = Scenario::new(class).cooling_load_study();
-    let plant = CoolingSystem::sized_for(Watts::new(study.run.peak_no_wax.value() * 1000.0));
-    let economizer = Economizer::around(plant);
-    let tariff = Tariff::paper_default();
-    let ambient = WeatherSeries::generate(&WeatherConfig::year(Site::Temperate, OPEX_WEATHER_SEED));
-    let dt = Seconds::new((study.run.times_h[1] - study.run.times_h[0]) * 3600.0);
-    let to_watts = |kw: &[f64]| -> Vec<f64> { kw.iter().map(|v| v * 1000.0).collect() };
-    let cost_nw = cooling_electricity_cost(
-        &to_watts(&study.run.load_no_wax_kw),
-        dt,
-        &economizer,
-        &tariff,
-        &ambient,
-        |_| 1.0,
-    );
-    let cost_w = cooling_electricity_cost(
-        &to_watts(&study.run.load_with_wax_kw),
-        dt,
-        &economizer,
-        &tariff,
-        &ambient,
-        |_| 1.0,
-    );
-    let days = study.run.times_h.last().expect("non-empty run") / 24.0;
-    let scale = 365.25 / days;
-    CoolingOpexStudy {
-        without_pcm_per_year: cost_nw * scale,
-        with_pcm_per_year: cost_w * scale,
-        saving: Fraction::new(1.0 - cost_w.value() / cost_nw.value()),
-    }
-}
 
 /// The relocation comparison: yearly WAN/SLA spend avoided by wax in the
 /// §5.2 oversubscribed setting.
@@ -172,56 +117,6 @@ pub fn lifetime_study(class: ServerClass) -> LifetimeStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cooling_opex_study_shows_a_saving() {
-        let s = cooling_opex_study(ServerClass::LowPower1U);
-        assert!(
-            s.with_pcm_per_year.value() < s.without_pcm_per_year.value(),
-            "PCM must cut the cooling bill: {s:?}"
-        );
-        // The saving is modest (energy is conserved; only tariff/COP
-        // arbitrage remains) but real: 0.1–10 %.
-        assert!(
-            (0.001..0.10).contains(&s.saving.value()),
-            "saving {}",
-            s.saving
-        );
-    }
-
-    #[test]
-    fn opex_weather_sweeps_the_economizer_through_all_three_regimes() {
-        // A fixed 18 ± 7 °C sinusoid never dips under the 12 °C
-        // free-cooling threshold, so it would exercise only the
-        // blend/mechanical corner. The seeded temperate weather year must
-        // cross the full crossover blend: free (< 12 °C), blended, and
-        // mechanical (≥ 24 °C) hours all present, with the blend strictly
-        // between the endpoints.
-        let weather =
-            WeatherSeries::generate(&WeatherConfig::year(Site::Temperate, OPEX_WEATHER_SEED));
-        let economizer =
-            Economizer::around(CoolingSystem::sized_for(tts_units::Watts::new(200_000.0)));
-        let (mut free, mut blend, mut mech) = (0usize, 0usize, 0usize);
-        for &c in weather.samples() {
-            if c < 12.0 {
-                free += 1;
-            } else if c < 24.0 {
-                blend += 1;
-            } else {
-                mech += 1;
-            }
-            let cop = economizer.effective_cop(tts_units::Celsius::new(c));
-            let free_cop = economizer.effective_cop(tts_units::Celsius::new(0.0));
-            let mech_cop = economizer.effective_cop(tts_units::Celsius::new(30.0));
-            assert!(
-                (mech_cop..=free_cop).contains(&cop),
-                "blend must interpolate: {c} °C → COP {cop}"
-            );
-        }
-        assert!(free > 0, "no free-cooling hours in the temperate year");
-        assert!(blend > 0, "no blended hours in the temperate year");
-        assert!(mech > 0, "no mechanical hours in the temperate year");
-    }
 
     #[test]
     fn relocation_study_shows_wax_value() {

@@ -354,6 +354,61 @@ mod tests {
     }
 
     #[test]
+    fn temperate_economizer_cell_shows_a_cooling_opex_saving() {
+        // Figure 1's "additional advantages", quantified on the 1U cluster.
+        let r = run_matrix(&small());
+        let c = r.cell("temperate", "economizer", "diurnal").unwrap();
+        assert!(
+            c.cost_with_wax.value() < c.cost_no_wax.value(),
+            "PCM must cut the cooling bill: {c:?}"
+        );
+        // The saving is modest (energy is conserved; only tariff/COP
+        // arbitrage remains) but real: 0.1–10 %.
+        assert!(
+            (0.001..0.10).contains(&c.delta_frac),
+            "saving {}",
+            c.delta_frac
+        );
+    }
+
+    #[test]
+    fn temperate_weather_sweeps_the_economizer_through_all_three_regimes() {
+        // A fixed 18 ± 7 °C sinusoid never dips under the 12 °C
+        // free-cooling threshold, so it would exercise only the
+        // blend/mechanical corner. The temperate weather year the matrix
+        // bills against (site 0 draws `seed ^ 0`) must cross the full
+        // crossover blend: free (< 12 °C), blended, and mechanical
+        // (≥ 24 °C) hours all present, with the blend strictly between the
+        // endpoints.
+        assert_eq!(Site::ALL[0], Site::Temperate);
+        let weather = WeatherSeries::generate(&WeatherConfig::year(
+            Site::Temperate,
+            MatrixConfig::default().seed,
+        ));
+        let economizer = Economizer::around(CoolingSystem::sized_for(Watts::new(200_000.0)));
+        let (mut free, mut blend, mut mech) = (0usize, 0usize, 0usize);
+        for &c in weather.samples() {
+            if c < 12.0 {
+                free += 1;
+            } else if c < 24.0 {
+                blend += 1;
+            } else {
+                mech += 1;
+            }
+            let cop = economizer.effective_cop(tts_units::Celsius::new(c));
+            let free_cop = economizer.effective_cop(tts_units::Celsius::new(0.0));
+            let mech_cop = economizer.effective_cop(tts_units::Celsius::new(30.0));
+            assert!(
+                (mech_cop..=free_cop).contains(&cop),
+                "blend must interpolate: {c} °C → COP {cop}"
+            );
+        }
+        assert!(free > 0, "no free-cooling hours in the temperate year");
+        assert!(blend > 0, "no blended hours in the temperate year");
+        assert!(mech > 0, "no mechanical hours in the temperate year");
+    }
+
+    #[test]
     fn hotwater_reuse_strictly_lowers_the_bill() {
         let r = run_matrix(&small());
         let hw = r.cell("temperate", "hotwater", "diurnal").unwrap();

@@ -1,14 +1,15 @@
 //! Satellite guarantee of the design-search subsystem: on the paper's
 //! melting-point space the surrogate-driven search finds the *same*
-//! optimum as the exhaustive grid — same material, bit-identical objective
-//! — in at most a tenth of the grid's simulator evaluations, and the
-//! `design` experiment's machine-readable summary is byte-identical
-//! across thread budgets.
+//! optimum as fig11's exhaustive sweep — same material, bit-identical
+//! objective — in at most a tenth of the sweep's simulator evaluations,
+//! the `design` experiment's cross-check is fig11's own selection, and the
+//! experiment's machine-readable summary is byte-identical across thread
+//! budgets.
 
-use thermal_time_shifting::design::{self, SearchConfig, Strategy};
-use thermal_time_shifting::experiment::{find, ExecCtx};
+use thermal_time_shifting::design::{self, SearchConfig};
+use thermal_time_shifting::experiment::{find, ExecCtx, Figure};
 use thermal_time_shifting::params::Params;
-use tts_dcsim::cluster::default_melting_candidates;
+use tts_dcsim::cluster::{default_melting_candidates, select_melting_point};
 use tts_dcsim::ClusterConfig;
 use tts_obs::MetricsSink;
 use tts_pcm::PcmMaterial;
@@ -31,55 +32,75 @@ fn design_matches_grid_in_a_tenth_of_the_evals() {
     let trace = GoogleTrace::default_two_day().total().clone();
     let sink = MetricsSink::disabled();
     let candidates = default_melting_candidates();
+    let grid_evals = candidates.len();
 
-    let budget = candidates.len() / 10;
-    let mut cache = design::EvalCache::new();
     let cmaes = design::search_melting_point(
         &config,
         &trace,
         &SearchConfig {
-            budget,
+            budget: grid_evals / 10,
             ..SearchConfig::default()
         },
         &sink,
-        &mut cache,
     );
-
-    let mut grid_cache = design::EvalCache::new();
-    let grid = design::search_melting_point(
-        &config,
-        &trace,
-        &SearchConfig {
-            strategy: Strategy::Grid(candidates.iter().map(|&c| vec![c]).collect()),
-            budget: candidates.len(),
-            ..SearchConfig::default()
-        },
-        &sink,
-        &mut grid_cache,
-    );
+    let (grid_material, grid_run) = select_melting_point(&config, &trace, candidates, &sink);
+    let grid_melt_c = grid_material.melting_point().value();
 
     assert!(
-        cmaes.evals * 10 <= grid.evals,
-        "design paid {} evals, grid paid {}",
+        cmaes.evals * 10 <= grid_evals,
+        "design paid {} evals, grid paid {grid_evals}",
         cmaes.evals,
-        grid.evals
     );
     assert_eq!(
         cmaes.best_x[0].to_bits(),
-        grid.best_x[0].to_bits(),
-        "design picked {} °C, grid picked {} °C",
+        grid_melt_c.to_bits(),
+        "design picked {} °C, grid picked {grid_melt_c} °C",
         cmaes.best_x[0],
-        grid.best_x[0]
     );
     assert_eq!(
         cmaes.best_value.to_bits(),
-        grid.best_value.to_bits(),
+        grid_run.peak_with_wax.value().to_bits(),
         "objective differs: {} vs {}",
         cmaes.best_value,
-        grid.best_value
+        grid_run.peak_with_wax.value()
     );
     // Same material, down to the derived melting point of the run.
-    assert_eq!(cmaes.best_out.melting_point, grid.best_out.melting_point);
+    assert_eq!(cmaes.best_out.melting_point, grid_run.melting_point);
+}
+
+fn run(name: &str, params: Params) -> Figure {
+    find(name)
+        .expect("experiment registered")
+        .run_with(&ExecCtx::disabled(), &params)
+        .expect("schema accepts servers")
+}
+
+#[test]
+fn design_cross_check_is_fig11s_own_selection() {
+    // The `design` experiment's grid row is fig11's sweep, not a copy of
+    // it: at a non-default cluster size its `grid_melt_c` must be the wax
+    // fig11 ships for the same 1U cluster.
+    let params = || Params {
+        servers: Some(126),
+        ..Params::default()
+    };
+    let design = run("design", params());
+    let fig11 = run("fig11", params());
+    let fig11a = fig11
+        .artifacts
+        .iter()
+        .find(|(path, _)| path == "results/fig11a.json")
+        .map(|(_, doc)| doc)
+        .expect("fig11 writes panel (a)");
+    let fig11_melt_c = fig11a
+        .get("melting_point")
+        .and_then(|v| v.as_f64())
+        .expect("fig11a records its melting point");
+    let grid_melt_c = design
+        .key_value("grid_melt_c")
+        .expect("design reports grid_melt_c");
+    assert_eq!(grid_melt_c.to_bits(), fig11_melt_c.to_bits());
+    assert_eq!(design.key_value("design_matches_grid"), Some(1.0));
 }
 
 #[test]

@@ -7,23 +7,32 @@
 //! ```
 
 use thermal_time_shifting::extensions::{
-    cooling_opex_study, flash_crowd_study, lifetime_study, partial_deployment_study,
-    relocation_study,
+    flash_crowd_study, lifetime_study, partial_deployment_study, relocation_study,
 };
+use thermal_time_shifting::scenarios::{run_matrix, MatrixConfig};
 use tts_server::ServerClass;
 
 fn main() {
     let class = ServerClass::LowPower1U;
     println!("extension studies for the {class} cluster (1008 servers)\n");
 
-    // 1. Figure 1's "off-peak power is cheaper / night air is colder".
-    let opex = cooling_opex_study(class);
+    // 1. Figure 1's "off-peak power is cheaper / night air is colder": the
+    //    scenario matrix's temperate economizer cell on the diurnal trace.
+    let matrix = run_matrix(&MatrixConfig {
+        sites: 1,
+        backends: 2,
+        traces: 1,
+        ..MatrixConfig::default()
+    });
+    let opex = matrix
+        .cell("temperate", "economizer", "diurnal")
+        .expect("the matrix prefix holds the temperate economizer cell");
     println!("1. cooling electricity (tariff + economizer):");
     println!(
         "   ${:.0}/yr -> ${:.0}/yr with PCM  ({:.2} % saved by shifting work to cheap, cold nights)\n",
-        opex.without_pcm_per_year.value(),
-        opex.with_pcm_per_year.value(),
-        opex.saving.percent()
+        opex.cost_no_wax.value(),
+        opex.cost_with_wax.value(),
+        opex.delta_frac * 100.0
     );
 
     // 2. §5.2's other lever: ship excess work to another datacenter.
