@@ -21,6 +21,7 @@
 
 use crate::balancer::Balancer;
 use crate::calendar::CalendarQueue;
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use tts_obs::{Counter, Gauge, MetricsSink};
 use tts_units::Seconds;
@@ -109,8 +110,7 @@ impl ClusterConfig {
             cores_per_server: self.cores_per_server,
             rack_size,
             balancer,
-            response_times: Vec::new(),
-            response_by_type: Vec::new(),
+            responses: Default::default(),
             util_recording,
             obs: SimObs::resolve(&self.metrics),
             flush_hook: None,
@@ -334,8 +334,9 @@ pub struct DiscreteClusterSim<B: Balancer> {
     cores_per_server: usize,
     rack_size: usize,
     balancer: B,
-    response_times: Vec<f64>,
-    response_by_type: Vec<(JobType, f64)>,
+    /// Response times per job type, indexed like [`JobType::ALL`], in
+    /// completion order (sorted in place when the metrics are read).
+    responses: [Vec<f64>; 3],
     /// Busy core-seconds accumulated per recording interval (when
     /// utilization recording is enabled).
     util_recording: Option<UtilRecorder>,
@@ -574,13 +575,19 @@ impl<B: Balancer> DiscreteClusterSim<B> {
 
     /// Runs the full job list to completion (all jobs arrive, the run ends
     /// at `horizon` — jobs still in service then count as in-flight).
+    /// `jobs` is read once, in order: a slice of jobs or a
+    /// [`tts_workload::JobStream`] itself.
     ///
     /// # Panics
     /// Panics if jobs are not sorted by arrival time.
-    pub fn run(&mut self, jobs: &[Job], horizon: Seconds) -> DiscreteMetrics {
+    pub fn run<J: Borrow<Job>>(
+        &mut self,
+        jobs: impl IntoIterator<Item = J>,
+        horizon: Seconds,
+    ) -> DiscreteMetrics {
         let mut queue: CalendarQueue<Completion> = CalendarQueue::new();
         let horizon = horizon.value();
-        let mut job_iter = jobs.iter().peekable();
+        let mut job_iter = jobs.into_iter().peekable();
         let mut last_arrival = f64::NEG_INFINITY;
         let mut now = 0.0;
 
@@ -589,7 +596,7 @@ impl<B: Balancer> DiscreteClusterSim<B> {
             // wins; at ties, faults fire first (a kill at t affects the
             // job arriving at t), then arrivals before completions (the
             // pre-fault ordering, unchanged).
-            let next_arrival = job_iter.peek().map(|j| j.arrival.value());
+            let next_arrival = job_iter.peek().map(|j| j.borrow().arrival.value());
             let next_completion = queue.peek_time();
             let next_fault = self.fault_hook.as_ref().and_then(|h| h.next_time());
             let job_next = match (next_arrival, next_completion) {
@@ -632,7 +639,7 @@ impl<B: Balancer> DiscreteClusterSim<B> {
 
             let (_, is_arrival) = job_next.expect("job turn has an event");
             if is_arrival {
-                let job = *job_iter.next().expect("peeked job exists");
+                let job = *job_iter.next().expect("peeked job exists").borrow();
                 assert!(
                     job.arrival.value() >= last_arrival,
                     "jobs must be sorted by arrival"
@@ -662,8 +669,7 @@ impl<B: Balancer> DiscreteClusterSim<B> {
                     self.soa.running[c.server].remove(pos);
                 }
                 self.obs.completions.incr();
-                self.response_times.push(now - c.arrival);
-                self.response_by_type.push((c.job_type, now - c.arrival));
+                self.responses[c.job_type as usize].push(now - c.arrival);
                 if let Some(next) = self.soa.queue[c.server].pop_front() {
                     self.soa.active[c.server] += 1;
                     self.soa.running[c.server].push(next);
@@ -704,7 +710,7 @@ impl<B: Balancer> DiscreteClusterSim<B> {
         self.metrics(end)
     }
 
-    fn metrics(&self, end: f64) -> DiscreteMetrics {
+    fn metrics(&mut self, end: f64) -> DiscreteMetrics {
         let completed: u64 = self.soa.completed.iter().sum();
         // In-service jobs are counted from server state, not the event
         // queue — stale completions of killed servers still sit in the
@@ -712,17 +718,23 @@ impl<B: Balancer> DiscreteClusterSim<B> {
         let in_service: u64 = self.soa.running.iter().map(|r| r.len() as u64).sum::<u64>()
             + self.orphans.len() as u64;
         let queued: u64 = self.soa.queue.iter().map(|q| q.len() as u64).sum();
-        let mut sorted = self.response_times.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("response times are finite"));
-        let mean = if sorted.is_empty() {
-            0.0
+        // Each type's log is sorted in place; the cluster-wide figures walk
+        // the sorted logs as one ascending merge, which visits the values
+        // in the order a sort of one combined log would — same sum, same
+        // rank — without copying the log.
+        for log in &mut self.responses {
+            log.sort_by(f64::total_cmp);
+        }
+        let logs = &self.responses;
+        let n: usize = logs.iter().map(Vec::len).sum();
+        let (mean, p95) = if n == 0 {
+            (0.0, 0.0)
         } else {
-            sorted.iter().sum::<f64>() / sorted.len() as f64
-        };
-        let p95 = if sorted.is_empty() {
-            0.0
-        } else {
-            sorted[((sorted.len() as f64 * 0.95) as usize).min(sorted.len() - 1)]
+            let mean = ascending(logs).sum::<f64>() / n as f64;
+            let p95 = ascending(logs)
+                .nth(p95_rank(n))
+                .expect("rank is below the log length");
+            (mean, p95)
         };
         let cap = self.cores_per_server as f64 * end;
         let server_utilization: Vec<f64> = self.soa.busy_time.iter().map(|b| b / cap).collect();
@@ -732,33 +744,17 @@ impl<B: Balancer> DiscreteClusterSim<B> {
             .collect();
         let cluster_utilization =
             server_utilization.iter().sum::<f64>() / server_utilization.len() as f64;
-        // Per-type QoS digests are independent filters over the response
-        // log (sorting dominates at scale); compute them on the tts_exec
-        // pool — ordered results keep the report identical to serial.
-        // Borrow only the response log: the sim itself need not be Sync.
-        let response_by_type = &self.response_by_type;
-        let per_type = tts_exec::par_map(&JobType::ALL, |&jt| {
-            let mut times: Vec<f64> = response_by_type
-                .iter()
-                .filter(|(t, _)| *t == jt)
-                .map(|(_, r)| *r)
-                .collect();
-            if times.is_empty() {
-                return None;
-            }
-            times.sort_by(|a, b| a.total_cmp(b));
-            let mean = times.iter().sum::<f64>() / times.len() as f64;
-            let p95 = times[((times.len() as f64 * 0.95) as usize).min(times.len() - 1)];
-            Some(TypeQos {
-                job_type: jt,
+        let per_type = JobType::ALL
+            .into_iter()
+            .zip(logs)
+            .filter(|(_, times)| !times.is_empty())
+            .map(|(job_type, times)| TypeQos {
+                job_type,
                 completed: times.len() as u64,
-                mean_response_s: mean,
-                p95_response_s: p95,
+                mean_response_s: times.iter().sum::<f64>() / times.len() as f64,
+                p95_response_s: times[p95_rank(times.len())],
             })
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+            .collect();
         DiscreteMetrics {
             completed,
             in_flight: in_service + queued,
@@ -774,6 +770,24 @@ impl<B: Balancer> DiscreteClusterSim<B> {
             stale_completions: self.stale_completions,
         }
     }
+}
+
+/// Index of the 95th-percentile value in an ascending log of `n > 0`
+/// values.
+fn p95_rank(n: usize) -> usize {
+    ((n as f64 * 0.95) as usize).min(n - 1)
+}
+
+/// The values of `logs`, each sorted ascending, as one ascending sequence.
+fn ascending(logs: &[Vec<f64>; 3]) -> impl Iterator<Item = f64> + '_ {
+    let mut heads = [0usize; 3];
+    std::iter::from_fn(move || {
+        let (i, &v) = (0..logs.len())
+            .filter_map(|i| logs[i].get(heads[i]).map(|v| (i, v)))
+            .min_by(|a, b| a.1.total_cmp(b.1))?;
+        heads[i] += 1;
+        Some(v)
+    })
 }
 
 #[cfg(test)]

@@ -73,7 +73,9 @@ tts_units::derive_json! { struct Job { id, job_type, arrival, service_time } }
 /// The arrival rate at time `t` is chosen so the offered load (arrival
 /// rate × mean service time) equals `trace(t) × capacity`, where
 /// `capacity` is the number of servers; service times are exponential.
-/// Generation uses thinning against the trace's peak rate.
+/// Generation uses thinning against the trace's peak rate. The stream is
+/// an [`Iterator`] in arrival order, so a consumer that walks it once
+/// never holds the whole job list.
 #[derive(Debug)]
 pub struct JobStream {
     trace: TimeSeries,
@@ -113,8 +115,17 @@ impl JobStream {
             / self.job_type.mean_service_time().value()
     }
 
+    /// Collects the entire stream.
+    pub fn collect_all(self) -> Vec<Job> {
+        self.collect()
+    }
+}
+
+impl Iterator for JobStream {
+    type Item = Job;
+
     /// The next job, or `None` once the trace is exhausted.
-    pub fn next_job(&mut self) -> Option<Job> {
+    fn next(&mut self) -> Option<Job> {
         let horizon = self.trace.duration().value();
         loop {
             // Thinning: candidate inter-arrival at the envelope rate.
@@ -137,15 +148,6 @@ impl JobStream {
                 });
             }
         }
-    }
-
-    /// Collects the entire stream.
-    pub fn collect_all(mut self) -> Vec<Job> {
-        let mut jobs = Vec::new();
-        while let Some(j) = self.next_job() {
-            jobs.push(j);
-        }
-        jobs
     }
 }
 

@@ -24,7 +24,8 @@ struct Combo {
     rack_size: usize,
     seed: u64,
     util: f64,
-    job_type: JobType,
+    /// One stream per type, merged by arrival time.
+    job_types: &'static [JobType],
     faults: Faults,
 }
 
@@ -38,7 +39,13 @@ enum Faults {
 
 fn jobs_for(c: &Combo) -> Vec<Job> {
     let trace = TimeSeries::new(Seconds::new(60.0), vec![c.util; 60]);
-    JobStream::new(trace, c.job_type, c.servers, c.seed).collect_all()
+    let mut jobs: Vec<Job> = c
+        .job_types
+        .iter()
+        .flat_map(|&t| JobStream::new(trace.clone(), t, c.servers, c.seed))
+        .collect();
+    jobs.sort_by(|a, b| a.arrival.value().total_cmp(&b.arrival.value()));
+    jobs
 }
 
 fn plan_for(c: &Combo) -> FaultPlan {
@@ -100,9 +107,27 @@ fn assert_engines_agree<B: Balancer + 'static>(c: &Combo, mk_balancer: impl Fn()
         "{}: down-server counts diverged",
         c.label
     );
+
+    // The engine also reads a single-type stream directly, as the `dcsim`
+    // experiment does; that run must match the slice run bit for bit.
+    if let [job_type] = c.job_types {
+        let trace = TimeSeries::new(Seconds::new(60.0), vec![c.util; 60]);
+        let mut streamed = ClusterConfig::new(c.servers)
+            .cores_per_server(c.cores)
+            .rack_size(c.rack_size)
+            .build(mk_balancer());
+        streamed.set_fault_hook(Box::new(PlanFaultHook::from_plan(&plan)));
+        let stream = JobStream::new(trace, *job_type, c.servers, c.seed);
+        assert_eq!(
+            format!("{:?}", streamed.run(stream, horizon)),
+            format!("{new_m:?}"),
+            "{}: streamed run diverged",
+            c.label
+        );
+    }
 }
 
-/// ONE test on purpose — see the module docs. Eleven combos × two thread
+/// ONE test on purpose — see the module docs. Twelve combos × two thread
 /// counts, all three balancer families, sampled and scheduled fault
 /// plans.
 #[test]
@@ -115,7 +140,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             rack_size: 1,
             seed: 1,
             util: 0.3,
-            job_type: JobType::WebSearch,
+            job_types: &[JobType::WebSearch],
             faults: Faults::Sampled(0),
         },
         Combo {
@@ -125,7 +150,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             rack_size: 2,
             seed: 2,
             util: 0.55,
-            job_type: JobType::SocialNetworking,
+            job_types: &[JobType::SocialNetworking],
             faults: Faults::Sampled(10),
         },
         Combo {
@@ -135,7 +160,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             rack_size: 3,
             seed: 3,
             util: 0.6,
-            job_type: JobType::SocialNetworking,
+            job_types: &[JobType::SocialNetworking],
             faults: Faults::Sampled(6),
         },
         Combo {
@@ -145,7 +170,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             rack_size: 4,
             seed: 4,
             util: 0.8,
-            job_type: JobType::MapReduce,
+            job_types: &[JobType::MapReduce],
             faults: Faults::Sampled(4),
         },
         Combo {
@@ -155,7 +180,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             rack_size: 2,
             seed: 5,
             util: 0.95,
-            job_type: JobType::WebSearch,
+            job_types: &[JobType::WebSearch],
             faults: Faults::Sampled(8),
         },
         Combo {
@@ -165,7 +190,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             rack_size: 8,
             seed: 6,
             util: 0.5,
-            job_type: JobType::SocialNetworking,
+            job_types: &[JobType::SocialNetworking],
             faults: Faults::Sampled(10),
         },
         Combo {
@@ -175,7 +200,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             rack_size: 8,
             seed: 7,
             util: 0.45,
-            job_type: JobType::WebSearch,
+            job_types: &[JobType::WebSearch],
             faults: Faults::Sampled(12),
         },
         Combo {
@@ -185,7 +210,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             rack_size: 1,
             seed: 8,
             util: 0.7,
-            job_type: JobType::MapReduce,
+            job_types: &[JobType::MapReduce],
             faults: Faults::Sampled(3),
         },
         Combo {
@@ -195,7 +220,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             rack_size: 6,
             seed: 9,
             util: 0.05,
-            job_type: JobType::WebSearch,
+            job_types: &[JobType::WebSearch],
             faults: Faults::Sampled(10),
         },
         Combo {
@@ -205,7 +230,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             rack_size: 5,
             seed: 10,
             util: 0.65,
-            job_type: JobType::SocialNetworking,
+            job_types: &[JobType::SocialNetworking],
             faults: Faults::Sampled(16),
         },
         // A fixed schedule beside the sampled ones: two kills, then the
@@ -217,7 +242,7 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
             rack_size: 4,
             seed: 23,
             util: 0.6,
-            job_type: JobType::SocialNetworking,
+            job_types: &[JobType::SocialNetworking],
             faults: Faults::Scheduled(&[
                 Fault::ServerKill {
                     at_s: 500.0,
@@ -232,6 +257,18 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
                     server: 2,
                 },
             ]),
+        },
+        // Short and long jobs in one run: the cluster-wide mean and p95
+        // come from the per-type logs merged, the oracle's from one log.
+        Combo {
+            label: "mixed-search-mapreduce",
+            servers: 10,
+            cores: 2,
+            rack_size: 5,
+            seed: 31,
+            util: 0.3,
+            job_types: &[JobType::WebSearch, JobType::MapReduce],
+            faults: Faults::Sampled(4),
         },
     ];
 
