@@ -270,10 +270,11 @@ echo "schedule gate: optimized \$$opt_cost < passive \$$pas_cost"
 
 echo "==> schedule bench gate (plan latency within 25% of BENCH_schedule.json)"
 # Plan latency is the controller's cost of doing business: one 108-slot
-# LP solve per re-plan, over dense tableau values with per-row sparsity
-# patterns. The 25% tolerance rides out shared-box noise; a real
-# regression (pivot-rule breakage, pattern fill-in blow-up, a return to
-# dense loops) is multiples, not percent.
+# LP solve per re-plan, over dense tableau values indexed by row-pattern
+# and column-set bitsets, with every pass driven by the entering column's
+# rows or the pivot row's columns. The 25% tolerance rides out shared-box
+# noise; a real regression (pivot-rule breakage, fill-in blow-up, a
+# return to dense O(m) or O(m·n) passes) is multiples, not percent.
 TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/schedule_plan.json" \
   cargo bench --offline -q -p tts-bench --bench schedule_plan
 bench_gate "$TMPDIR_CI/schedule_plan.json" BENCH_schedule.json 25 "schedule bench gate"

@@ -870,8 +870,10 @@ fn run_tco(r: &mut Report) {
 
 fn run_extensions(r: &mut Report) {
     use thermal_time_shifting::extensions::*;
-    use thermal_time_shifting::scenarios;
+    use thermal_time_shifting::{scenarios, Scenario};
     let class = ServerClass::LowPower1U;
+    // The deployment, flash-crowd and lifetime studies share one sweep.
+    let study = Scenario::new(class).cooling_load_study();
     let mut md = String::from("## Extension studies (beyond the paper)\n\n");
 
     // Figure 1's "additional advantages" are the scenario matrix's
@@ -906,7 +908,7 @@ fn run_extensions(r: &mut Report) {
         md,
         "* **Rack-by-rack deployment** (fraction equipped → peak reduction):"
     );
-    for p in partial_deployment_study(class, 5) {
+    for p in partial_deployment_study(class, &study, 5) {
         let _ = writeln!(
             md,
             "  * {:.0} % equipped → {:.2} % peak reduction",
@@ -915,7 +917,7 @@ fn run_extensions(r: &mut Report) {
         );
     }
 
-    let crowd = flash_crowd_study(class);
+    let crowd = flash_crowd_study(class, &study);
     let _ = writeln!(
         md,
         "* **Flash crowd** (+20 % for 1 h on the daily peak): peak reduction {:.2} % calm → {:.2} % with the surge (re-optimized wax still absorbs most of it).",
@@ -923,7 +925,7 @@ fn run_extensions(r: &mut Report) {
         crowd.surge_reduction.percent()
     );
 
-    let life = lifetime_study(class);
+    let life = lifetime_study(&study);
     let _ = writeln!(
         md,
         "* **Cycling endurance** (Table 1 stability made quantitative): the selected commercial paraffin keeps {:.1} % of its latent capacity after the 4-year server life and {:.1} % after the 10-year plant life; 80 % end-of-life is reached only after {} daily cycles.\n",

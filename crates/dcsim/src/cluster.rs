@@ -449,6 +449,36 @@ mod tests {
         );
     }
 
+    /// Waxes that never melt under the 1U's load leave identical runs, so
+    /// the strict `<` fold must keep the first of them in candidate order
+    /// (a repeated melting point included), whatever the worker count.
+    #[test]
+    fn tied_candidates_keep_the_first() {
+        let config = one_u_config();
+        let trace = GoogleTrace::default_two_day();
+        let sweep = |candidates: &[f64]| {
+            let sink = MetricsSink::disabled();
+            let (material, run) =
+                select_melting_point(&config, trace.total(), candidates.to_vec(), &sink);
+            (material.melting_point().value(), run)
+        };
+        let reference = sweep(&[58.0]).1;
+        for threads in [1, 4] {
+            tts_exec::with_thread_budget(threads, || {
+                for candidates in [[62.0, 58.0, 66.0, 58.0], [58.0, 66.0, 62.0, 66.0]] {
+                    let (melt, run) = sweep(&candidates);
+                    assert_eq!(melt, candidates[0], "{threads} threads: {candidates:?}");
+                    assert_eq!(run.melting_point.value(), candidates[0]);
+                    assert_eq!(
+                        run.peak_with_wax.value().to_bits(),
+                        reference.peak_with_wax.value().to_bits(),
+                        "the candidates must tie"
+                    );
+                }
+            });
+        }
+    }
+
     #[test]
     fn refreeze_tail_elevates_offpeak_load() {
         let config = one_u_config();

@@ -19,7 +19,7 @@
 //! # Layers
 //!
 //! * [`simplex`] — a bounded-variable primal simplex solver (dense
-//!   tableau values over per-row sparsity patterns, Dantzig pricing with
+//!   tableau values indexed by row and column bitsets, Dantzig pricing with
 //!   a Bland's-rule anti-cycling fallback, deterministic pivoting). No
 //!   clocks, no allocator tricks, no randomness: the same `Lp` always
 //!   produces the same pivot sequence and the same solution bytes.

@@ -23,38 +23,66 @@
 //! at any thread count — there is no randomness and no clock anywhere in
 //! the crate.
 //!
-//! The tableau `B⁻¹·A` keeps dense values, but each row also carries a
-//! sorted *pattern*: the columns that may be nonzero, every other entry
-//! being exactly `+0.0`. Planning LPs are very sparse (a few nonzeros in a
-//! row of ~1200 columns), so the pivot, the phase-1 gradient, the reduced
-//! costs and the basic-value refresh loop over patterns only. A pivot
-//! eliminates along the pivot row's pattern, and each touched row's
-//! pattern becomes the union of the two, minus the pivot column and any
-//! entry that cancelled to exactly zero. This changes no output bit of the
-//! plain dense loops: every column sum still runs over rows in ascending
-//! order (and a row's refresh over ascending columns), and the only terms
-//! skipped are `±0` products, which leave unchanged any value that is not
-//! `−0.0`. The gradient and refresh sums start at `+0.0` and so never
-//! become `−0.0`, and reduced costs are only compared against tolerances.
-//! A zero tableau entry may carry the other sign than under dense loops,
-//! but every nonzero entry is identical, and the sign of a zero never
-//! reaches a comparison, a pivot or the solution.
+//! # The sparsity index
 //!
-//! The phase-1 gradient `d_j = Σ_i sign_i · (B⁻¹A)_ij` (sign `+1` for a
-//! basic variable below its lower bound, `−1` above its upper, `0` when
-//! feasible) is filled from scratch once, then updated in place. Between
-//! two iterations `d_j` can change only if column `j` of the tableau did,
-//! or if some row with `j` in its pattern changed sign. A pivot writes only
-//! the columns of the pivot row's pattern, which include the entering and
-//! the leaving variable; a bound flip writes none. A row's old pattern lies
-//! in its new one plus the pivot row's. So each iteration recomputes `d_j`
-//! only for those columns and for the patterns of the rows whose sign
-//! changed (a step, a bound flip or the periodic refresh of basic values
-//! can each move a sign). Each recomputed `d_j` is the same ascending-row
-//! sum of the same products as the full fill: the extra `±0` terms from
-//! rows outside `j`'s patterns leave a sum started at `+0.0` unchanged.
-//! Every other entry is already the value the fill would give, so the
-//! gradient, and every pivot after it, is bit-identical to a fresh fill.
+//! The tableau `B⁻¹·A` keeps dense values, indexed by two bit matrices:
+//! each row's *pattern* (a bit per column that may be nonzero) and its
+//! transpose, each column's set of rows. Every entry whose bit is clear is
+//! exactly `+0.0`. Planning LPs stay very sparse: over the 604 pivots of
+//! the default 648 × 1,188 schedule LP, 1.6 % of the tableau is nonzero on
+//! average, a pivot row holds ~5 entries and the entering column ~50. So
+//! every pass is driven by one of the two:
+//!
+//! * a pivot on `(r, q)` scales row `r` over its pattern, then updates, in
+//!   each row of column `q`'s set (ascending, skipping zero entries), only
+//!   the pivot row's columns. A result that is nonzero sets its bit in
+//!   both matrices; column `q` and any exact cancellation are reset to
+//!   `+0.0` and clear it. No pattern is merged or copied;
+//! * the column gather, the ratio test and the basic-value update of a
+//!   step visit column `q`'s rows only;
+//! * the basic-value refresh walks each row's pattern;
+//! * an entry of the pricing vector sums over its column's rows.
+//!
+//! None of this changes an output bit of plain dense loops. Every column
+//! sum still runs over rows in ascending order (and a row's refresh over
+//! ascending columns), and the only terms skipped are `±0` products,
+//! which leave unchanged any value that is not a zero. The phase-1 and
+//! refresh sums start at `+0.0`, which adding a `±0` never turns into
+//! `−0.0`, so those sums are bit-identical. Elsewhere a skipped term can at
+//! most flip the sign of a zero: a zero tableau entry, a zero reduced cost,
+//! or a basic value whose step `x += ∓0` was skipped for a row outside
+//! column `q`'s set. Every nonzero value is identical, and the sign of a
+//! zero reaches no comparison, pivot or step length. The basic values that
+//! reach the solution are recomputed by the final refresh from the
+//! nonbasic values, which sit exactly on their bounds.
+//!
+//! # Incremental pricing
+//!
+//! Both phases price with `d_j = base_j + Σ_i w_i · (B⁻¹A)_ij` over the
+//! rows `i` of nonzero weight, and `d_j = 0` on basic columns. Phase 1
+//! takes `base = 0` and as `w_i` the sign of row `i`'s bound violation
+//! (`+1` below its lower bound, `−1` above its upper, `0` feasible): the
+//! gradient of the total infeasibility. Phase 2 takes `base = c` and
+//! `w_i = −c_{B(i)}`: the reduced costs `c − c_B·B⁻¹A`, each term formed as
+//! `d −= c_B·a` would form it.
+//!
+//! `d_j` is formed column by column, for the *stale* columns only; all of
+//! them are stale when a phase starts. Between two iterations `d_j` can
+//! change only if column `j` of the tableau did, or the weight of a row
+//! with `j` in its pattern did. A pivot writes only the columns of the
+//! pivot row's pattern, which include the entering and the leaving
+//! variable; a bound flip writes none. A row's old pattern lies in its new
+//! one plus the pivot row's. So a pivot marks its row's columns stale, and
+//! a change of weight marks that row's pattern. In phase 2 only the pivot
+//! row's weight changes. In phase 1 a row's sign, and whether it violates a
+//! bound (`max(l − x, x − u) > FEAS_TOL`, the loop's test), can change only
+//! when its basic value or its basic variable does: after a step that is
+//! column `q`'s rows (the pivot row among them), and after a periodic
+//! refresh of basic values every row. Only those rows are revisited. Each
+//! recomputed `d_j` is the same ascending-row sum of the same nonzero
+//! products as a fill over every weighted row, and every other entry is
+//! already the value such a fill would give, so pricing, and every pivot
+//! after it, is unchanged.
 
 /// Reduced-cost tolerance: a direction must beat this to count as improving.
 const COST_TOL: f64 = 1e-9;
@@ -197,13 +225,52 @@ enum Landing {
     Upper,
 }
 
-/// Where one row's pattern lives in [`Solver::cols`]: `len` ascending
-/// columns from `at`, in a slot of `room` entries.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    at: usize,
-    len: usize,
-    room: usize,
+/// A `rows × cols` bit matrix, row-major, each row padded to whole words.
+struct BitMatrix {
+    words: Vec<u64>,
+    stride: usize,
+}
+
+impl BitMatrix {
+    fn new(rows: usize, cols: usize) -> Self {
+        let stride = cols.div_ceil(64);
+        Self {
+            words: vec![0; rows * stride],
+            stride,
+        }
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.words[r * self.stride..(r + 1) * self.stride]
+    }
+
+    fn put(&mut self, r: usize, c: usize, on: bool) {
+        let at = r * self.stride;
+        put_bit(&mut self.words[at..at + self.stride], c, on);
+    }
+}
+
+/// Sets or clears bit `i` of `words`.
+fn put_bit(words: &mut [u64], i: usize, on: bool) {
+    let bit = 1u64 << (i % 64);
+    if on {
+        words[i / 64] |= bit;
+    } else {
+        words[i / 64] &= !bit;
+    }
+}
+
+/// The indices of the set bits of `words`, ascending.
+fn ones(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.into_iter().enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 /// The working state of one solve.
@@ -218,44 +285,43 @@ struct Solver {
     /// `B⁻¹·A` values, row-major `m × nt`. Entries outside their row's
     /// pattern are `+0.0`.
     tab: Vec<f64>,
-    /// Every row's pattern (the ascending columns whose tableau entry may
-    /// be nonzero), back to back in one buffer. A row that outgrows its
-    /// slot moves to a slot of twice its new length at the end. One buffer
-    /// rather than a `Vec` per row: thousands of small per-row allocations
-    /// can pin the freed tableau's memory between solves, so that the next
-    /// tableau needs fresh pages.
-    cols: Vec<u32>,
-    /// Per row: its pattern's slot in `cols`.
-    slots: Vec<Slot>,
-    /// Scratch: the pivot row's pattern during a pivot.
-    pivot_cols: Vec<u32>,
-    /// Scratch: a row's new pattern during elimination.
-    merged: Vec<u32>,
+    /// Row patterns (`m × nt`): bit `(i, j)` is set where entry `(i, j)`
+    /// may be nonzero.
+    rows: BitMatrix,
+    /// The transpose of `rows` (`nt × m`): each column's rows.
+    cols: BitMatrix,
+    /// Scratch: the pivot row's pattern during a pivot, ascending.
+    pivot_cols: Vec<usize>,
     /// Pricing vector over all `nt` columns: the phase-1 infeasibility
-    /// gradient or the phase-2 reduced costs.
+    /// gradient or the phase-2 reduced costs, `d_j = base_j + Σ_i w_i ·
+    /// (B⁻¹A)_ij` with `base` zero or the cost, and `0` on basic columns.
     d: Vec<f64>,
-    /// Per row: the sign its basic variable's bound violation had in the
-    /// last phase-1 gradient (`+1` below, `−1` above, `0` feasible). Empty
-    /// until the first gradient of phase 1.
-    signs: Vec<f64>,
-    /// Scratch: the columns whose phase-1 gradient entry may have changed
-    /// since the last gradient, with a per-column mark to keep them unique.
-    stale: Vec<u32>,
-    stale_mark: Vec<bool>,
-    /// Scratch: the rows with a nonzero sign, ascending.
-    infeasible: Vec<usize>,
-    /// Scratch: tableau column `q` of this iteration's entering variable,
-    /// gathered once so the ratio test, the step and the pivot read it
-    /// contiguously rather than at a stride of `nt`.
-    col: Vec<f64>,
+    /// Per row: its weight `w_i` in `d`. In phase 1 its basic variable's
+    /// [`Solver::infeasibility_sign`], in phase 2 minus its cost.
+    weights: Vec<f64>,
+    /// Bitset of the rows with a nonzero weight.
+    weighted: Vec<u64>,
+    /// Bitset of the columns whose entry of `d` may have changed since it
+    /// was last priced.
+    stale: Vec<u64>,
+    /// In phase 1, `weights` and `violated` follow the basic values.
+    phase1: bool,
+    /// Bitset of the rows whose basic variable violates a bound by more
+    /// than `FEAS_TOL`; phase 1 runs until it is empty.
+    violated: Vec<u64>,
+    /// Tableau column `q` of this iteration's entering variable as
+    /// `(row, value)` over column `q`'s rows, ascending: gathered once for
+    /// the ratio test, the step and the pivot.
+    col: Vec<(usize, f64)>,
     /// Basic variable per row.
     basis: Vec<usize>,
     /// Variable → basis row, or `-1` when nonbasic.
     pos: Vec<i64>,
     /// Current value of every variable.
     x: Vec<f64>,
-    /// For nonbasic variables: parked at the upper bound?
-    at_upper: Vec<bool>,
+    /// Per variable, the direction it may enter along: `+1` nonbasic at
+    /// its lower bound, `−1` at its upper, `0` basic or fixed.
+    mobility: Vec<f64>,
     iterations: u64,
     degenerate_run: u32,
     bland: bool,
@@ -276,36 +342,30 @@ impl Solver {
         // Rows are `a·x − s = 0`; with the all-slack basis B = −I the
         // tableau B⁻¹·A starts as −a on structural columns and +I on the
         // slack block.
-        assert!(u32::try_from(nt).is_ok(), "too many columns: {nt}");
         let mut tab = vec![0.0; m * nt];
-        let mut cols = Vec::with_capacity(lp.rows.iter().map(|r| 2 * r.coeffs.len() + 2).sum());
-        let mut slots = Vec::with_capacity(m);
-        let mut row_cols = Vec::with_capacity(nt);
+        let mut rows = BitMatrix::new(m, nt);
+        let mut cols = BitMatrix::new(nt, m);
         for (i, r) in lp.rows.iter().enumerate() {
             for &(j, a) in &r.coeffs {
                 tab[i * nt + j] -= a;
+                rows.put(i, j, true);
+                cols.put(j, i, true);
             }
             tab[i * nt + n + i] = 1.0;
-            row_cols.clear();
-            row_cols.extend(r.coeffs.iter().map(|&(j, _)| j as u32));
-            row_cols.push((n + i) as u32);
-            row_cols.sort_unstable();
-            row_cols.dedup();
-            let (at, len) = (cols.len(), row_cols.len());
-            cols.extend_from_slice(&row_cols);
-            cols.resize(at + 2 * len, 0);
-            slots.push(Slot {
-                at,
-                len,
-                room: 2 * len,
-            });
+            rows.put(i, n + i, true);
+            cols.put(n + i, i, true);
         }
         let mut x = vec![0.0; nt];
-        let mut at_upper = vec![false; nt];
-        for j in 0..n {
-            x[j] = lp.lower[j];
-            at_upper[j] = false;
-        }
+        x[..n].copy_from_slice(&lp.lower);
+        let mobility = (0..nt)
+            .map(|j| {
+                if j < n && lower[j] < upper[j] {
+                    1.0
+                } else {
+                    0.0
+                }
+            })
+            .collect();
         let mut s = Self {
             m,
             n,
@@ -314,20 +374,20 @@ impl Solver {
             upper,
             cost,
             tab,
+            rows,
             cols,
-            slots,
             pivot_cols: Vec::with_capacity(nt),
-            merged: Vec::with_capacity(nt),
             d: vec![0.0; nt],
-            signs: Vec::new(),
-            stale: Vec::with_capacity(nt),
-            stale_mark: vec![false; nt],
-            infeasible: Vec::with_capacity(m),
-            col: vec![0.0; m],
+            weights: vec![0.0; m],
+            weighted: vec![0; m.div_ceil(64)],
+            stale: vec![0; nt.div_ceil(64)],
+            phase1: false,
+            violated: vec![0; m.div_ceil(64)],
+            col: Vec::with_capacity(m),
             basis: (n..nt).collect(),
             pos: (0..nt).map(|j| j as i64 - n as i64).collect(),
             x,
-            at_upper,
+            mobility,
             iterations: 0,
             degenerate_run: 0,
             bland: false,
@@ -341,46 +401,16 @@ impl Solver {
     /// read and only basic ones written, so each row is stored as soon as
     /// it is summed.
     fn refresh_basics(&mut self) {
-        for (i, s) in self.slots.iter().enumerate() {
+        for i in 0..self.m {
             let row = &self.tab[i * self.nt..(i + 1) * self.nt];
             let mut beta = 0.0;
-            for &j in &self.cols[s.at..s.at + s.len] {
-                let j = j as usize;
+            for j in ones(self.rows.row(i).iter().copied()) {
                 if self.pos[j] >= 0 || self.x[j] == 0.0 {
                     continue;
                 }
                 beta -= row[j] * self.x[j];
             }
             self.x[self.basis[i]] = beta;
-        }
-    }
-
-    /// Largest bound violation over the basic variables.
-    fn max_violation(&self) -> f64 {
-        let mut worst: f64 = 0.0;
-        for &b in &self.basis {
-            let v = (self.lower[b] - self.x[b]).max(self.x[b] - self.upper[b]);
-            worst = worst.max(v);
-        }
-        worst
-    }
-
-    /// Phase-2 reduced costs `d = c − c_B·B⁻¹A`, recomputed exactly.
-    fn reduced_costs(&mut self) {
-        self.d.copy_from_slice(&self.cost);
-        for (i, &b) in self.basis.iter().enumerate() {
-            let cb = self.cost[b];
-            if cb == 0.0 {
-                continue;
-            }
-            let row = &self.tab[i * self.nt..(i + 1) * self.nt];
-            let s = self.slots[i];
-            for &j in &self.cols[s.at..s.at + s.len] {
-                self.d[j as usize] -= cb * row[j as usize];
-            }
-        }
-        for &b in &self.basis {
-            self.d[b] = 0.0;
         }
     }
 
@@ -397,98 +427,101 @@ impl Solver {
         }
     }
 
-    /// Phase-1 gradient of the total infeasibility `w = Σ (l−β)⁺ + (β−u)⁺`
-    /// with respect to each nonbasic variable, from scratch into `d`: each
-    /// infeasible row's pattern, rows in ascending order.
-    fn fill_gradient(&self, d: &mut [f64]) {
-        d.fill(0.0);
-        for i in 0..self.m {
-            let sign = self.infeasibility_sign(i);
-            if sign == 0.0 {
-                continue;
-            }
-            let row = &self.tab[i * self.nt..(i + 1) * self.nt];
-            let s = self.slots[i];
-            for &j in &self.cols[s.at..s.at + s.len] {
-                d[j as usize] += sign * row[j as usize];
-            }
-        }
-        for &b in &self.basis {
-            d[b] = 0.0;
+    /// Marks every column of `d` stale.
+    fn stale_all(&mut self) {
+        for j in 0..self.nt {
+            put_bit(&mut self.stale, j, true);
         }
     }
 
-    /// The phase-1 gradient, updated in place. The first call fills it;
-    /// later calls recompute only the entries that can have changed since
-    /// the last call (see the module docs), each as the same ascending-row
-    /// sum that [`Solver::fill_gradient`] forms.
-    fn infeasibility_gradient(&mut self) {
-        if self.signs.is_empty() {
-            let mut d = std::mem::take(&mut self.d);
-            self.fill_gradient(&mut d);
-            self.d = d;
-            self.signs = (0..self.m).map(|i| self.infeasibility_sign(i)).collect();
-            return;
-        }
-        mark_stale(&self.pivot_cols, &mut self.stale_mark, &mut self.stale);
-        self.infeasible.clear();
+    /// Enters phase 1: every row's state from scratch, every entry of `d`
+    /// stale.
+    fn start_phase1(&mut self) {
+        self.phase1 = true;
+        self.stale_all();
         for i in 0..self.m {
-            let sign = self.infeasibility_sign(i);
-            if sign != self.signs[i] {
-                self.signs[i] = sign;
-                let s = self.slots[i];
-                let cols = &self.cols[s.at..s.at + s.len];
-                mark_stale(cols, &mut self.stale_mark, &mut self.stale);
-            }
-            if sign != 0.0 {
-                self.infeasible.push(i);
+            self.review_row(i);
+        }
+    }
+
+    /// Enters phase 2: every row weighs minus its basic variable's cost.
+    fn start_phase2(&mut self) {
+        self.phase1 = false;
+        self.stale_all();
+        for i in 0..self.m {
+            self.set_weight(i, -self.cost[self.basis[i]]);
+        }
+    }
+
+    /// Sets row `i`'s weight; a change marks the row's pattern stale.
+    fn set_weight(&mut self, i: usize, w: f64) {
+        if w != self.weights[i] {
+            self.weights[i] = w;
+            put_bit(&mut self.weighted, i, w != 0.0);
+            for (s, &bits) in self.stale.iter_mut().zip(self.rows.row(i)) {
+                *s |= bits;
             }
         }
-        for &j in &self.stale {
-            let j = j as usize;
-            self.stale_mark[j] = false;
+    }
+
+    /// Re-derives row `i`'s phase-1 state from its basic value: its
+    /// violation bit and its sign as weight.
+    fn review_row(&mut self, i: usize) {
+        let b = self.basis[i];
+        let violation = (self.lower[b] - self.x[b]).max(self.x[b] - self.upper[b]);
+        put_bit(&mut self.violated, i, violation > FEAS_TOL);
+        self.set_weight(i, self.infeasibility_sign(i));
+    }
+
+    /// Brings `d` up to date: each stale entry becomes the ascending-row
+    /// sum over its column's weighted rows (see the module docs). In phase
+    /// 1 that is the gradient of the total infeasibility
+    /// `w = Σ (l−β)⁺ + (β−u)⁺` with respect to each nonbasic variable, in
+    /// phase 2 the reduced costs `c − c_B·B⁻¹A`.
+    fn price(&mut self) {
+        for j in ones(self.stale.iter().copied()) {
             let mut dj = 0.0;
             if self.pos[j] < 0 {
-                for &i in &self.infeasible {
-                    dj += self.signs[i] * self.tab[i * self.nt + j];
+                if !self.phase1 {
+                    dj = self.cost[j];
+                }
+                let hits = self.cols.row(j).iter().zip(&self.weighted);
+                for i in ones(hits.map(|(a, b)| a & b)) {
+                    dj += self.weights[i] * self.tab[i * self.nt + j];
                 }
             }
             self.d[j] = dj;
         }
-        self.stale.clear();
+        self.stale.fill(0);
     }
 
     /// Picks the entering variable and its direction (+1 from lower, −1
-    /// from upper) from the pricing vector `d`. Dantzig by default, Bland
-    /// when triggered; ties always break to the lowest index.
+    /// from upper) from the pricing vector `d`: the largest improvement
+    /// `−mobility_j · d_j` beyond `COST_TOL`. Dantzig by default, Bland
+    /// (the first improving column) when triggered; ties always break to
+    /// the lowest index.
     fn entering(&self) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64, f64)> = None; // (var, dir, score)
-        for (j, &dj) in self.d.iter().enumerate() {
-            if self.pos[j] >= 0 || self.lower[j] == self.upper[j] {
-                continue;
-            }
-            let (dir, score) = if !self.at_upper[j] && dj < -COST_TOL {
-                (1.0, -dj)
-            } else if self.at_upper[j] && dj > COST_TOL {
-                (-1.0, dj)
-            } else {
-                continue;
-            };
-            if self.bland {
-                return Some((j, dir));
-            }
-            if best.is_none_or(|(_, _, s)| score > s) {
-                best = Some((j, dir, score));
+        let mut best = COST_TOL;
+        let mut pick = None;
+        for (j, (&dj, &dir)) in self.d.iter().zip(&self.mobility).enumerate() {
+            let score = -dir * dj;
+            if score > best {
+                pick = Some((j, dir));
+                if self.bland {
+                    break;
+                }
+                best = score;
             }
         }
-        best.map(|(j, dir, _)| (j, dir))
+        pick
     }
 
-    /// Gathers tableau column `q` into `col`, for the ratio test and the
-    /// step that follow.
+    /// Gathers tableau column `q` over its rows into `col`, for the ratio
+    /// test, the step and the pivot that follow.
     fn gather_column(&mut self, q: usize) {
-        for (i, a) in self.col.iter_mut().enumerate() {
-            *a = self.tab[i * self.nt + q];
+        self.col.clear();
+        for i in ones(self.cols.row(q).iter().copied()) {
+            self.col.push((i, self.tab[i * self.nt + q]));
         }
     }
 
@@ -497,25 +530,26 @@ impl Solver {
     /// out). Returns the step and the blocking row with its landing bound;
     /// `None` row means a bound flip, `None` overall means unbounded. Reads
     /// column `q` from `col`.
-    fn ratio(&self, q: usize, dir: f64, phase1: bool) -> Option<(f64, Option<(usize, Landing)>)> {
+    fn ratio(&self, q: usize, dir: f64) -> Option<(f64, Option<(usize, Landing)>)> {
         let mut t_best = self.upper[q] - self.lower[q]; // own span (may be ∞)
         let mut block: Option<(usize, Landing)> = None;
+        let mut block_a: f64 = 0.0;
         const TIE: f64 = 1e-9;
-        for (i, &a) in self.col.iter().enumerate() {
+        for &(i, a) in &self.col {
             if a.abs() <= PIVOT_TOL {
                 continue;
             }
             let rate = -a * dir; // dβ_i per unit step
             let b = self.basis[i];
             let (beta, lb, ub) = (self.x[b], self.lower[b], self.upper[b]);
-            let (t_i, landing) = if phase1 && beta < lb - FEAS_TOL {
+            let (t_i, landing) = if self.phase1 && beta < lb - FEAS_TOL {
                 // Infeasible below: blocks only when climbing back to `lb`.
                 if rate > 0.0 {
                     ((lb - beta) / rate, Landing::Lower)
                 } else {
                     continue;
                 }
-            } else if phase1 && beta > ub + FEAS_TOL {
+            } else if self.phase1 && beta > ub + FEAS_TOL {
                 if rate < 0.0 {
                     ((ub - beta) / rate, Landing::Upper)
                 } else {
@@ -540,7 +574,7 @@ impl Solver {
                     if self.bland {
                         self.basis[i] < self.basis[r]
                     } else {
-                        a.abs() > self.col[r].abs()
+                        a.abs() > block_a.abs()
                     }
                 }
                 _ => false,
@@ -548,6 +582,7 @@ impl Solver {
             if better {
                 t_best = t_best.min(t_i);
                 block = Some((i, landing));
+                block_a = a;
             }
         }
         if t_best.is_finite() {
@@ -559,11 +594,12 @@ impl Solver {
 
     /// Applies a step of length `t` of variable `q` along `dir`, either as
     /// a bound flip or as a pivot on the blocking row. Reads column `q`
-    /// from `col`.
+    /// from `col`. In phase 1 it then revisits the rows whose basic value
+    /// or basic variable can have changed.
     fn step(&mut self, q: usize, dir: f64, t: f64, block: Option<(usize, Landing)>) {
         if t > 0.0 {
-            for (&a, &b) in self.col.iter().zip(&self.basis) {
-                self.x[b] += -a * dir * t;
+            for &(i, a) in &self.col {
+                self.x[self.basis[i]] += -a * dir * t;
             }
             self.x[q] += dir * t;
         }
@@ -571,8 +607,7 @@ impl Solver {
             None => {
                 // Bound flip: park exactly on the opposite bound. The
                 // tableau is untouched, so no column's entries changed.
-                self.pivot_cols.clear();
-                self.at_upper[q] = dir > 0.0;
+                self.mobility[q] = -dir;
                 self.x[q] = if dir > 0.0 {
                     self.upper[q]
                 } else {
@@ -585,11 +620,19 @@ impl Solver {
                     Landing::Lower => self.lower[leaving],
                     Landing::Upper => self.upper[leaving],
                 };
-                self.at_upper[leaving] = landing == Landing::Upper;
+                self.mobility[leaving] = match landing {
+                    _ if self.lower[leaving] == self.upper[leaving] => 0.0,
+                    Landing::Lower => 1.0,
+                    Landing::Upper => -1.0,
+                };
+                self.mobility[q] = 0.0;
                 self.pos[leaving] = -1;
                 self.pos[q] = r as i64;
                 self.basis[r] = q;
                 self.pivot(r, q);
+                if !self.phase1 {
+                    self.set_weight(r, -self.cost[q]);
+                }
             }
         }
         self.iterations += 1;
@@ -602,126 +645,88 @@ impl Solver {
             self.degenerate_run = 0;
             self.bland = false;
         }
-        if self.iterations.is_multiple_of(REFRESH_EVERY) {
+        let refresh = self.iterations.is_multiple_of(REFRESH_EVERY);
+        if refresh {
             self.refresh_basics();
+        }
+        if self.phase1 {
+            if refresh {
+                for i in 0..self.m {
+                    self.review_row(i);
+                }
+            } else {
+                for k in 0..self.col.len() {
+                    self.review_row(self.col[k].0);
+                }
+            }
         }
     }
 
-    /// Gauss-Jordan pivot on `(row r, column q)`, over the pivot row's
-    /// pattern only.
+    /// Gauss-Jordan pivot on `(row r, column q)`: each row of column `q`'s
+    /// set takes the pivot row's pattern only, and both bit matrices follow
+    /// fill-in and exact cancellation. The pivot row's columns, the only
+    /// ones written, become stale.
     fn pivot(&mut self, r: usize, q: usize) {
         let nt = self.nt;
-        let piv = self.col[r];
+        let piv = self.tab[r * nt + q];
         debug_assert!(piv.abs() > PIVOT_TOL, "pivot too small: {piv}");
         let inv = 1.0 / piv;
-        let s = self.slots[r];
         self.pivot_cols.clear();
         self.pivot_cols
-            .extend_from_slice(&self.cols[s.at..s.at + s.len]);
+            .extend(ones(self.rows.row(r).iter().copied()));
         for &j in &self.pivot_cols {
-            self.tab[r * nt + j as usize] *= inv;
+            self.tab[r * nt + j] *= inv;
         }
-        for i in 0..self.m {
-            if i != r && self.col[i] != 0.0 {
-                self.eliminate(i, r, q);
+        for &(i, f) in &self.col {
+            if i == r || f == 0.0 {
+                continue;
+            }
+            for &j in &self.pivot_cols {
+                let v = self.tab[i * nt + j] - f * self.tab[r * nt + j];
+                // Exact elimination of `q`, or exact cancellation.
+                let nonzero = j != q && v != 0.0;
+                self.tab[i * nt + j] = if nonzero { v } else { 0.0 };
+                self.rows.put(i, j, nonzero);
+                self.cols.put(j, i, nonzero);
             }
         }
         self.tab[r * nt + q] = 1.0;
-    }
-
-    /// Subtracts `f ×` the scaled pivot row `r` (pattern `pivot_cols`) from
-    /// row `i`, where `f` zeroes column `q`, walking the two ascending
-    /// patterns once. Row `i`'s pattern becomes their union minus `q` and
-    /// minus any entry that cancelled to exactly zero (reset to `+0.0`).
-    fn eliminate(&mut self, i: usize, r: usize, q: usize) {
-        let nt = self.nt;
-        let f = self.col[i];
-        let (row, pivot_row) = if i < r {
-            let (head, tail) = self.tab.split_at_mut(r * nt);
-            (&mut head[i * nt..(i + 1) * nt], &tail[..nt])
-        } else {
-            let (head, tail) = self.tab.split_at_mut(i * nt);
-            (&mut tail[..nt], &head[r * nt..(r + 1) * nt])
-        };
-        let s = self.slots[i];
-        let (cols, pivot_cols) = (&self.cols[s.at..s.at + s.len], &self.pivot_cols);
-        self.merged.clear();
-        let (mut a, mut b) = (0, 0);
-        loop {
-            let (j, in_pivot) = match (cols.get(a), pivot_cols.get(b)) {
-                (Some(&x), Some(&y)) if x == y => {
-                    a += 1;
-                    b += 1;
-                    (x, true)
-                }
-                (Some(&x), Some(&y)) if x < y => {
-                    a += 1;
-                    (x, false)
-                }
-                (Some(&x), None) => {
-                    a += 1;
-                    (x, false)
-                }
-                (_, Some(&y)) => {
-                    b += 1;
-                    (y, true)
-                }
-                (None, None) => break,
-            };
-            let ju = j as usize;
-            if in_pivot {
-                row[ju] -= f * pivot_row[ju];
-            }
-            if ju == q || row[ju] == 0.0 {
-                row[ju] = 0.0; // exact elimination / cancellation
-            } else {
-                self.merged.push(j);
-            }
+        for &j in &self.pivot_cols {
+            put_bit(&mut self.stale, j, true);
         }
-        let len = self.merged.len();
-        if len > s.room {
-            let at = self.cols.len();
-            self.cols.resize(at + 2 * len, 0);
-            self.slots[i] = Slot {
-                at,
-                len,
-                room: 2 * len,
-            };
-        }
-        let s = &mut self.slots[i];
-        s.len = len;
-        self.cols[s.at..s.at + len].copy_from_slice(&self.merged);
     }
 
     fn run(&mut self) -> Outcome {
         let max_iter = 2_000 + 200 * (self.m + self.n) as u64;
         // Phase 1: minimize total infeasibility.
-        while self.max_violation() > FEAS_TOL {
+        self.start_phase1();
+        while self.violated.iter().any(|&w| w != 0) {
             if self.iterations > max_iter {
                 return Outcome::IterationLimit;
             }
-            self.infeasibility_gradient();
+            self.price();
             let Some((q, dir)) = self.entering() else {
                 return Outcome::Infeasible; // w minimized but still > 0
             };
             self.gather_column(q);
-            let Some((t, block)) = self.ratio(q, dir, true) else {
+            let Some((t, block)) = self.ratio(q, dir) else {
                 // An improving ray of a function bounded below: numerics.
                 return Outcome::IterationLimit;
             };
             self.step(q, dir, t, block);
         }
         // Phase 2: minimize the true cost from the feasible basis.
+        self.start_phase2();
         loop {
             if self.iterations > max_iter {
                 return Outcome::IterationLimit;
             }
-            self.reduced_costs();
+            self.price();
             let Some((q, dir)) = self.entering() else {
                 break; // optimal
             };
             self.gather_column(q);
-            match self.ratio(q, dir, false) {
+            match self.ratio(q, dir) {
                 None => return Outcome::Unbounded,
                 Some((t, block)) => self.step(q, dir, t, block),
             }
@@ -744,16 +749,6 @@ impl Solver {
             objective,
             iterations: self.iterations,
         })
-    }
-}
-
-/// Appends to `stale` each of `cols` not yet in it, as `mark` records.
-fn mark_stale(cols: &[u32], mark: &mut [bool], stale: &mut Vec<u32>) {
-    for &j in cols {
-        if !mark[j as usize] {
-            mark[j as usize] = true;
-            stale.push(j);
-        }
     }
 }
 
@@ -878,11 +873,17 @@ mod tests {
         }
     }
 
-    /// The row-pattern invariant: every pattern is strictly ascending,
-    /// every entry outside it is exactly `+0.0`, and each basic column is
-    /// the unit vector of its row. The values must also still be `B⁻¹·A`:
-    /// with `t0` the starting tableau (`−A`, as `B₀ = −I`), the basis
-    /// columns of `t0` times the tableau give back `t0`.
+    /// Whether bit `i` of `words` is set.
+    fn bit(words: &[u64], i: usize) -> bool {
+        words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The sparsity-index invariant: every entry outside its row's pattern
+    /// is exactly `+0.0`, the column sets are the exact transpose of the
+    /// row patterns (padding bits clear), and each basic column is the unit
+    /// vector of its row. The values must also still be `B⁻¹·A`: with `t0`
+    /// the starting tableau (`−A`, as `B₀ = −I`), the basis columns of `t0`
+    /// times the tableau give back `t0`.
     fn assert_tableau_holds(s: &Solver, t0: &[f64]) {
         let nt = s.nt;
         for k in 0..s.m {
@@ -893,18 +894,31 @@ mod tests {
                 assert!((bt - t0[k * nt + j]).abs() < 1e-9, "(B·T)[{k}][{j}] = {bt}");
             }
         }
-        for (i, slot) in s.slots.iter().enumerate() {
-            let cols = &s.cols[slot.at..slot.at + slot.len];
-            assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {i}: {cols:?}");
-            let row = &s.tab[i * s.nt..(i + 1) * s.nt];
+        for i in 0..s.m {
+            assert!(
+                ones(s.rows.row(i).iter().copied()).all(|j| j < nt),
+                "row {i} padding"
+            );
+            let row = &s.tab[i * nt..(i + 1) * nt];
             for (j, &v) in row.iter().enumerate() {
-                if cols.binary_search(&(j as u32)).is_err() {
+                let (in_row, in_col) = (bit(s.rows.row(i), j), bit(s.cols.row(j), i));
+                assert_eq!(
+                    in_row, in_col,
+                    "bit ({i}, {j}): row {in_row}, column {in_col}"
+                );
+                if !in_row {
                     assert_eq!(v.to_bits(), 0, "entry ({i}, {j}) = {v} outside its pattern");
                 }
             }
             for (k, &b) in s.basis.iter().enumerate() {
                 assert_eq!(row[b], if k == i { 1.0 } else { 0.0 }, "basic column {b}");
             }
+        }
+        for j in 0..nt {
+            assert!(
+                ones(s.cols.row(j).iter().copied()).all(|i| i < s.m),
+                "column {j} padding"
+            );
         }
     }
 
@@ -934,6 +948,14 @@ mod tests {
                 if s.pos[q] >= 0 {
                     continue;
                 }
+                if rng.gen_range(0u32..4) == 0 && s.mobility[q] != 0.0 && s.upper[q].is_finite() {
+                    // A bound flip: the index must not move.
+                    let dir = s.mobility[q];
+                    s.gather_column(q);
+                    s.step(q, dir, s.upper[q] - s.lower[q], None);
+                    assert_tableau_holds(&s, &t0);
+                    continue;
+                }
                 let rows: Vec<usize> = (0..s.m)
                     .filter(|&i| s.tab[i * s.nt + q].abs() > PIVOT_TOL)
                     .collect();
@@ -952,35 +974,129 @@ mod tests {
         }
     }
 
-    /// Phase 1 of [`Solver::run`], one iteration at a time: after every
-    /// gradient update, `d` must equal the from-scratch row-wise fill, bit
-    /// for bit. Returns the phase-1 iterations and bound flips taken.
+    /// Largest bound violation over the basic variables: the oracle for
+    /// the incremental `violated` set.
+    fn max_violation(s: &Solver) -> f64 {
+        let mut worst: f64 = 0.0;
+        for &b in &s.basis {
+            let v = (s.lower[b] - s.x[b]).max(s.x[b] - s.upper[b]);
+            worst = worst.max(v);
+        }
+        worst
+    }
+
+    /// The phase-1 gradient from scratch, row by row over each infeasible
+    /// row's pattern, rows in ascending order: the oracle for the
+    /// column-wise incremental update.
+    fn fill_gradient(s: &Solver, d: &mut [f64]) {
+        d.fill(0.0);
+        for i in 0..s.m {
+            let sign = s.infeasibility_sign(i);
+            if sign == 0.0 {
+                continue;
+            }
+            let row = &s.tab[i * s.nt..(i + 1) * s.nt];
+            for j in ones(s.rows.row(i).iter().copied()) {
+                d[j] += sign * row[j];
+            }
+        }
+        for &b in &s.basis {
+            d[b] = 0.0;
+        }
+    }
+
+    /// Phase-2 reduced costs `d = c − c_B·B⁻¹A` from scratch, row by row
+    /// over the pattern of each row whose basic variable has a cost.
+    fn fill_reduced_costs(s: &Solver, d: &mut [f64]) {
+        d.copy_from_slice(&s.cost);
+        for (i, &b) in s.basis.iter().enumerate() {
+            let cb = s.cost[b];
+            if cb == 0.0 {
+                continue;
+            }
+            let row = &s.tab[i * s.nt..(i + 1) * s.nt];
+            for j in ones(s.rows.row(i).iter().copied()) {
+                d[j] -= cb * row[j];
+            }
+        }
+        for &b in &s.basis {
+            d[b] = 0.0;
+        }
+    }
+
+    /// The incremental phase-1 state against fresh scans: the `violated`
+    /// set is nonempty exactly when `max_violation` exceeds `FEAS_TOL`,
+    /// and every row's violation bit, weight and weighted bit match its
+    /// basic value now.
+    fn assert_phase1_state_holds(s: &Solver) {
+        let any = s.violated.iter().any(|&w| w != 0);
+        assert_eq!(
+            any,
+            max_violation(s) > FEAS_TOL,
+            "after {} iterations",
+            s.iterations
+        );
+        for i in 0..s.m {
+            let b = s.basis[i];
+            let v = (s.lower[b] - s.x[b]).max(s.x[b] - s.upper[b]);
+            assert_eq!(bit(&s.violated, i), v > FEAS_TOL, "row {i} violation");
+            let sign = s.infeasibility_sign(i);
+            assert_eq!(
+                s.weights[i], sign,
+                "row {i} sign after {} iterations",
+                s.iterations
+            );
+            assert_eq!(bit(&s.weighted, i), sign != 0.0, "row {i} weighted bit");
+        }
+    }
+
+    /// [`Solver::run`], one iteration at a time. In phase 1, after every
+    /// iteration the incremental row state must match fresh scans, and
+    /// after every pricing `d` must equal the from-scratch row-wise
+    /// gradient fill, bit for bit. In phase 2 it must equal the row-wise
+    /// reduced costs (whose skipped `±0` terms may flip the sign of a zero
+    /// entry, which only meets tolerances). Returns the phase-1 iterations
+    /// and bound flips taken.
     fn assert_gradients_match_fill(lp: &Lp) -> (u64, u64) {
         let mut s = Solver::new(lp);
         let mut fill = vec![0.0; s.nt];
         let mut flips = 0;
-        while s.max_violation() > FEAS_TOL {
-            s.infeasibility_gradient();
-            s.fill_gradient(&mut fill);
+        s.start_phase1();
+        let mut phase1_iterations = None;
+        loop {
+            if s.phase1 {
+                assert_phase1_state_holds(&s);
+                if s.violated.iter().all(|&w| w == 0) {
+                    phase1_iterations = Some(s.iterations);
+                    s.start_phase2();
+                }
+            }
+            s.price();
+            if s.phase1 {
+                fill_gradient(&s, &mut fill);
+            } else {
+                fill_reduced_costs(&s, &mut fill);
+            }
             for (j, (got, want)) in s.d.iter().zip(&fill).enumerate() {
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "d[{j}] after {} iterations: {got} vs {want}",
-                    s.iterations
-                );
+                let same = if s.phase1 {
+                    got.to_bits() == want.to_bits()
+                } else {
+                    got == want
+                };
+                let it = s.iterations;
+                assert!(same, "d[{j}] after {it} iterations: {got} vs {want}");
             }
             let Some((q, dir)) = s.entering() else {
                 break;
             };
             s.gather_column(q);
-            let Some((t, block)) = s.ratio(q, dir, true) else {
+            let Some((t, block)) = s.ratio(q, dir) else {
                 break;
             };
-            flips += u64::from(block.is_none());
+            flips += u64::from(s.phase1 && block.is_none());
             s.step(q, dir, t, block);
         }
-        (s.iterations, flips)
+        (phase1_iterations.unwrap_or(s.iterations), flips)
     }
 
     /// A feasible sparse LP of small integers: short variable spans, so

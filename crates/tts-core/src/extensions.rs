@@ -6,6 +6,11 @@
 //! outlook. Figure 1's off-peak tariff/free-cooling advantage is the
 //! scenario matrix's (temperate, economizer, diurnal) cell
 //! ([`crate::scenarios`]).
+//!
+//! The deployment, flash-crowd and lifetime studies all start from a
+//! class's Figure 11 melting-point sweep; each takes that
+//! [`CoolingLoadStudy`] by reference, so a caller running several of them
+//! sweeps once.
 
 use tts_dcsim::relocation::{wax_vs_relocation, yearly_saving};
 use tts_dcsim::{deployment_sweep, DeploymentPoint};
@@ -14,7 +19,7 @@ use tts_server::ServerClass;
 use tts_units::{Dollars, Fraction, Seconds};
 use tts_workload::{FlashCrowd, GoogleTrace};
 
-use crate::scenario::Scenario;
+use crate::scenario::{CoolingLoadStudy, Scenario};
 
 /// The relocation comparison: yearly WAN/SLA spend avoided by wax in the
 /// §5.2 oversubscribed setting.
@@ -48,10 +53,14 @@ pub fn relocation_study(class: ServerClass) -> RelocationStudy {
     }
 }
 
-/// Rack-by-rack deployment curve for one class.
-pub fn partial_deployment_study(class: ServerClass, steps: usize) -> Vec<DeploymentPoint> {
+/// Rack-by-rack deployment curve for one class, with the wax that
+/// `study`, the class's [`Scenario::cooling_load_study`], selected.
+pub fn partial_deployment_study(
+    class: ServerClass,
+    study: &CoolingLoadStudy,
+    steps: usize,
+) -> Vec<DeploymentPoint> {
     let scenario = Scenario::new(class);
-    let study = scenario.cooling_load_study();
     let config = scenario
         .cluster()
         .with_melting_point(study.material.melting_point());
@@ -72,9 +81,9 @@ pub struct FlashCrowdStudy {
 tts_units::derive_json! { struct FlashCrowdStudy { calm_reduction, surge_reduction } }
 
 /// Applies a one-hour, +20 % surge at the first day's peak and re-runs the
-/// cooling-load study.
-pub fn flash_crowd_study(class: ServerClass) -> FlashCrowdStudy {
-    let calm = Scenario::new(class).cooling_load_study();
+/// cooling-load study; `calm` is the class's
+/// [`Scenario::cooling_load_study`] on the unsurged trace.
+pub fn flash_crowd_study(class: ServerClass, calm: &CoolingLoadStudy) -> FlashCrowdStudy {
     let trace = GoogleTrace::default_two_day();
     let peak_time = trace.total().peak_time();
     let surge = FlashCrowd {
@@ -103,9 +112,8 @@ pub struct LifetimeStudy {
 
 tts_units::derive_json! { struct LifetimeStudy { capacity_after_server_life, capacity_after_plant_life, cycles_to_80pct } }
 
-/// Evaluates the selected material's cycling endurance.
-pub fn lifetime_study(class: ServerClass) -> LifetimeStudy {
-    let study = Scenario::new(class).cooling_load_study();
+/// Evaluates the cycling endurance of the material `study` selected.
+pub fn lifetime_study(study: &CoolingLoadStudy) -> LifetimeStudy {
     let model = DegradationModel::for_material(&study.material);
     LifetimeStudy {
         capacity_after_server_life: model.capacity_after_years_daily(4.0),
@@ -125,9 +133,13 @@ mod tests {
         assert!(s.without_pcm_per_year.value() > 1000.0);
     }
 
+    fn study_1u() -> CoolingLoadStudy {
+        Scenario::new(ServerClass::LowPower1U).cooling_load_study()
+    }
+
     #[test]
     fn partial_deployment_curve_is_monotone() {
-        let points = partial_deployment_study(ServerClass::LowPower1U, 4);
+        let points = partial_deployment_study(ServerClass::LowPower1U, &study_1u(), 4);
         assert_eq!(points.len(), 4);
         for w in points.windows(2) {
             assert!(w[1].peak_reduction.value() >= w[0].peak_reduction.value() - 1e-9);
@@ -136,7 +148,7 @@ mod tests {
 
     #[test]
     fn flash_crowd_erodes_but_does_not_destroy_the_benefit() {
-        let s = flash_crowd_study(ServerClass::LowPower1U);
+        let s = flash_crowd_study(ServerClass::LowPower1U, &study_1u());
         assert!(s.surge_reduction.value() > 0.0, "{s:?}");
         // A surge re-optimized against still yields most of the calm
         // benefit.
@@ -179,7 +191,7 @@ mod tests {
 
     #[test]
     fn lifetime_outlook_is_healthy_for_commercial_paraffin() {
-        let s = lifetime_study(ServerClass::LowPower1U);
+        let s = lifetime_study(&study_1u());
         assert!(s.capacity_after_server_life.value() > 0.9);
         assert!(s.capacity_after_plant_life.value() > 0.75);
         assert!(s.cycles_to_80pct > 1460, "{}", s.cycles_to_80pct);

@@ -10,11 +10,14 @@ use thermal_time_shifting::extensions::{
     flash_crowd_study, lifetime_study, partial_deployment_study, relocation_study,
 };
 use thermal_time_shifting::scenarios::{run_matrix, MatrixConfig};
+use thermal_time_shifting::Scenario;
 use tts_server::ServerClass;
 
 fn main() {
     let class = ServerClass::LowPower1U;
     println!("extension studies for the {class} cluster (1008 servers)\n");
+    // Studies 3, 4 and 6 start from the class's Figure 11 wax selection.
+    let study = Scenario::new(class).cooling_load_study();
 
     // 1. Figure 1's "off-peak power is cheaper / night air is colder": the
     //    scenario matrix's temperate economizer cell on the diurnal trace.
@@ -46,7 +49,7 @@ fn main() {
 
     // 3. Rack-by-rack retrofit.
     println!("3. partial deployment (fraction of fleet with wax -> peak reduction):");
-    for p in partial_deployment_study(class, 5) {
+    for p in partial_deployment_study(class, &study, 5) {
         let bar = "#".repeat((p.peak_reduction.value() * 400.0) as usize);
         println!(
             "   {:>4.0} % equipped: {:>5.2} % |{bar}",
@@ -57,7 +60,7 @@ fn main() {
     println!("   (diminishing returns: the first racks clip the highest point)\n");
 
     // 4. A flash crowd on top of the daily peak.
-    let crowd = flash_crowd_study(class);
+    let crowd = flash_crowd_study(class, &study);
     println!("4. flash crowd (+20 % for 1 h at the daily peak):");
     println!(
         "   calm-trace reduction {:.2} %, surge-trace reduction {:.2} %\n",
@@ -109,7 +112,7 @@ fn main() {
     }
 
     // 6. Does the wax last?
-    let life = lifetime_study(class);
+    let life = lifetime_study(&study);
     println!("6. wax cycling endurance (one melt/freeze cycle per day):");
     println!(
         "   {:.1} % capacity after the 4-year server life, {:.1} % after the 10-year plant life",

@@ -71,12 +71,13 @@ fn extension_studies_cover_all_server_classes() {
     // The extension suite must not be 1U-only: spot-check the other two
     // classes through the same entry points.
     for class in [ServerClass::HighThroughput2U, ServerClass::OpenComputeBlade] {
-        let life = lifetime_study(class);
+        let study = Scenario::new(class).cooling_load_study();
+        let life = lifetime_study(&study);
         assert!(
             life.capacity_after_server_life.value() > 0.85,
             "{class}: lifetime"
         );
-        let deploy = partial_deployment_study(class, 3);
+        let deploy = partial_deployment_study(class, &study, 3);
         assert!(
             deploy[2].peak_reduction.value() > deploy[0].peak_reduction.value(),
             "{class}: deployment"
@@ -86,7 +87,8 @@ fn extension_studies_cover_all_server_classes() {
 
 #[test]
 fn flash_crowd_is_consistent_for_the_2u() {
-    let f = flash_crowd_study(ServerClass::HighThroughput2U);
+    let class = ServerClass::HighThroughput2U;
+    let f = flash_crowd_study(class, &Scenario::new(class).cooling_load_study());
     assert!(f.surge_reduction.value() > 0.0);
 }
 

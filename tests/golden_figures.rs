@@ -185,7 +185,8 @@ const DEPLOYMENT_GOLD: [(f64, f64); 5] = [
 
 #[test]
 fn partial_deployment_curve_matches_golden_values() {
-    let points = partial_deployment_study(ServerClass::LowPower1U, 5);
+    let class = ServerClass::LowPower1U;
+    let points = partial_deployment_study(class, &Scenario::new(class).cooling_load_study(), 5);
     assert_eq!(points.len(), DEPLOYMENT_GOLD.len());
     for (p, (equipped, reduction)) in points.iter().zip(DEPLOYMENT_GOLD) {
         assert_close(p.equipped.value(), equipped, "deployment equipped fraction");
@@ -199,7 +200,8 @@ fn partial_deployment_curve_matches_golden_values() {
 
 #[test]
 fn flash_crowd_reductions_match_golden_values() {
-    let s = flash_crowd_study(ServerClass::LowPower1U);
+    let class = ServerClass::LowPower1U;
+    let s = flash_crowd_study(class, &Scenario::new(class).cooling_load_study());
     assert_close(
         s.calm_reduction.value(),
         0.07344114075480335,
@@ -214,7 +216,7 @@ fn flash_crowd_reductions_match_golden_values() {
 
 #[test]
 fn lifetime_capacities_match_golden_values() {
-    let s = lifetime_study(ServerClass::LowPower1U);
+    let s = lifetime_study(&Scenario::new(ServerClass::LowPower1U).cooling_load_study());
     assert_close(
         s.capacity_after_server_life.value(),
         0.9160698791783191,
