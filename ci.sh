@@ -54,7 +54,7 @@ for src in examples/*.rs; do
   "target/release/examples/$ex" > /dev/null || { echo "example $ex failed"; exit 1; }
 done
 
-echo "==> smoke benches (thermal_solver, fig7_blockage)"
+echo "==> smoke benches (thermal_solver, fig7_blockage, fig12_throughput)"
 # Three samples apiece: enough to catch a hot-path regression or panic,
 # cheap enough to run on every push. The thermal_solver report is kept
 # and gated against BENCH_baseline.json below.
@@ -63,6 +63,7 @@ trap 'rm -rf "$TMPDIR_CI"' EXIT
 TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/thermal_solver.json" \
   cargo bench --offline -q -p tts-bench --bench thermal_solver
 TTS_BENCH_SAMPLES=3 cargo bench --offline -q -p tts-bench --bench fig7_blockage
+TTS_BENCH_SAMPLES=3 cargo bench --offline -q -p tts-bench --bench fig12_throughput
 
 echo "==> metrics sidecar smoke (fig7, fig11 and fig12, byte-identical across thread counts)"
 # The observability layer must not perturb determinism: the same run at

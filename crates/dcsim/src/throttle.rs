@@ -27,6 +27,16 @@
 //!
 //! All three reuse the exact arithmetic of the per-call path, so results
 //! are bit-identical to evaluating everything from scratch.
+//!
+//! What is left per tick is the two bisections themselves: each step is
+//! one long dependency chain (wall power, air temperature, wax probe).
+//! The two frequencies' bisections are independent, so
+//! `max_feasible_utils` steps both in one loop and the CPU overlaps the
+//! two chains. The power and wax leaves they call (`tts-server`'s
+//! component models and `LinearAirTemp::at`, `tts-pcm`'s
+//! `Relaxation::settle` and `EnthalpyCurve::enthalpy_at`) are
+//! `#[inline]`, so each chain compiles into this crate without calls
+//! other than libm's `fma`.
 
 use crate::cluster::{record_melt_fraction, ClusterConfig};
 use tts_obs::MetricsSink;
@@ -75,26 +85,44 @@ pub struct ConstrainedRun {
 
 tts_units::derive_json! { struct ConstrainedRun { times_h, ideal, no_wax, with_wax, melt_fraction, norm_base, peak_gain, delay_hours, boosted_hours } }
 
-/// Served load at the limit: the largest utilization `u ≤ util_ceiling`
-/// whose cluster cooling load `load(u)` fits the budget, by bisection.
-fn max_feasible_util(
-    util_ceiling: Fraction,
+/// Served load at the limit, per lane: the largest utilization
+/// `u ≤ ceilings[l]` whose cluster cooling load `load(l, u)` fits the
+/// budget, by bisection. A lane that fits at its ceiling returns it
+/// unbisected. The lanes are independent and step through one loop, so
+/// the CPU overlaps their evaluation chains; each lane's `mid`,
+/// comparison and `Fraction::new` run in the one-lane order, so every
+/// lane's bits are those of a bisection run alone.
+fn max_feasible_utils<const L: usize>(
+    ceilings: [Fraction; L],
     budget_w: f64,
-    load: impl Fn(Fraction) -> f64,
-) -> Fraction {
-    if load(util_ceiling) <= budget_w {
-        return util_ceiling;
+    load: impl Fn(usize, Fraction) -> f64,
+) -> [Fraction; L] {
+    let fits: [bool; L] = std::array::from_fn(|l| load(l, ceilings[l]) <= budget_w);
+    if fits.iter().all(|&f| f) {
+        return ceilings;
     }
-    let (mut lo, mut hi) = (0.0, util_ceiling.value());
+    let mut lo = [0.0; L];
+    let mut hi = ceilings.map(Fraction::value);
     for _ in 0..50 {
-        let mid = 0.5 * (lo + hi);
-        if load(Fraction::new(mid)) <= budget_w {
-            lo = mid;
-        } else {
-            hi = mid;
+        for l in 0..L {
+            if fits[l] {
+                continue;
+            }
+            let mid = 0.5 * (lo[l] + hi[l]);
+            if load(l, Fraction::new(mid)) <= budget_w {
+                lo[l] = mid;
+            } else {
+                hi[l] = mid;
+            }
         }
     }
-    Fraction::new(lo)
+    std::array::from_fn(|l| {
+        if fits[l] {
+            ceilings[l]
+        } else {
+            Fraction::new(lo[l])
+        }
+    })
 }
 
 /// Records one finished constrained run into `sink`: tick counts (total
@@ -280,14 +308,18 @@ fn decide(
     wax_q: &impl Fn(Watts) -> Watts,
 ) -> TickDecision {
     let cooling_load_w = |wall: Watts| (wall - wax_q(wall)).value() * servers as f64;
+    // Serving the full offered work at frequency `f` needs machine
+    // utilization `offered / f` (a downclocked machine is busy longer per
+    // unit of work); utilization saturates at 1.
+    let ceilings = powers
+        .each_ref()
+        .map(|(freq, _)| Fraction::new(offered.value() / freq.value()));
+    let utils = max_feasible_utils(ceilings, budget_w, |lane, u| {
+        cooling_load_w((powers[lane].1)(u))
+    });
     let mut best: Option<TickDecision> = None;
-    for (freq, wall_power) in powers {
+    for ((freq, wall_power), u) in powers.iter().zip(utils) {
         let freq = *freq;
-        // Serving the full offered work at frequency `f` needs machine
-        // utilization `offered / f` (a downclocked machine is busy longer
-        // per unit of work); utilization saturates at 1.
-        let ceiling = Fraction::new(offered.value() / freq.value());
-        let u = max_feasible_util(ceiling, budget_w, |u| cooling_load_w(wall_power(u)));
         let wall = wall_power(u);
         let candidate = TickDecision {
             throughput: spec.throughput(u, freq),
@@ -373,9 +405,87 @@ pub fn select_melting_point_constrained(
 mod tests {
     use super::*;
     use crate::cluster::default_melting_candidates;
+    use tts_rng::prop::prelude::*;
     use tts_server::{ServerClass, ServerWaxCharacteristics};
     use tts_units::json::ToJson;
     use tts_workload::GoogleTrace;
+
+    /// The one-lane bisection that `max_feasible_utils` replaced, kept as
+    /// its oracle.
+    fn max_feasible_util(
+        util_ceiling: Fraction,
+        budget_w: f64,
+        load: impl Fn(Fraction) -> f64,
+    ) -> Fraction {
+        if load(util_ceiling) <= budget_w {
+            return util_ceiling;
+        }
+        let (mut lo, mut hi) = (0.0, util_ceiling.value());
+        for _ in 0..50 {
+            let mid = 0.5 * (lo + hi);
+            if load(Fraction::new(mid)) <= budget_w {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Fraction::new(lo)
+    }
+
+    /// One lane's test load: a ceiling (`kind` 0 and 1 pin it to 0 and 1),
+    /// a cubic (monotone) or sine (non-monotone) shape of rate `k`, and an
+    /// offset that puts `load(ceiling)` `margin` below the budget when
+    /// `fits`, or `margin` above it.
+    fn test_lane(
+        (raw, kind, monotone, k): (f64, usize, usize, f64),
+        budget_w: f64,
+        fits: bool,
+        margin: f64,
+    ) -> (Fraction, impl Fn(Fraction) -> f64) {
+        let ceiling = Fraction::new(match kind {
+            0 => 0.0,
+            1 => 1.0,
+            _ => raw,
+        });
+        let shape = move |u: Fraction| {
+            let u = u.value();
+            budget_w
+                * if monotone == 1 {
+                    u + k * u * u * u
+                } else {
+                    (k * u).sin()
+                }
+        };
+        let offset = budget_w - shape(ceiling) + if fits { -margin } else { margin };
+        (ceiling, move |u| offset + shape(u))
+    }
+
+    proptest! {
+        #[test]
+        fn lane_bisection_matches_one_lane_bisections(
+            lane0 in (0.0f64..1.0, 0usize..4, 0usize..2, 0.5f64..40.0),
+            lane1 in (0.0f64..1.0, 0usize..4, 0usize..2, 0.5f64..40.0),
+            budget_w in 1.0e3f64..1.0e6,
+            fits in 0usize..4,
+            margin in 1.0e-3f64..1.0e3,
+        ) {
+            // `fits` is a two-bit mask: both lanes, one of them (either
+            // side) or neither feasible at its ceiling.
+            let (c0, load0) = test_lane(lane0, budget_w, fits & 1 != 0, margin);
+            let (c1, load1) = test_lane(lane1, budget_w, fits & 2 != 0, margin);
+            let load = |lane: usize, u: Fraction| if lane == 0 { load0(u) } else { load1(u) };
+            prop_assert_eq!(load0(c0) <= budget_w, fits & 1 != 0);
+            prop_assert_eq!(load1(c1) <= budget_w, fits & 2 != 0);
+
+            let lanes = max_feasible_utils([c0, c1], budget_w, load);
+            for (lane, (got, ceiling)) in lanes.iter().zip([c0, c1]).enumerate() {
+                let alone = max_feasible_util(ceiling, budget_w, |u| load(lane, u));
+                prop_assert_eq!(got.value().to_bits(), alone.value().to_bits(), "lane {lane}");
+            }
+            let [single] = max_feasible_utils([c1], budget_w, |_, u| load1(u));
+            prop_assert_eq!(single.value().to_bits(), lanes[1].value().to_bits());
+        }
+    }
 
     fn cluster_for(class: ServerClass) -> ClusterConfig {
         let spec = class.spec();
@@ -543,6 +653,64 @@ mod tests {
         let (g35, g40) = (gain_at(35.0), gain_at(40.0));
         assert!(g35 > 1.5, "35 °C gain {g35}");
         assert!(g40 > 1.0 && g40 < g35, "40 °C gain {g40} vs 35 °C {g35}");
+    }
+
+    /// FNV-1a over the bits of every series (length first) and scalar of
+    /// `run`.
+    fn fingerprint(run: &ConstrainedRun) -> u64 {
+        let mut bytes = Vec::new();
+        for series in [
+            &run.times_h,
+            &run.ideal,
+            &run.no_wax,
+            &run.with_wax,
+            &run.melt_fraction,
+        ] {
+            bytes.extend_from_slice(&(series.len() as u64).to_le_bytes());
+            for x in series {
+                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+        for x in [
+            run.norm_base,
+            run.peak_gain,
+            run.delay_hours,
+            run.boosted_hours,
+        ] {
+            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        tts_units::fnv1a64(&bytes)
+    }
+
+    /// `run_constrained`'s output bits away from the sweep: every class at
+    /// the paper's limit and the 1U at the tight 20 % limit, where the
+    /// gain passes 100 %. Recorded before the two frequency bisections
+    /// were stepped in one loop; any change to the bisection, the power
+    /// model or the wax step moves one of these.
+    #[test]
+    fn constrained_runs_are_pinned() {
+        let trace = GoogleTrace::default_two_day();
+        let fingerprint_at = |class: ServerClass, sustainable: f64| {
+            let cfg = cluster_for(class);
+            let limit = cfg.thermal_limit(Fraction::new(sustainable));
+            let run = run_constrained(&cfg, limit, trace.total(), &MetricsSink::disabled());
+            fingerprint(&run)
+        };
+        let got = [
+            fingerprint_at(ServerClass::LowPower1U, 0.71),
+            fingerprint_at(ServerClass::HighThroughput2U, 0.71),
+            fingerprint_at(ServerClass::OpenComputeBlade, 0.71),
+            fingerprint_at(ServerClass::LowPower1U, 0.2),
+        ];
+        let pinned: [u64; 4] = [
+            0x06f2_eee1_273b_25e7,
+            0x40e9_301a_6b0a_f9af,
+            0x9164_1494_eaa0_ee11,
+            0xaa83_5297_8505_7e4d,
+        ];
+        for (i, (g, p)) in got.iter().zip(&pinned).enumerate() {
+            assert_eq!(g, p, "case {i}: fingerprint {g:#018x}, pinned {p:#018x}");
+        }
     }
 
     #[test]

@@ -82,6 +82,7 @@ impl EnthalpyCurve {
     }
 
     /// Specific enthalpy at a temperature, J/g relative to 0 °C.
+    #[inline]
     pub fn enthalpy_at(&self, t: Celsius) -> JoulesPerGram {
         let t = t.value();
         let h = if t <= self.t_sol {

@@ -245,6 +245,7 @@ impl Relaxation {
     /// The step's integrator: relaxes the wax toward `air_temp` and returns
     /// the end-of-step specific enthalpy and the heat absorbed (positive
     /// while melting, negative while releasing).
+    #[inline]
     fn settle(&self, curve: &EnthalpyCurve, mass: Grams, air_temp: Celsius) -> (f64, Watts) {
         let dt_k = (air_temp - self.t_wax).value() * self.alpha;
         // Specific enthalpy absorbed this step, J/g. The relaxation's fixed

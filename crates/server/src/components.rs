@@ -79,6 +79,7 @@ tts_units::derive_json! { struct MemorySpec { dimms, idle_per_dimm, peak_per_dim
 
 impl MemorySpec {
     /// Total DRAM power at a utilization.
+    #[inline]
     pub fn power(&self, utilization: Fraction) -> Watts {
         let per = utilization.value().mul_add(
             (self.peak_per_dimm - self.idle_per_dimm).value(),
@@ -102,6 +103,7 @@ tts_units::derive_json! { struct PsuSpec { efficiency_idle, efficiency_loaded } 
 
 impl PsuSpec {
     /// Efficiency at a given utilization (linear interpolation).
+    #[inline]
     pub fn efficiency(&self, utilization: Fraction) -> Fraction {
         Fraction::new(utilization.value().mul_add(
             (self.efficiency_loaded.value() - self.efficiency_idle.value()).max(-1.0),
@@ -111,6 +113,7 @@ impl PsuSpec {
 
     /// Wall (input) power needed to deliver `internal` watts at the given
     /// utilization.
+    #[inline]
     pub fn wall_power(&self, internal: Watts, utilization: Fraction) -> Watts {
         internal / self.efficiency(utilization).value()
     }
@@ -134,6 +137,7 @@ tts_units::derive_json! { struct DrivesSpec { idle, peak } }
 
 impl DrivesSpec {
     /// Drive power at a utilization.
+    #[inline]
     pub fn power(&self, utilization: Fraction) -> Watts {
         Watts::new(
             utilization
@@ -165,6 +169,7 @@ tts_units::derive_json! { struct FansSpec { count, rated_each, idle_speed, loade
 
 impl FansSpec {
     /// Fan speed (fraction of full) at a utilization.
+    #[inline]
     pub fn speed(&self, utilization: Fraction) -> Fraction {
         Fraction::new(utilization.value().mul_add(
             self.loaded_speed.value() - self.idle_speed.value(),
@@ -173,6 +178,7 @@ impl FansSpec {
     }
 
     /// Electrical power of all fans at a utilization (fan power ∝ speed³).
+    #[inline]
     pub fn power(&self, utilization: Fraction) -> Watts {
         let s = self.speed(utilization).value();
         Watts::new(self.rated_each.value() * self.count as f64 * s.powi(3))

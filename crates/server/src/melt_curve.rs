@@ -32,6 +32,7 @@ tts_units::derive_json! { struct LinearAirTemp { t_at_zero, k_per_watt } }
 
 impl LinearAirTemp {
     /// Air temperature at the wax location for a given server power.
+    #[inline]
     pub fn at(&self, power: Watts) -> Celsius {
         self.t_at_zero + TempDelta::new(self.k_per_watt * power.value())
     }

@@ -481,8 +481,13 @@ impl Experiment for Fig12Constrained {
             "fig12",
             "Figure 12: throughput in a thermally constrained datacenter",
         );
-        fig.markdown
-            .push_str("## Figure 12 — constrained throughput\n\n");
+        fig.markdown.push_str(
+            "## Figure 12 — constrained throughput\n\n\
+             A tick counts as boosted when the with-wax throughput exceeds the no-wax peak \
+             by more than 0.1 % (`norm_base × 1.001` in `dcsim::throttle`); each panel's \
+             boosted hours are those ticks' hours over the two-day trace, halved to a day, \
+             set next to the paper's hours.\n\n",
+        );
         for (panel, class) in ["a", "b", "c"].iter().zip(ServerClass::ALL) {
             let study = Scenario::new(class).metrics(ctx.sink()).constrained_study();
             let (paper_gain, paper_hours) = experiments::paper_fig12(class);
