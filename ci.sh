@@ -55,15 +55,16 @@ for src in examples/*.rs; do
 done
 
 echo "==> smoke benches (thermal_solver, fig7_blockage, fig12_throughput)"
-# Three samples apiece: enough to catch a hot-path regression or panic,
-# cheap enough to run on every push. The thermal_solver report is kept
-# and gated against BENCH_baseline.json below.
+# Ten samples apiece (the harness's fixed count): enough to catch a
+# hot-path regression or panic, cheap enough to run on every push. The
+# thermal_solver report is kept and gated against BENCH_baseline.json
+# below.
 TMPDIR_CI="$(mktemp -d)"
 trap 'rm -rf "$TMPDIR_CI"' EXIT
-TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/thermal_solver.json" \
+TTS_BENCH_OUT="$TMPDIR_CI/thermal_solver.json" \
   cargo bench --offline -q -p tts-bench --bench thermal_solver
-TTS_BENCH_SAMPLES=3 cargo bench --offline -q -p tts-bench --bench fig7_blockage
-TTS_BENCH_SAMPLES=3 cargo bench --offline -q -p tts-bench --bench fig12_throughput
+cargo bench --offline -q -p tts-bench --bench fig7_blockage
+cargo bench --offline -q -p tts-bench --bench fig12_throughput
 
 echo "==> metrics sidecar smoke (fig7, fig11 and fig12, byte-identical across thread counts)"
 # The observability layer must not perturb determinism: the same run at
@@ -238,17 +239,23 @@ echo "==> fleet bench gate (server-step throughput within 20% of BENCH_fleet.jso
 # engine clears the legacy engine by ~7,000x, so a 20% drift is noise
 # while any real regression (say, falling back to per-job events)
 # overshoots it by orders of magnitude.
-TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/fleet_engine.json" \
+TTS_BENCH_OUT="$TMPDIR_CI/fleet_engine.json" \
   cargo bench --offline -q -p tts-bench --bench fleet_engine
 bench_gate "$TMPDIR_CI/fleet_engine.json" BENCH_fleet.json 20 "fleet bench gate"
 
-echo "==> fig11/fig12 series (byte-identical to the committed results at 4 threads)"
-# The golden tests compare these figures to a 1e-9 relative error; this
+echo "==> fig7/fig11/fig12/scenarios series (byte-identical to the committed results at 4 threads)"
+# The golden tests compare fig11 and fig12 to a 1e-9 relative error; this
 # step holds the melting-point sweeps behind them to the committed bytes
 # at a second worker count (the golden record step runs one thread).
-(cd "$TMPDIR_CI" && TTS_THREADS=4 "$REPRO_ABS" fig11 --write > /dev/null \
-  && TTS_THREADS=4 "$REPRO_ABS" fig12 --write > /dev/null)
-for f in fig11.summary fig11a fig11b fig11c fig12.summary fig12a fig12b fig12c; do
+# fig7 loops over its classes around each class's blockage sweep, and
+# the scenario matrix over its trace studies around their candidate
+# sweeps, so a fanned-out map nests in neither: their results are held
+# here too.
+for exp in fig7 fig11 fig12 scenarios; do
+  (cd "$TMPDIR_CI" && TTS_THREADS=4 "$REPRO_ABS" "$exp" --write > /dev/null)
+done
+for f in fig7.summary fig11.summary fig11a fig11b fig11c fig12.summary fig12a fig12b fig12c \
+  scenarios.summary scenarios; do
   cmp "results/$f.json" "$TMPDIR_CI/results/$f.json"
 done
 
@@ -276,7 +283,7 @@ echo "==> schedule bench gate (plan latency within 25% of BENCH_schedule.json)"
 # rows or the pivot row's columns. The 25% tolerance rides out shared-box
 # noise; a real regression (pivot-rule breakage, fill-in blow-up, a
 # return to dense O(m) or O(m·n) passes) is multiples, not percent.
-TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/schedule_plan.json" \
+TTS_BENCH_OUT="$TMPDIR_CI/schedule_plan.json" \
   cargo bench --offline -q -p tts-bench --bench schedule_plan
 bench_gate "$TMPDIR_CI/schedule_plan.json" BENCH_schedule.json 25 "schedule bench gate"
 
@@ -321,7 +328,7 @@ echo "==> design bench gate (search latency within 25% of BENCH_design.json)"
 # objective) and the end-to-end paper-space search against the real
 # dcsim oracle. 25% rides out shared-box noise; a real regression
 # (surrogate refit blow-up, memo miss storm) lands in multiples.
-TTS_BENCH_SAMPLES=3 TTS_BENCH_OUT="$TMPDIR_CI/design_search.json" \
+TTS_BENCH_OUT="$TMPDIR_CI/design_search.json" \
   cargo bench --offline -q -p tts-bench --bench design_search
 bench_gate "$TMPDIR_CI/design_search.json" BENCH_design.json 25 "design bench gate"
 

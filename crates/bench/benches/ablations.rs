@@ -50,7 +50,6 @@ fn bench_balancers(c: &mut Criterion) {
     let trace = TimeSeries::new(Seconds::new(60.0), vec![0.7; 30]);
     let jobs = JobStream::new(trace, JobType::SocialNetworking, 32, 7).collect_all();
     let mut group = c.benchmark_group("ablation_balancer");
-    group.sample_size(10);
     group.bench_function("round_robin", |b| {
         b.iter_batched(
             || discrete_32x4(RoundRobin::new()),
@@ -81,7 +80,6 @@ fn bench_melting_selection(c: &mut Criterion) {
     );
     let config = ClusterConfig::paper_cluster(spec, chars);
     let mut group = c.benchmark_group("ablation_melting_point");
-    group.sample_size(10);
     group.bench_function("fixed_39C_retail_wax", |b| {
         let cfg = config.with_melting_point(Celsius::new(39.0));
         b.iter(|| {

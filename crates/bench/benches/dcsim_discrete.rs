@@ -15,7 +15,6 @@ fn jobs_for(servers: usize, minutes: usize) -> Vec<Job> {
 
 fn bench_discrete(c: &mut Criterion) {
     let mut group = c.benchmark_group("dcsim_discrete");
-    group.sample_size(10);
     for servers in [16usize, 64] {
         let jobs = jobs_for(servers, 30);
         group.throughput(Throughput::Elements(jobs.len() as u64));

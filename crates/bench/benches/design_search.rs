@@ -32,7 +32,6 @@ impl Objective for Sphere {
 
 fn bench_design(c: &mut Criterion) {
     let mut group = c.benchmark_group("design_search");
-    group.sample_size(10);
 
     // Optimizer overhead: 120 evaluations of a free objective.
     let space = DesignSpace::new(

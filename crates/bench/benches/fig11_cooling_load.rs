@@ -19,7 +19,6 @@ use tts_workload::GoogleTrace;
 fn bench_fig11(c: &mut Criterion) {
     let trace = GoogleTrace::default_two_day();
     let mut group = c.benchmark_group("fig11_cooling_load");
-    group.sample_size(10);
     for class in ServerClass::ALL {
         let spec = class.spec();
         let chars = ServerWaxCharacteristics::extract(

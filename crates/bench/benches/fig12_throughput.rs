@@ -16,7 +16,6 @@ use tts_workload::GoogleTrace;
 fn bench_fig12(c: &mut Criterion) {
     let trace = GoogleTrace::default_two_day();
     let mut group = c.benchmark_group("fig12_constrained_throughput");
-    group.sample_size(10);
     for class in ServerClass::ALL {
         let spec = class.spec();
         let chars = ServerWaxCharacteristics::extract(

@@ -11,7 +11,6 @@ use tts_server::ServerClass;
 
 fn bench_fig7(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7_blockage_sweep");
-    group.sample_size(10);
     for class in ServerClass::ALL {
         let spec = class.spec();
         group.bench_function(format!("{class}"), |b| {

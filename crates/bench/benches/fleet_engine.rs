@@ -39,7 +39,6 @@ fn fleet(servers: usize, horizon_h: f64) -> FleetSim {
 
 fn bench_fleet(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_engine");
-    group.sample_size(10);
 
     // The headline scale point: 100k servers, six diurnal hours.
     let (servers, horizon_h) = (100_000usize, 6.0);

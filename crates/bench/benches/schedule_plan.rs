@@ -52,7 +52,6 @@ fn default_model() -> HorizonModel {
 
 fn bench_schedule(c: &mut Criterion) {
     let mut group = c.benchmark_group("schedule_plan");
-    group.sample_size(10);
 
     // One LP solve at the default horizon shape: the unit of work the
     // controller pays every `replan_every` slots.

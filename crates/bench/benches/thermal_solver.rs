@@ -49,7 +49,6 @@ fn bench_network_step(c: &mut Criterion) {
 
 fn bench_server_model(c: &mut Criterion) {
     let mut group = c.benchmark_group("server_model");
-    group.sample_size(10);
     for class in ServerClass::ALL {
         group.bench_function(format!("steady_state_{class}"), |b| {
             b.iter_batched(

@@ -19,7 +19,6 @@ fn bench_trace_generation(c: &mut Criterion) {
 fn bench_job_stream(c: &mut Criterion) {
     let trace = GoogleTrace::default_two_day();
     let mut group = c.benchmark_group("job_stream");
-    group.sample_size(10);
     // MapReduce on 50 servers over two days: ~10^5 jobs.
     let count = JobStream::new(trace.total().clone(), JobType::MapReduce, 50, 1)
         .collect_all()

@@ -23,9 +23,10 @@
 //! results as JSON under `results/`; a failed write ends the run with
 //! exit 1. Progress and timing go to stderr.
 //!
-//! `--threads N` pins the `tts_exec` worker count for every sweep in the
-//! run (overriding `TTS_THREADS` and the machine default). Results are
-//! byte-identical at any thread count — see the determinism tests.
+//! `--threads N` runs the whole command under an N-thread
+//! `tts_exec::with_thread_budget` lease, which takes precedence over
+//! `TTS_THREADS` and the machine default. Results are byte-identical at
+//! any thread count — see the determinism tests.
 //!
 //! `--metrics PATH` collects observability data (counters, gauges,
 //! histograms, span timers — see `tts_obs`) across every experiment in the
@@ -96,19 +97,32 @@ fn main() {
     if args.first().map(String::as_str) == Some("chaos") {
         std::process::exit(chaos(&args[1..]));
     }
+    let cli = parse_cli(&args).unwrap_or_else(|msg| {
+        eprintln!("repro: {msg}\n{}", usage());
+        std::process::exit(2);
+    });
+    with_threads(cli.threads, || regenerate(cli));
+}
+
+/// Runs `f` under a `threads`-wide [`tts_exec::with_thread_budget`] lease
+/// when `--threads` gave one, else at the default width.
+fn with_threads<R>(threads: Option<usize>, f: impl FnOnce() -> R) -> R {
+    match threads {
+        Some(n) => tts_exec::with_thread_budget(n, f),
+        None => f(),
+    }
+}
+
+/// Renders the selected artifacts, and files them with `--write`.
+fn regenerate(cli: Cli) {
     let Cli {
         write,
-        threads,
         metrics,
         wall_unix,
         artifacts,
         params,
-    } = parse_cli(&args).unwrap_or_else(|msg| {
-        eprintln!("repro: {msg}\n{}", usage());
-        std::process::exit(2);
-    });
-    tts_exec::set_thread_override(threads);
-
+        ..
+    } = cli;
     let ctx = if metrics.is_some() {
         ExecCtx::with_metrics()
     } else {
@@ -517,14 +531,15 @@ fn bench_check(args: &[String]) -> i32 {
 /// Exit codes: `0` all invariants held, `1` violations (each with its
 /// replay line), `2` usage error.
 fn chaos(args: &[String]) -> i32 {
-    use tts_chaos::{run_batch, run_plan, run_scenario, BatchConfig, FaultPlan};
-    use tts_units::json::{FromJson, Json, ToJson};
+    use tts_chaos::{BatchConfig, FaultPlan};
+    use tts_units::json::FromJson;
 
     let mut seeds: usize = 16;
     let mut seed: Option<u64> = None;
     let mut plan_path: Option<String> = None;
     let mut summary_path = "results/chaos.summary.json".to_string();
     let mut storm = true;
+    let mut threads: Option<usize> = None;
     let parse_u64 = |raw: &str| -> Option<u64> {
         match raw.strip_prefix("0x") {
             Some(hex) => u64::from_str_radix(hex, 16).ok(),
@@ -564,7 +579,7 @@ fn chaos(args: &[String]) -> i32 {
             },
             "--no-storm" => storm = false,
             "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => tts_exec::set_thread_override(Some(n)),
+                Some(n) if n >= 1 => threads = Some(n),
                 _ => {
                     eprintln!("chaos: --threads requires a positive integer");
                     return 2;
@@ -602,11 +617,27 @@ fn chaos(args: &[String]) -> i32 {
         }
         None => None,
     };
+    with_threads(threads, || {
+        run_chaos(&cfg, seed, plan.as_ref(), &summary_path, storm)
+    })
+}
+
+/// The `chaos` run once its command line is parsed: the replay of one
+/// `seed` or `plan`, or the batch and storm that write `summary_path`.
+fn run_chaos(
+    cfg: &tts_chaos::BatchConfig,
+    seed: Option<u64>,
+    plan: Option<&tts_chaos::FaultPlan>,
+    summary_path: &str,
+    storm: bool,
+) -> i32 {
+    use tts_chaos::{run_batch, run_plan, run_scenario};
+    use tts_units::json::{Json, ToJson};
 
     // Single-scenario replay: the target of the printed one-liner.
     if seed.is_some() || plan.is_some() {
         let seed = seed.unwrap_or(0);
-        let report = match &plan {
+        let report = match plan {
             Some(plan) => run_plan(seed, cfg.servers, plan),
             None => run_scenario(seed, cfg.servers),
         };
@@ -628,7 +659,7 @@ fn chaos(args: &[String]) -> i32 {
     }
 
     // Batch mode: the CI gate.
-    let summary = run_batch(&cfg);
+    let summary = run_batch(cfg);
     println!(
         "chaos: {} scenarios from base seed {:#x}: {} checks, {} violation(s)",
         summary.scenarios,
@@ -655,10 +686,10 @@ fn chaos(args: &[String]) -> i32 {
         doc.push(("storm".to_string(), report.deterministic_json()));
     }
     let json = Json::Obj(doc).to_string_pretty();
-    if let Some(dir) = std::path::Path::new(&summary_path).parent() {
+    if let Some(dir) = std::path::Path::new(summary_path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    if let Err(e) = std::fs::write(&summary_path, &json) {
+    if let Err(e) = std::fs::write(summary_path, &json) {
         eprintln!("chaos: cannot write {summary_path}: {e}");
         return 2;
     }

@@ -6,9 +6,8 @@
 //! — hermetically. Unlike criterion's, `iter_batched` takes no batch-size
 //! hint: it re-runs the setup closure for every timed call.
 //!
-//! Each benchmark is measured as `sample_size` wall-clock samples (default
-//! 10, `TTS_BENCH_SAMPLES` overrides); fast routines are auto-batched so a
-//! sample is never shorter than ~1 ms. Results print as one line per bench
+//! Each benchmark is measured as [`SAMPLES`] wall-clock samples; fast
+//! routines are auto-batched so a sample is never shorter than ~1 ms. Results print as one line per bench
 //! and are written as a JSON report (via the in-repo `tts_units::json`
 //! layer) to `TTS_BENCH_OUT`, defaulting to
 //! `target/tts-bench/<binary>.json`.
@@ -20,6 +19,9 @@ use std::time::{Duration, Instant};
 use tts_units::json::{Json, ToJson};
 
 pub use crate::{criterion_group, criterion_main};
+
+/// Timed samples per benchmark.
+pub const SAMPLES: u64 = 10;
 
 /// Smallest target duration for one timed sample; fast routines are run in
 /// batches of iterations until a sample reaches this.
@@ -77,7 +79,6 @@ impl Criterion {
         BenchmarkGroup {
             criterion: self,
             name: name.into(),
-            sample_size: default_samples(),
             throughput: None,
         }
     }
@@ -88,7 +89,7 @@ impl Criterion {
         id: impl Into<String>,
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
-        let r = measure(id.into(), default_samples(), None, f);
+        let r = measure(id.into(), SAMPLES, None, f);
         self.push(r);
         self
     }
@@ -129,14 +130,6 @@ impl Criterion {
             Err(e) => eprintln!("could not write bench report to {path}: {e}"),
         }
     }
-}
-
-fn default_samples() -> u64 {
-    std::env::var("TTS_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10)
-        .max(1)
 }
 
 fn report_path() -> String {
@@ -186,21 +179,14 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// A named collection of benchmarks sharing sample settings.
+/// A named collection of benchmarks sharing a throughput setting.
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
-    sample_size: u64,
     throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Sets the number of timed samples per benchmark in this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = (n as u64).max(1);
-        self
-    }
-
     /// Declares the per-iteration throughput for subsequent benchmarks.
     pub fn throughput(&mut self, t: Throughput) -> &mut Self {
         self.throughput = Some(t);
@@ -214,7 +200,7 @@ impl BenchmarkGroup<'_> {
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         let name = format!("{}/{}", self.name, id.into());
-        let r = measure(name, self.sample_size, self.throughput, f);
+        let r = measure(name, SAMPLES, self.throughput, f);
         self.criterion.push(r);
         self
     }

@@ -71,11 +71,11 @@ fn batches_are_byte_identical_across_thread_counts() {
         seeds: 6,
         ..BatchConfig::default()
     };
-    tts_exec::set_thread_override(Some(1));
-    let serial = run_batch(&cfg).to_json().to_string_pretty();
-    tts_exec::set_thread_override(Some(4));
-    let parallel = run_batch(&cfg).to_json().to_string_pretty();
-    tts_exec::set_thread_override(None);
+    let render = |threads| {
+        tts_exec::with_thread_budget(threads, || run_batch(&cfg).to_json().to_string_pretty())
+    };
+    let serial = render(1);
+    let parallel = render(4);
     assert_eq!(serial, parallel, "TTS_THREADS must never change the bytes");
 }
 

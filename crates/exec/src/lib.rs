@@ -27,23 +27,25 @@
 //! on workers it spawns once per run instead, because a spawn per 60-s
 //! epoch cost more than the epoch's work.
 //!
-//! # Thread-count resolution
+//! # Width
 //!
-//! 1. a *thread-local* budget installed by [`with_thread_budget`] (used by
-//!    the serving layer's partitioned scheduler to lease a slice of the
-//!    host budget to one experiment run without perturbing its neighbors),
-//! 2. a process-wide override set via [`set_thread_override`] (used by the
-//!    `repro --threads N` flag and the determinism tests),
-//! 3. the `TTS_THREADS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//! [`thread_count`] resolves the width of a map on the thread that calls
+//! it, in three steps:
 //!
-//! The thread-local budget is read on the thread that *calls* `par_map`;
-//! worker threads spawned by it fall back to the process-wide resolution,
-//! which is safe because the determinism contract makes worker counts
-//! unobservable in results.
+//! 1. the calling thread's lease, installed by [`with_thread_budget`]
+//!    (`repro --threads N`, the serving layer's scheduler, perfbench),
+//! 2. the `TTS_THREADS` environment variable,
+//! 3. [`std::thread::available_parallelism`].
 //!
-//! At one thread every entry point degrades to the plain serial loop on
-//! the calling thread — no pool, no atomics, no spawn.
+//! A map of n items runs at width w = min([`thread_count`], n). At
+//! w ≤ 1 it is the plain serial loop on the calling thread — no spawn, no
+//! atomics — and the caller's lease stays in force, so a map nested in a
+//! narrow one can still fan out. At w > 1 it spawns w − 1 threads and the
+//! caller runs worker 0, and every worker runs its items under
+//! `with_thread_budget(1, …)`: a map nested in a fanned-out item, or a
+//! fleet run inside one, runs serially, so one call never occupies more
+//! than w threads. The determinism contract makes the width unobservable
+//! in results.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -53,9 +55,6 @@ use tts_obs::{Determinism, MetricsSink};
 pub mod pool;
 
 pub use pool::WorkerPool;
-
-/// Process-wide thread-count override; 0 means "no override".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Fast-path flag mirroring whether [`METRICS`] holds an enabled sink, so
 /// the disabled path never touches the mutex.
@@ -92,24 +91,6 @@ const TASKS_PER_WORKER_EDGES: [f64; 11] = [
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
 ];
 
-/// Overrides the thread count for every subsequent call in this process
-/// (`None` clears the override). Intended for CLI flags (`--threads N`)
-/// and tests; concurrent sweeps observe the new value on their next call.
-pub fn set_thread_override(threads: Option<usize>) {
-    THREAD_OVERRIDE.store(threads.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The current process-wide override set via [`set_thread_override`], if
-/// any. Callers that override temporarily (e.g. a per-request `threads`
-/// parameter in the serving layer) read this first so they can restore
-/// the previous value afterwards.
-pub fn thread_override() -> Option<usize> {
-    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
 thread_local! {
     /// Per-thread worker budget; 0 means "no lease on this thread".
     static THREAD_BUDGET: Cell<usize> = const { Cell::new(0) };
@@ -117,11 +98,10 @@ thread_local! {
 
 /// Runs `f` with this thread's worker budget pinned to `threads`: every
 /// [`thread_count`]-resolving call made *on this thread* inside `f` uses
-/// the leased count, taking precedence over the process-wide override and
-/// the environment. Nested leases shadow outer ones; the previous budget
-/// is restored on exit (including unwinds). This is what lets concurrent
-/// experiment runs hold independent slices of one host budget without the
-/// save/set/restore race a process-global override would force.
+/// the leased count, taking precedence over the environment. Nested
+/// leases shadow outer ones; the previous budget is restored on exit
+/// (including unwinds). Being thread-local, a lease lets concurrent runs
+/// hold independent slices of one host budget.
 pub fn with_thread_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
@@ -142,18 +122,12 @@ pub fn thread_budget() -> Option<usize> {
     }
 }
 
-/// The thread count used by [`par_map`]: the calling
-/// thread's [`with_thread_budget`] lease if inside one, else the
-/// [`set_thread_override`] value if set, else `TTS_THREADS`, else the
-/// machine's available parallelism. Always at least 1.
+/// The thread count used by [`par_map`]: the calling thread's
+/// [`with_thread_budget`] lease if inside one, else `TTS_THREADS`, else
+/// the machine's available parallelism. Always at least 1.
 pub fn thread_count() -> usize {
-    let leased = THREAD_BUDGET.with(Cell::get);
-    if leased > 0 {
+    if let Some(leased) = thread_budget() {
         return leased;
-    }
-    let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
     }
     if let Some(n) = std::env::var("TTS_THREADS")
         .ok()
@@ -166,8 +140,8 @@ pub fn thread_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Applies `f` to every item, returning results **in input order**. Uses
-/// [`thread_count`] workers; see the crate docs for the determinism
+/// Applies `f` to every item, returning results **in input order**. Runs
+/// at the width the crate docs describe; see them for the determinism
 /// contract.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
@@ -205,43 +179,42 @@ where
     }
 
     let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, U)> = Vec::with_capacity(items.len());
-    let mut worker_loads: Vec<u64> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(&items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
+    // One worker's share: the items it claims, tagged with their index and
+    // run at width 1.
+    let drain = || {
+        with_thread_budget(1, || {
+            let mut out = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items.len() {
+                    break;
+                }
+                out.push((i, f(&items[i])));
+            }
+            out
+        })
+    };
+    let parts: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut parts = vec![drain()];
         for h in handles {
             match h.join() {
-                Ok(part) => {
-                    worker_loads.push(part.len() as u64);
-                    tagged.extend(part);
-                }
+                Ok(part) => parts.push(part),
                 // Re-raise a worker panic on the caller, preserving the
                 // payload (mirrors what the serial loop would do).
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
+        parts
     });
     if let Some(sink) = &obs {
-        record_worker_stats(sink, &worker_loads);
+        let loads: Vec<u64> = parts.iter().map(|part| part.len() as u64).collect();
+        record_worker_stats(sink, &loads);
     }
 
     // Reassemble in input order. Every index appears exactly once.
     let mut slots: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    for (i, v) in tagged {
+    for (i, v) in parts.into_iter().flatten() {
         debug_assert!(slots[i].is_none(), "index {i} computed twice");
         slots[i] = Some(v);
     }
@@ -274,6 +247,7 @@ fn record_worker_stats(sink: &MetricsSink, loads: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn results_are_in_input_order() {
@@ -327,43 +301,25 @@ mod tests {
     }
 
     #[test]
-    fn override_beats_env_and_is_clearable() {
-        set_thread_override(Some(3));
-        assert_eq!(thread_count(), 3);
-        set_thread_override(None);
-        assert!(thread_count() >= 1);
-    }
-
-    #[test]
-    fn thread_budget_shadows_global_override_and_restores() {
-        // Run on a dedicated thread so other tests' global-override calls
-        // cannot interleave with the assertion on the global fallback.
-        std::thread::spawn(|| {
-            assert_eq!(thread_budget(), None);
-            with_thread_budget(3, || {
-                assert_eq!(thread_budget(), Some(3));
-                assert_eq!(thread_count(), 3);
-                with_thread_budget(5, || assert_eq!(thread_count(), 5));
-                // Inner lease restored to the outer one, not cleared.
-                assert_eq!(thread_count(), 3);
-            });
-            assert_eq!(thread_budget(), None);
-        })
-        .join()
-        .expect("budget thread");
+    fn thread_budget_nests_and_restores() {
+        assert_eq!(thread_budget(), None);
+        with_thread_budget(3, || {
+            assert_eq!(thread_budget(), Some(3));
+            assert_eq!(thread_count(), 3);
+            with_thread_budget(5, || assert_eq!(thread_count(), 5));
+            // Inner lease restored to the outer one, not cleared.
+            assert_eq!(thread_count(), 3);
+        });
+        assert_eq!(thread_budget(), None);
     }
 
     #[test]
     fn thread_budget_restored_across_unwind() {
-        std::thread::spawn(|| {
-            let caught = std::panic::catch_unwind(|| {
-                with_thread_budget(7, || panic!("inside lease"));
-            });
-            assert!(caught.is_err());
-            assert_eq!(thread_budget(), None, "lease must not leak past unwind");
-        })
-        .join()
-        .expect("unwind thread");
+        let caught = std::panic::catch_unwind(|| {
+            with_thread_budget(7, || panic!("inside lease"));
+        });
+        assert!(caught.is_err());
+        assert_eq!(thread_budget(), None, "lease must not leak past unwind");
     }
 
     #[test]
@@ -374,6 +330,75 @@ mod tests {
                 .expect("spawned probe");
             assert_eq!(other, None, "lease must not leak to other threads");
             assert_eq!(thread_budget(), Some(4));
+        });
+    }
+
+    /// Holds each of `n` items until all `n` have started, so a width-`n`
+    /// map puts exactly one item on each of its workers.
+    fn rendezvous(arrived: &AtomicUsize, n: usize) {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while arrived.load(Ordering::SeqCst) < n {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{n} items never ran at once"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_fanned_out_item_runs_at_width_one() {
+        let caller = std::thread::current().id();
+        let arrived = AtomicUsize::new(0);
+        let inner: Vec<u32> = (0..16).collect();
+        let seen = par_map_with(4, &[0, 1, 2, 3], |_| {
+            rendezvous(&arrived, 4);
+            let me = std::thread::current().id();
+            let nested = par_map(&inner, |_| std::thread::current().id());
+            (me, thread_budget(), nested)
+        });
+        assert!(
+            seen.iter().any(|(id, _, _)| *id != caller),
+            "no spawned worker"
+        );
+        for (id, budget, nested) in &seen {
+            assert_eq!(*budget, Some(1), "an item runs under a width-1 lease");
+            assert!(
+                nested.iter().all(|inner_id| inner_id == id),
+                "a nested map runs on its item's thread"
+            );
+        }
+    }
+
+    #[test]
+    fn a_width_w_map_runs_on_w_threads_the_callers_included() {
+        let caller = std::thread::current().id();
+        for w in [2, 3, 5] {
+            let arrived = AtomicUsize::new(0);
+            let items: Vec<usize> = (0..w).collect();
+            let ids = par_map_with(w, &items, |_| {
+                rendezvous(&arrived, w);
+                std::thread::current().id()
+            });
+            let distinct: HashSet<_> = ids.into_iter().collect();
+            assert_eq!(distinct.len(), w, "width {w}");
+            assert!(distinct.contains(&caller), "the caller runs worker 0");
+
+            let many: Vec<usize> = (0..200).collect();
+            let ids = par_map_with(w, &many, |_| std::thread::current().id());
+            let distinct: HashSet<_> = ids.into_iter().collect();
+            assert!(distinct.len() <= w, "width {w}: {} threads", distinct.len());
+        }
+    }
+
+    #[test]
+    fn a_serial_map_keeps_the_callers_lease() {
+        with_thread_budget(3, || {
+            // Width 1 by count, and width 1 by a single item.
+            let narrow = par_map_with(1, &[0, 1], |_| thread_budget());
+            assert_eq!(narrow, vec![Some(3), Some(3)]);
+            assert_eq!(par_map(&[0], |_| thread_count()), vec![3]);
         });
     }
 

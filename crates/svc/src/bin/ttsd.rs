@@ -1,8 +1,8 @@
 //! `ttsd` — the thermal-time-shifting simulation daemon.
 //!
 //! ```text
-//! ttsd [--addr HOST:PORT] [--workers N] [--queue N] [--threads N]
-//!      [--budget N] [--max-jobs N] [--cache-mb N] [--cache-dir PATH]
+//! ttsd [--addr HOST:PORT] [--workers N] [--queue N] [--budget N]
+//!      [--max-jobs N] [--cache-mb N] [--cache-dir PATH]
 //!      [--port-file PATH] [--metrics-out PATH] [--debug] [--no-stdin-watch]
 //! ttsd req <HOST:PORT> <METHOD> <PATH> [--body JSON] [<METHOD> <PATH> [--body JSON]]…
 //! ttsd loadgen [--duration-ms N] [--out PATH]
@@ -13,9 +13,10 @@
 //! Experiment API over persistent connections, and shuts down gracefully
 //! on `POST /admin/shutdown` or stdin EOF (disable the watcher with
 //! `--no-stdin-watch` when backgrounding with a closed stdin).
-//! `--threads N` pins the executor worker count; `--budget N` sets the
-//! run scheduler's leaseable worker budget — results are byte-identical
-//! at any thread count or budget split. `--cache-dir` persists cached
+//! `--budget N` sets the run scheduler's leaseable worker budget (default
+//! `TTS_THREADS`, else the machine's available parallelism); every run
+//! executes under a lease on a slice of it, and results are
+//! byte-identical at any budget split. `--cache-dir` persists cached
 //! summaries across restarts; `--cache-mb` caps the in-memory cache.
 //!
 //! `ttsd req` is a minimal wire client for environments without `curl`:
@@ -46,8 +47,8 @@ fn main() {
 fn usage_error(message: &str) -> ! {
     eprintln!("ttsd: {message}");
     eprintln!(
-        "usage: ttsd [--addr HOST:PORT] [--workers N] [--queue N] [--threads N]\n\
-         \x20            [--budget N] [--max-jobs N] [--cache-mb N] [--cache-dir PATH]\n\
+        "usage: ttsd [--addr HOST:PORT] [--workers N] [--queue N] [--budget N]\n\
+         \x20            [--max-jobs N] [--cache-mb N] [--cache-dir PATH]\n\
          \x20            [--port-file PATH] [--metrics-out PATH] [--debug] [--no-stdin-watch]\n\
          \x20      ttsd req <HOST:PORT> <METHOD> <PATH> [--body JSON] [<METHOD> <PATH> …]\n\
          \x20      ttsd loadgen [--duration-ms N] [--out PATH]"
@@ -57,7 +58,6 @@ fn usage_error(message: &str) -> ! {
 
 fn daemon(args: &[String]) -> i32 {
     let mut config = ServerConfig::default();
-    let mut threads: Option<usize> = None;
     let mut port_file: Option<String> = None;
     let mut stdin_watch = true;
     let mut it = args.iter();
@@ -71,7 +71,6 @@ fn daemon(args: &[String]) -> i32 {
             "--addr" => config.addr = value("--addr"),
             "--workers" => config.workers = parse_count("--workers", &value("--workers")),
             "--queue" => config.queue_cap = parse_count("--queue", &value("--queue")),
-            "--threads" => threads = Some(parse_count("--threads", &value("--threads"))),
             "--budget" => config.budget = parse_count("--budget", &value("--budget")),
             "--max-jobs" => config.max_jobs = parse_count("--max-jobs", &value("--max-jobs")),
             "--cache-mb" => {
@@ -86,10 +85,6 @@ fn daemon(args: &[String]) -> i32 {
             other => usage_error(&format!("unknown flag {other:?}")),
         }
     }
-    if let Some(n) = threads {
-        tts_exec::set_thread_override(Some(n));
-    }
-
     let sink = MetricsSink::fresh();
     // Route the worker pools' (best-effort) telemetry to the same
     // registry the service reports into.

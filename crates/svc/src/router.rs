@@ -639,13 +639,13 @@ mod tests {
     #[test]
     fn threads_param_runs_under_a_lease_not_a_global_override() {
         let app = app();
-        let before = tts_exec::thread_override();
+        let before = tts_exec::thread_budget();
         let resp = answer(&app, &post("/v1/experiments/fig7", r#"{"threads": 2}"#));
         assert_eq!(resp.status, 200);
         assert_eq!(
-            tts_exec::thread_override(),
+            tts_exec::thread_budget(),
             before,
-            "the global override must not be touched"
+            "the caller's lease must not be touched"
         );
         assert_eq!(app.scheduler().leased(), 0, "lease returned");
     }

@@ -1,14 +1,16 @@
 //! The partitioned thread-budget scheduler.
 //!
 //! Replaces the old global simulation lock: instead of serializing every
-//! experiment run behind one mutex (and a racy save/set/restore of the
-//! process-global thread override), runs acquire a [`Lease`] on a slice
+//! experiment run behind one mutex, runs acquire a [`Lease`] on a slice
 //! of the host's worker budget and execute concurrently under
-//! [`tts_exec::with_thread_budget`]. An 8-thread host can run a 4-thread
-//! `fleet` next to two 2-thread `fig7`s; the repo-wide determinism
-//! contract guarantees the response bytes cannot depend on the split —
-//! only latency can (property-tested in `tests/sched_prop.rs` and
-//! asserted end-to-end in `tests/serve_e2e.rs`).
+//! [`tts_exec::with_thread_budget`]. A lease is a real bound: a
+//! `tts_exec` map fans out to at most its width, counting the calling
+//! thread, and runs every fanned-out item at width 1, so a run's nested
+//! sweeps never add threads. An 8-thread host can run a 4-thread `fleet`
+//! next to two 2-thread `fig7`s on 8 compute threads. The repo-wide
+//! determinism contract guarantees the response bytes cannot depend on
+//! the split — only latency can (property-tested in `tests/sched_prop.rs`
+//! and asserted end-to-end in `tests/serve_e2e.rs`).
 //!
 //! Policy, deliberately simple and starvation-free:
 //!
@@ -171,9 +173,8 @@ impl Lease<'_> {
     }
 
     /// Runs `f` with the calling thread's executor budget pinned to this
-    /// lease's grant: every `tts_exec` sweep inside `f` uses exactly the
-    /// leased worker count, independent of the process-global override or
-    /// the environment.
+    /// lease's grant: every `tts_exec` sweep inside `f` uses at most the
+    /// leased worker count, whatever the environment says.
     pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
         tts_exec::with_thread_budget(self.grant, f)
     }

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 
 use tts_dcsim::balancer::RoundRobin;
 use tts_dcsim::cluster::{
-    default_melting_candidates, melt_onset_load_fraction, select_melting_point,
+    default_melting_candidates, melt_onset_load_fraction, select_melting_point, ClusterConfig,
 };
 use tts_dcsim::discrete;
 use tts_obs::MetricsSink;
@@ -328,12 +328,10 @@ impl Experiment for Fig7Blockage {
         let mut fig = Figure::new("fig7", "Figure 7: temperatures vs. airflow blockage");
         fig.markdown
             .push_str("## Figure 7 — airflow blockage sweeps\n\n");
-        // The three classes are independent sweeps: they run on the
-        // `tts_exec` pool, in paper order at any `TTS_THREADS`.
-        let sweeps = tts_exec::par_map(&ServerClass::ALL, |&c| {
-            (c, default_sweep(&c.spec(), ctx.sink()))
-        });
-        for (class, rows) in sweeps {
+        // The classes run in turn, so each class's ten-point sweep gets
+        // the whole width.
+        for class in ServerClass::ALL {
+            let rows = default_sweep(&class.spec(), ctx.sink());
             let table_rows: Vec<Vec<String>> = rows
                 .iter()
                 .map(|r| {
@@ -436,11 +434,11 @@ impl Experiment for Fig11CoolingLoad {
                 peak_reduction.measured,
                 peak_reduction.paper,
                 study.material.name(),
-                melt_onset_load_fraction(
-                    &scenario
-                        .cluster()
-                        .with_melting_point(study.material.melting_point())
-                ) * 100.0,
+                melt_onset_load_fraction(&ClusterConfig {
+                    spec: scenario.spec(),
+                    servers,
+                    chars: study.chars.clone(),
+                }) * 100.0,
                 study.run.elevated_hours / 2.0
             ));
             fig.comparisons

@@ -229,7 +229,9 @@ pub fn run_matrix(config: &MatrixConfig) -> MatrixResult {
 
     // The expensive per-trace studies (melting-point search + cluster
     // run) are shared across every site × backend pair on that trace.
-    let studies: Vec<TraceStudy> = tts_exec::par_map(traces, |name| TraceStudy::run(name));
+    // They run in turn, so each study's candidate sweep gets the whole
+    // width.
+    let studies: Vec<TraceStudy> = traces.iter().map(|name| TraceStudy::run(name)).collect();
     // A year of hourly weather per site; the series wraps, so traces
     // shorter than a year just read a prefix.
     let weathers: Vec<WeatherSeries> = tts_exec::par_map(

@@ -1,6 +1,7 @@
 //! Every experiment must be exactly reproducible: seeded randomness only.
 
 use thermal_time_shifting::Scenario;
+use tts_exec::with_thread_budget;
 use tts_obs::MetricsSink;
 use tts_server::blockage::default_sweep;
 use tts_server::validation::{run, ValidationConfig};
@@ -78,26 +79,6 @@ fn constrained_pipeline_json_is_byte_identical() {
     assert_eq!(a.as_bytes(), b.as_bytes());
 }
 
-/// Runs `f` with the `tts_exec` worker count pinned to `threads`,
-/// restoring the default afterwards even on panic. The override is
-/// process-global, so a mutex keeps concurrently running tests from
-/// clobbering each other's setting.
-fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let guard = LOCK.lock();
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            tts_exec::set_thread_override(None);
-        }
-    }
-    let _reset = Reset;
-    tts_exec::set_thread_override(Some(threads));
-    let out = f();
-    drop(guard);
-    out
-}
-
 #[test]
 fn fig7_json_is_byte_identical_across_thread_counts() {
     // The tentpole determinism contract: the parallel execution engine
@@ -114,8 +95,8 @@ fn fig7_json_is_byte_identical_across_thread_counts() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    let serial = with_threads(1, fig7);
-    let parallel = with_threads(8, fig7);
+    let serial = with_thread_budget(1, fig7);
+    let parallel = with_thread_budget(8, fig7);
     assert_eq!(serial.as_bytes(), parallel.as_bytes());
 }
 
@@ -124,15 +105,15 @@ fn fig11_json_is_byte_identical_across_thread_counts() {
     // The melting-point grid search fans out per candidate; its in-order
     // reduction must pick the same winner (and produce the same bytes)
     // at any worker count.
-    let serial = with_threads(1, || fig11(ServerClass::LowPower1U));
-    let parallel = with_threads(8, || fig11(ServerClass::LowPower1U));
+    let serial = with_thread_budget(1, || fig11(ServerClass::LowPower1U));
+    let parallel = with_thread_budget(8, || fig11(ServerClass::LowPower1U));
     assert_eq!(serial.as_bytes(), parallel.as_bytes());
 }
 
 /// Runs a registered experiment with a fresh metrics registry at the
 /// given worker count and returns the rendered sidecar bytes.
 fn sidecar_bytes(name: &str, threads: usize) -> String {
-    with_threads(threads, || {
+    with_thread_budget(threads, || {
         let exp = thermal_time_shifting::experiment::find(name).expect("registered experiment");
         let ctx = thermal_time_shifting::ExecCtx::with_metrics();
         exp.run_with(&ctx, &Default::default())
@@ -174,7 +155,7 @@ fn scenarios_matrix_json_is_byte_identical_across_thread_counts() {
     // machine-readable summary — the same bytes `--write` files and
     // `ttsd` serves — is identical at 1, 4, and 8 workers.
     let render = |threads: usize| -> String {
-        with_threads(threads, || {
+        with_thread_budget(threads, || {
             let exp = thermal_time_shifting::experiment::find("scenarios").expect("registered");
             let ctx = thermal_time_shifting::ExecCtx::disabled();
             let params = thermal_time_shifting::experiment::Params {

@@ -3,10 +3,6 @@
 //! metrics and utilization traces to the frozen legacy heap engine
 //! (`tts_dcsim_oracle::LegacySim`) on every seeded (workload,
 //! cluster-size, fault-plan) combination, at every thread count.
-//!
-//! Everything lives in ONE `#[test]` because `tts_exec::set_thread_override`
-//! is process-global: parallel test threads in the same binary would race
-//! on it. This binary is its own process, so the override is safe here.
 
 use tts_chaos::{Fault, FaultPlan, PlanConfig, PlanFaultHook};
 use tts_dcsim::balancer::{Balancer, LeastLoaded, RandomBalancer, RoundRobin};
@@ -273,12 +269,12 @@ fn rebuilt_engine_matches_legacy_heap_engine_bytewise() {
     ];
 
     for threads in [1usize, 4] {
-        tts_exec::set_thread_override(Some(threads));
-        for c in &combos {
-            assert_engines_agree(c, LeastLoaded::new);
-            assert_engines_agree(c, RoundRobin::new);
-            assert_engines_agree(c, || RandomBalancer::new(c.seed ^ 0xb0b));
-        }
+        tts_exec::with_thread_budget(threads, || {
+            for c in &combos {
+                assert_engines_agree(c, LeastLoaded::new);
+                assert_engines_agree(c, RoundRobin::new);
+                assert_engines_agree(c, || RandomBalancer::new(c.seed ^ 0xb0b));
+            }
+        });
     }
-    tts_exec::set_thread_override(None);
 }
