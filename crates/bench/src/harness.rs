@@ -7,10 +7,10 @@
 //! hint: it re-runs the setup closure for every timed call.
 //!
 //! Each benchmark is measured as [`SAMPLES`] wall-clock samples; fast
-//! routines are auto-batched so a sample is never shorter than ~1 ms. Results print as one line per bench
-//! and are written as a JSON report (via the in-repo `tts_units::json`
-//! layer) to `TTS_BENCH_OUT`, defaulting to
-//! `target/tts-bench/<binary>.json`.
+//! routines are auto-batched so a sample is never shorter than ~1 ms.
+//! Results print as one line per bench and are written as a JSON report
+//! (via the in-repo `tts_units::json` layer) to `TTS_BENCH_OUT`,
+//! defaulting to `target/tts-bench/<binary>.json`.
 //!
 //! [`criterion_group!`]: crate::criterion_group
 //! [`criterion_main!`]: crate::criterion_main
