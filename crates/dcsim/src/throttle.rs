@@ -16,8 +16,11 @@
 //! capacity of the wax is full".
 //!
 //! Steps 1–3 bisect for the largest feasible utilization at each
-//! frequency, so one tick evaluates the power model and the wax ~100
-//! times. Each piece of that work is done once:
+//! frequency, 50 steps apiece, and stop a frequency's bisection as soon
+//! as its bounds show it cannot win (see `decide`). The default
+//! `repro fig12` evaluates the power model and the wax 4.43M times,
+//! against 8.45M with both bisections run to the end. Each piece of that
+//! work is done once:
 //! - the no-wax arm never reads the wax, so it is computed once per
 //!   sweep (`no_wax_arm`) and shared by every melting-point candidate;
 //! - each frequency's wall-power curve (`ServerSpec::wall_power_at`) is
@@ -87,27 +90,37 @@ tts_units::derive_json! { struct ConstrainedRun { times_h, ideal, no_wax, with_w
 
 /// Served load at the limit, per lane: the largest utilization
 /// `u ≤ ceilings[l]` whose cluster cooling load `load(l, u)` fits the
-/// budget, by bisection. A lane that fits at its ceiling returns it
-/// unbisected. The lanes are independent and step through one loop, so
-/// the CPU overlaps their evaluation chains; each lane's `mid`,
-/// comparison and `Fraction::new` run in the one-lane order, so every
-/// lane's bits are those of a bisection run alone.
+/// budget, by bisection, or `None` for a lane that `loses` rules out. A
+/// lane that fits at its ceiling returns it unbisected.
+///
+/// Before each step, `loses(l, &lo, &hi)` sees every lane's bounds: a
+/// bisected lane's result is `Fraction::new(lo_final)` with
+/// `lo ≤ lo_final < hi`, and a lane that fits has `lo = hi = ceiling`.
+/// Once it returns true, lane `l` stops stepping. The loop ends when no
+/// lane is left stepping, or after 50 steps.
+///
+/// The lanes are independent and step through one loop, so the CPU
+/// overlaps their evaluation chains; each lane's `mid`, comparison and
+/// `Fraction::new` run in the one-lane order, so every lane that is not
+/// ruled out returns the bits of a bisection run alone.
 fn max_feasible_utils<const L: usize>(
     ceilings: [Fraction; L],
     budget_w: f64,
     load: impl Fn(usize, Fraction) -> f64,
-) -> [Fraction; L] {
+    loses: impl Fn(usize, &[f64; L], &[f64; L]) -> bool,
+) -> [Option<Fraction>; L] {
     let fits: [bool; L] = std::array::from_fn(|l| load(l, ceilings[l]) <= budget_w);
-    if fits.iter().all(|&f| f) {
-        return ceilings;
-    }
-    let mut lo = [0.0; L];
     let mut hi = ceilings.map(Fraction::value);
+    let mut lo: [f64; L] = std::array::from_fn(|l| if fits[l] { hi[l] } else { 0.0 });
+    let mut lost = [false; L];
     for _ in 0..50 {
+        let mut stepped = false;
         for l in 0..L {
-            if fits[l] {
+            lost[l] = lost[l] || loses(l, &lo, &hi);
+            if fits[l] || lost[l] {
                 continue;
             }
+            stepped = true;
             let mid = 0.5 * (lo[l] + hi[l]);
             if load(l, Fraction::new(mid)) <= budget_w {
                 lo[l] = mid;
@@ -115,13 +128,14 @@ fn max_feasible_utils<const L: usize>(
                 hi[l] = mid;
             }
         }
-    }
-    std::array::from_fn(|l| {
-        if fits[l] {
-            ceilings[l]
-        } else {
-            Fraction::new(lo[l])
+        if !stepped {
+            break;
         }
+    }
+    std::array::from_fn(|l| match (lost[l], fits[l]) {
+        (true, _) => None,
+        (false, true) => Some(ceilings[l]),
+        (false, false) => Some(Fraction::new(lo[l])),
     })
 }
 
@@ -308,17 +322,41 @@ fn decide(
     wax_q: &impl Fn(Watts) -> Watts,
 ) -> TickDecision {
     let cooling_load_w = |wall: Watts| (wall - wax_q(wall)).value() * servers as f64;
+    let freqs = powers.each_ref().map(|(freq, _)| freq.value());
     // Serving the full offered work at frequency `f` needs machine
     // utilization `offered / f` (a downclocked machine is busy longer per
     // unit of work); utilization saturates at 1.
-    let ceilings = powers
-        .each_ref()
-        .map(|(freq, _)| Fraction::new(offered.value() / freq.value()));
-    let utils = max_feasible_utils(ceilings, budget_w, |lane, u| {
-        cooling_load_w((powers[lane].1)(u))
-    });
+    let ceilings = freqs.map(|f| Fraction::new(offered.value() / f));
+    // A lane's throughput will lie in `[lo·f, hi·f]`, and `Fraction::new`,
+    // `·`, `+` and `−` are monotone in floating point, so these bounds
+    // settle `best_candidate`'s rule early: stop the nominal lane once the
+    // throttle surely beats it by more than the tie margin, and the
+    // throttle once nominal surely does (which also rules out a tie).
+    // The two cannot both hold, and the winner's bisection is untouched.
+    let loses = |lane: usize, lo: &[f64; 2], hi: &[f64; 2]| match lane {
+        0 => lo[1] * freqs[1] > hi[0] * freqs[0] + 1e-12,
+        _ => lo[0] * freqs[0] - hi[1] * freqs[1] > 1e-12,
+    };
+    let utils = max_feasible_utils(
+        ceilings,
+        budget_w,
+        |lane, u| cooling_load_w((powers[lane].1)(u)),
+        loses,
+    );
+    best_candidate(spec, powers, utils, cooling_load_w)
+}
+
+/// `decide`'s choice between the lanes' operating points, nominal first;
+/// a ruled-out lane (`None`) is skipped.
+fn best_candidate(
+    spec: &ServerSpec,
+    powers: &[(Fraction, impl Fn(Fraction) -> Watts); 2],
+    utils: [Option<Fraction>; 2],
+    cooling_load_w: impl Fn(Watts) -> f64,
+) -> TickDecision {
     let mut best: Option<TickDecision> = None;
     for ((freq, wall_power), u) in powers.iter().zip(utils) {
+        let Some(u) = u else { continue };
         let freq = *freq;
         let wall = wall_power(u);
         let candidate = TickDecision {
@@ -340,7 +378,7 @@ fn decide(
             best = Some(candidate);
         }
     }
-    best.expect("two candidates evaluated")
+    best.expect("at most one lane is ruled out")
 }
 
 /// Grid-searches the melting point that maximizes the peak throughput gain
@@ -477,13 +515,118 @@ mod tests {
             prop_assert_eq!(load0(c0) <= budget_w, fits & 1 != 0);
             prop_assert_eq!(load1(c1) <= budget_w, fits & 2 != 0);
 
-            let lanes = max_feasible_utils([c0, c1], budget_w, load);
+            let never = |_: usize, _: &[f64; 2], _: &[f64; 2]| false;
+            let lanes = max_feasible_utils([c0, c1], budget_w, load, never)
+                .map(|u| u.expect("no lane is ruled out"));
             for (lane, (got, ceiling)) in lanes.iter().zip([c0, c1]).enumerate() {
                 let alone = max_feasible_util(ceiling, budget_w, |u| load(lane, u));
                 prop_assert_eq!(got.value().to_bits(), alone.value().to_bits(), "lane {lane}");
             }
-            let [single] = max_feasible_utils([c1], budget_w, |_, u| load1(u));
-            prop_assert_eq!(single.value().to_bits(), lanes[1].value().to_bits());
+            let [single] = max_feasible_utils([c1], budget_w, |_, u| load1(u), |_, _, _| false);
+            prop_assert_eq!(single.map(|u| u.value().to_bits()), Some(lanes[1].value().to_bits()));
+        }
+    }
+
+    /// `decide` without pruning, kept as its oracle: each lane bisected
+    /// alone, to the end, then `best_candidate`'s choice.
+    fn decide_unpruned(
+        spec: &ServerSpec,
+        powers: &[(Fraction, impl Fn(Fraction) -> Watts); 2],
+        servers: usize,
+        offered: Fraction,
+        budget_w: f64,
+        wax_q: &impl Fn(Watts) -> Watts,
+    ) -> TickDecision {
+        let cooling_load_w = |wall: Watts| (wall - wax_q(wall)).value() * servers as f64;
+        let utils = powers.each_ref().map(|(freq, wall_power)| {
+            let ceiling = Fraction::new(offered.value() / freq.value());
+            Some(max_feasible_util(ceiling, budget_w, |u| {
+                cooling_load_w(wall_power(u))
+            }))
+        });
+        best_candidate(spec, powers, utils, cooling_load_w)
+    }
+
+    /// One lane's wall power for `decide`'s tests: `q0` (the constant wax
+    /// absorption) plus the per-server budget scaled by `1 + g`, where `g`
+    /// changes sign at throughput `u·freq = cross`. `shape` 0 is monotone,
+    /// 1 non-monotone with that one crossing, 2 a sine with more crossings.
+    fn test_wall_power(
+        freq: f64,
+        cross: f64,
+        shape: usize,
+        k: f64,
+        per_server_w: f64,
+        q0: f64,
+    ) -> impl Fn(Fraction) -> Watts {
+        move |u: Fraction| {
+            let u = u.value();
+            let t = u * freq;
+            let g = match shape {
+                0 => k * (t - cross) + (t * t * t - cross * cross * cross),
+                1 => (t - cross) * (1.5 + (k * u).sin()),
+                _ => (k * (t - cross)).sin(),
+            };
+            Watts::new(q0 + per_server_w * (1.0 + g))
+        }
+    }
+
+    proptest! {
+        #![cases(512)]
+        #[test]
+        fn pruned_decide_matches_the_unpruned_oracle(
+            offer in (0usize..4, 0.0f64..1.0, 0.3f64..0.95),
+            cluster in (1.0e3f64..1.0e6, 1usize..2000, 0.0f64..50.0),
+            shapes in (0usize..3, 0usize..3, 0.5f64..40.0, 0.5f64..40.0),
+            crossing in (0usize..4, 0usize..4, 1.0e-3f64..0.5, 0.05f64..0.95),
+            delta in -3.0e-12f64..3.0e-12,
+        ) {
+            let (offered_kind, offered_raw, thr) = offer;
+            let (budget_w, servers, q0) = cluster;
+            let (plant, fits, margin, at) = crossing;
+            let spec = ServerClass::LowPower1U.spec();
+            let freqs = [1.0, thr];
+            // Ceilings 0 (offered 0) and 1 (offered 1 or exactly the
+            // throttle ratio) are drawn on purpose.
+            let offered = Fraction::new(match offered_kind {
+                0 => 0.0,
+                1 => 1.0,
+                2 => thr,
+                _ => offered_raw,
+            });
+            // Each lane's throughput at its ceiling.
+            let top = freqs.map(|f| Fraction::new(offered.value() / f).value() * f);
+            // Where each lane's load crosses the budget, in throughput:
+            // - plant 0: past (fits) or short of (does not fit) the
+            //   ceiling, per bit of `fits`;
+            // - plant 1: both lanes bisect to throughputs `delta` apart;
+            // - plants 2 and 3: one lane fits and the other bisects to
+            //   `delta` from its throughput.
+            // `delta` spans the 1e-12 tie margin on both sides, so a prune
+            // rule without that margin picks the other lane on a tie.
+            let side = |lane: usize| if fits >> lane & 1 == 1 { margin } else { -margin };
+            let cross = match plant {
+                0 => [top[0] + side(0), top[1] + side(1)],
+                1 => {
+                    let x = at * top[0].min(top[1]);
+                    [x, x + delta]
+                }
+                2 => [top[0] + margin, top[0] + delta],
+                _ => [top[1] + delta, top[1] + margin],
+            };
+            let per_server_w = budget_w / servers as f64;
+            let curve = |lane: usize| {
+                let (shape, k) = if lane == 0 { (shapes.0, shapes.2) } else { (shapes.1, shapes.3) };
+                test_wall_power(freqs[lane], cross[lane], shape, k, per_server_w, q0)
+            };
+            let powers = [(Fraction::ONE, curve(0)), (Fraction::new(thr), curve(1))];
+            let wax_q = |_: Watts| Watts::new(q0);
+
+            let got = decide(&spec, &powers, servers, offered, budget_w, &wax_q);
+            let want = decide_unpruned(&spec, &powers, servers, offered, budget_w, &wax_q);
+            prop_assert_eq!(got.throughput.to_bits(), want.throughput.to_bits());
+            prop_assert_eq!(got.cooling_load_kw.to_bits(), want.cooling_load_kw.to_bits());
+            prop_assert_eq!(got.wall.value().to_bits(), want.wall.value().to_bits());
         }
     }
 
@@ -711,6 +854,66 @@ mod tests {
         for (i, (g, p)) in got.iter().zip(&pinned).enumerate() {
             assert_eq!(g, p, "case {i}: fingerprint {g:#018x}, pinned {p:#018x}");
         }
+    }
+
+    /// Replays `with_wax_run`'s tick loop for `cfg` under `limit` through
+    /// `decide` (or, unless `pruned`, its oracle), with `wax_q` wrapped in a
+    /// call counter. Returns the absolute with-wax throughput series and
+    /// the call count: one per load evaluation, plus one per candidate
+    /// `best_candidate` weighs.
+    fn counted_wax_arm(
+        cfg: &ClusterConfig,
+        limit: KiloWatts,
+        trace: &TimeSeries,
+        pruned: bool,
+    ) -> (Vec<f64>, u64) {
+        let (spec, chars, n, dt) = (&cfg.spec, &cfg.chars, cfg.servers, trace.dt());
+        let powers = power_curves(spec);
+        let budget_w = limit.watts().value();
+        let coupling = chars.effective_coupling();
+        let mut pcm = PcmState::new(&chars.material, chars.mass, chars.idle_air_temp);
+        let calls = std::cell::Cell::new(0u64);
+        let mut throughput = Vec::with_capacity(trace.len());
+        for &u_raw in trace.values() {
+            let offered = Fraction::new(u_raw);
+            let decision = {
+                let probe = pcm.probe(coupling, dt);
+                let wax_q = |wall: Watts| {
+                    calls.set(calls.get() + 1);
+                    probe(chars.air_temp_model.at(wall)).max(Watts::ZERO)
+                };
+                if pruned {
+                    decide(spec, &powers, n, offered, budget_w, &wax_q)
+                } else {
+                    decide_unpruned(spec, &powers, n, offered, budget_w, &wax_q)
+                }
+            };
+            throughput.push(decision.throughput);
+            let t_air = chars.air_temp_model.at(decision.wall);
+            let headroom = Watts::new((budget_w / n as f64 - decision.wall.value()).max(0.0));
+            pcm.step_with_release_cap(t_air, coupling, dt, headroom);
+        }
+        (throughput, calls.get())
+    }
+
+    /// The work of one with-wax arm (the 1U at the paper's limit, wax at
+    /// 45 °C), in load evaluations: pruning the losing frequency must keep
+    /// the output bits and cut the count by at least 40 %. A change that
+    /// stops pruning, or prunes less, moves the pinned count.
+    #[test]
+    fn wax_arm_load_evaluations_are_pinned() {
+        let (cfg, limit) = config_for(ServerClass::LowPower1U);
+        let trace = GoogleTrace::default_two_day();
+        let run = run_constrained(&cfg, limit, trace.total(), &MetricsSink::disabled());
+        let (pruned, pruned_calls) = counted_wax_arm(&cfg, limit, trace.total(), true);
+        let (unpruned, unpruned_calls) = counted_wax_arm(&cfg, limit, trace.total(), false);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The replay is the run's own with-wax arm, and the oracle agrees.
+        let normalized: Vec<f64> = pruned.iter().map(|x| x / run.norm_base).collect();
+        assert_eq!(bits(&normalized), bits(&run.with_wax));
+        assert_eq!(bits(&pruned), bits(&unpruned));
+        assert_eq!((pruned_calls, unpruned_calls), (19_024, 36_854));
+        assert!(pruned_calls * 10 <= unpruned_calls * 6);
     }
 
     #[test]
